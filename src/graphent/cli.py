@@ -2,17 +2,15 @@
 
 Exit codes: 0 success; 1 input error; 2 bounds do not coincide (analyze; the
 interval report is still emitted); 3 CSS construction disagreement; 4 verify
-failures.  Identical configuration (including --seed) yields byte-identical
-output.
+failures.  Identical arguments yield byte-identical output; --seed (verify
+only) picks the random cuts of the cut-rank check.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,51 +37,18 @@ DENSE_TOL = 1e-12
 REE_TOL = 1e-9
 
 
-@dataclass
-class RunConfig:
-    """One CLI invocation; the seed fully determines any randomized behaviour."""
-
-    command: str
-    graph_input: str | None = None
-    fmt: str = "edgelist"
-    orbit_cap: int = DEFAULT_ORBIT_CAP
-    oracle: bool = False
-    method: str = "all"
-    exact: bool = False
-    seed: int = 0
-    out: str | None = None
-    timeout: float | None = None
-    kind: str | None = None
-    sizes: tuple[int, ...] = ()
-    threads: int | None = None
-
-
-def _read_threads() -> int | None:
-    raw = os.environ.get("GRAPHENT_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-        if value < 1:
-            raise ValueError
-    except ValueError:
-        print(f"warning: ignoring invalid GRAPHENT_THREADS={raw!r}", file=sys.stderr)
-        return None
-    return value
-
-
-def _load_graph(cfg: RunConfig) -> Graph:
-    if cfg.graph_input == "-":
+def _load_graph(args: argparse.Namespace) -> Graph:
+    if args.graph == "-":
         text = sys.stdin.read()
     else:
-        with open(cfg.graph_input, "r", encoding="utf-8") as fh:
+        with open(args.graph, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return parse_graph(text, fmt=cfg.fmt)
+    return parse_graph(text, fmt=args.fmt)
 
 
-def _emit(cfg: RunConfig, payload: str):
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+def _emit(args: argparse.Namespace, payload: str):
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
@@ -93,13 +58,13 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    report = measures.evaluate(g, orbit_cap=cfg.orbit_cap)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
+    report = measures.evaluate(g, orbit_cap=args.orbit_cap)
     doc = report.to_dict()
-    if cfg.oracle:
+    if args.oracle:
         doc["oracle"] = _oracle_block(g, report)
-    _emit(cfg, _json(doc))
+    _emit(args, _json(doc))
     return EXIT_OK if report.bounds.coincide else EXIT_BOUNDS_OPEN
 
 
@@ -133,10 +98,10 @@ def _oracle_block(g: Graph, report) -> dict:
     }
 
 
-def cmd_css(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
+def cmd_css(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
     alpha = max_independent_set(g)
-    methods = ("stabilizer", "peps", "noise") if cfg.method == "all" else (cfg.method,)
+    methods = ("stabilizer", "peps", "noise") if args.method == "all" else (args.method,)
     descriptions = []
     dense_forms = {}
     for method in methods:
@@ -154,20 +119,18 @@ def cmd_css(cfg: RunConfig) -> int:
             res = separable.peps_css(g, alpha)
             desc = {"method": "peps", "components": list(res.components), "weight": res.weight}
             dense_forms["peps"] = res.dense
-        elif method == "noise":
+        else:
             res = separable.noise_css(g, beta=frozenset(range(1, g.n + 1)) - alpha)
             desc = {"method": "noise", "components": list(res.components), "weight": res.weight}
             dense_forms["noise"] = res.dense
-        else:
-            raise GraphFormatError(f"unknown css method {cfg.method!r}")
         descriptions.append(desc)
     doc: dict = {"n": g.n, "methods": descriptions}
     exit_code = EXIT_OK
-    if cfg.method == "all":
+    if args.method == "all":
         if g.n <= dense.DENSE_OP_CAP:
             ref = dense_forms["stabilizer"]
-            sum_form = measures.css_stabilizer_form(g, alpha)
-            eq6 = sum(dense.pauli_dense(p) for p in sum_form.elements) * sum_form.scale
+            # form is the group sum built in the stabilizer branch
+            eq6 = sum(dense.pauli_dense(p) for p in form.elements) * form.scale
             errs = {
                 "stabilizer_sum": float(np.abs(eq6 - ref).max()),
                 "peps": float(np.abs(dense_forms["peps"] - ref).max()),
@@ -180,13 +143,13 @@ def cmd_css(cfg: RunConfig) -> int:
                 exit_code = EXIT_CSS_MISMATCH
         else:
             doc["verdict"] = "skipped"
-    _emit(cfg, _json(doc))
+    _emit(args, _json(doc))
     return exit_code
 
 
-def cmd_orbit(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    summary = lc_orbit(g, cap=cfg.orbit_cap)
+def cmd_orbit(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
+    summary = lc_orbit(g, cap=args.orbit_cap)
     doc = {
         "n": g.n,
         "size": summary.size,
@@ -198,12 +161,16 @@ def cmd_orbit(cfg: RunConfig) -> int:
         },
         "lc_path": list(summary.lc_path),
     }
-    _emit(cfg, _json(doc))
+    _emit(args, _json(doc))
     return EXIT_OK
 
 
-def cmd_lattice(cfg: RunConfig) -> int:
-    rows = gap_scan(cfg.kind, cfg.sizes, exact=cfg.exact, timeout=cfg.timeout)
+def cmd_lattice(args: argparse.Namespace) -> int:
+    sizes = _parse_sizes(args.sizes)
+    if args.kind == "triangular" and not args.exact and any(s <= 3 for s in sizes):
+        # formula-only triangular runs need L > 3
+        raise GraphFormatError("triangular gap formula is valid for L > 3 only")
+    rows = gap_scan(args.kind, sizes, exact=args.exact, timeout=args.timeout)
     lines = ["kind,size,n,matching,vertex_cover,gap_exact,gap_formula,difference"]
     for r in rows:
         if r.timed_out:
@@ -219,16 +186,16 @@ def cmd_lattice(cfg: RunConfig) -> int:
         lines.append(
             f"{r.kind},{r.size},{r.n},{matching},{cover},{exact_gap},{formula},{diff}"
         )
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
+def cmd_verify(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
     if g.n > dense.DENSE_OP_CAP:
         raise GraphFormatError(f"verify needs n <= {dense.DENSE_OP_CAP}")
-    report = measures.evaluate(g, orbit_cap=cfg.orbit_cap)
-    checks = run_verification(g, orbit_cap=cfg.orbit_cap, seed=cfg.seed, report=report)
+    report = measures.evaluate(g, orbit_cap=args.orbit_cap)
+    checks = run_verification(g, orbit_cap=args.orbit_cap, seed=args.seed, report=report)
     doc = {
         "n": g.n,
         "measures": report.to_dict()["measures"],
@@ -239,7 +206,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         ],
         "all_passed": all(passed for _, passed, _ in checks),
     }
-    _emit(cfg, _json(doc))
+    _emit(args, _json(doc))
     return EXIT_OK if doc["all_passed"] else EXIT_VERIFY_FAILED
 
 
@@ -342,19 +309,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("graph", help="path to a graph file, or '-' for stdin")
         p.add_argument("--format", dest="fmt", choices=["edgelist", "graph6"], default="edgelist")
         p.add_argument("--orbit-cap", type=int, default=DEFAULT_ORBIT_CAP)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("analyze", help="full entanglement report (JSON)")
     add_graph_opts(p)
     p.add_argument("--oracle", action="store_true", help="attach dense oracle checks (n <= 10)")
+    p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("css", help="closest separable state constructions (JSON)")
     add_graph_opts(p)
     p.add_argument("--method", choices=["stabilizer", "peps", "noise", "all"], default="all")
+    p.set_defaults(handler=cmd_css)
 
     p = sub.add_parser("orbit", help="LC orbit summary (JSON)")
     add_graph_opts(p)
+    p.set_defaults(handler=cmd_orbit)
 
     p = sub.add_parser("lattice", help="lattice gap table (CSV)")
     p.add_argument("kind", choices=list(KINDS))
@@ -362,50 +331,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true")
     p.add_argument("--timeout", type=float, default=None, help="per-size solver budget (s)")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(handler=cmd_lattice)
 
     p = sub.add_parser("verify", help="oracle cross-check suite for one graph")
     add_graph_opts(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the random cuts in the cut-rank check")
+    p.set_defaults(handler=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    threads = _read_threads()
     try:
-        if args.command == "lattice":
-            cfg = RunConfig(
-                command="lattice",
-                kind=args.kind,
-                sizes=_parse_sizes(args.sizes),
-                exact=args.exact,
-                timeout=args.timeout,
-                out=args.out,
-                seed=args.seed,
-                threads=threads,
-            )
-            if cfg.kind == "triangular" and not cfg.exact and any(s <= 3 for s in cfg.sizes):
-                # formula-only triangular runs need L > 3
-                raise GraphFormatError("triangular gap formula is valid for L > 3 only")
-            return cmd_lattice(cfg)
-        cfg = RunConfig(
-            command=args.command,
-            graph_input=args.graph,
-            fmt=args.fmt,
-            orbit_cap=args.orbit_cap,
-            oracle=getattr(args, "oracle", False),
-            method=getattr(args, "method", "all"),
-            seed=args.seed,
-            out=args.out,
-            threads=threads,
-        )
-        handler = {
-            "analyze": cmd_analyze,
-            "css": cmd_css,
-            "orbit": cmd_orbit,
-            "verify": cmd_verify,
-        }[cfg.command]
-        return handler(cfg)
+        return args.handler(args)
     except (GraphFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -4,13 +4,18 @@ Vertices are labelled 1..n at the API surface.  Internally each vertex a owns
 one integer bitmask (bit a-1) holding its neighbourhood, which keeps the
 branch-and-bound solvers and orbit enumeration fast up to the 64-vertex cap.
 All functions are pure and deterministic: ties are broken lexicographically.
+
+Local complementation has one primitive, _tau on raw adjacency tuples.
+lc_orbit is the one orbit engine: it enumerates the orbit breadth-first,
+solves every member once, and keeps the search's parent pointers, from which
+the LC path to any member is read back.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 MAX_VERTICES = 64
 
@@ -257,11 +262,7 @@ def parse_graph(text: str, fmt: str = "edgelist", require_connected: bool = True
 def local_complement(g: Graph, a: int) -> Graph:
     """Toggle every edge inside the neighbourhood of a (addition mod 2)."""
     g._check_vertex(a)
-    nb = g.adj[a - 1]
-    adj = list(g.adj)
-    for b in _bits(nb):
-        adj[b] ^= nb & ~(1 << b)
-    return Graph(g.n, tuple(adj))
+    return Graph(g.n, _tau(g.adj, a - 1))
 
 
 def _tau(adj: tuple[int, ...], a0: int) -> tuple[int, ...]:
@@ -275,20 +276,22 @@ def _tau(adj: tuple[int, ...], a0: int) -> tuple[int, ...]:
 
 def lc_orbit_members(
     g: Graph, cap: int = DEFAULT_ORBIT_CAP
-) -> tuple[dict[tuple[int, ...], tuple[int, ...]], bool]:
+) -> tuple[dict[tuple[int, ...], tuple[tuple[int, ...], int] | None], bool]:
     """Breadth-first closure of g under all single local complementations.
 
-    Returns (members, truncated) where members maps each labelled adjacency
-    tuple to the shortest vertex sequence (1-indexed) producing it from g.
+    Returns (members, truncated).  members maps each labelled adjacency tuple
+    to (parent_adj, vertex): parent_adj is the member the search first reached
+    it from, by local complementation at vertex (1-indexed).  g's own
+    adjacency maps to None, so following the links from any member back to g
+    retraces a shortest LC path (see OrbitSummary.path).
     """
     start = g.adj
-    members: dict[tuple[int, ...], tuple[int, ...]] = {start: ()}
+    members: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {start: None}
     queue = deque([start])
     truncated = False
     n = g.n
     while queue:
         cur = queue.popleft()
-        path = members[cur]
         for a0 in range(n):
             if not cur[a0]:
                 continue
@@ -297,14 +300,31 @@ def lc_orbit_members(
                 if len(members) >= cap:
                     truncated = True
                     continue
-                members[nxt] = path + (a0 + 1,)
+                members[nxt] = (cur, a0 + 1)
                 queue.append(nxt)
     return members, truncated
 
 
+def _path_to(members, adj) -> tuple[int, ...]:
+    """Walk lc_orbit_members' parent links from adj back to the root."""
+    path = []
+    link = members[adj]
+    while link is not None:
+        adj, a = link
+        path.append(a)
+        link = members[adj]
+    return tuple(reversed(path))
+
+
 @dataclass(frozen=True)
 class OrbitSummary:
-    """LC-orbit census: minima of matching/vertex-cover size over the orbit."""
+    """LC-orbit census: minima of matching/vertex-cover size over the orbit.
+
+    members is the parent-pointer map of lc_orbit_members, rooted at the
+    input graph.  own_vertex_cover is the input graph's |beta| and
+    representative_matching the representative's |M_max|; the
+    representative's |beta| is min_vertex_cover.
+    """
 
     size: int
     representative: Graph
@@ -312,39 +332,47 @@ class OrbitSummary:
     min_vertex_cover: int
     truncated: bool
     lc_path: tuple[int, ...]
+    own_vertex_cover: int
+    representative_matching: int
+    members: dict = field(repr=False, compare=False)
+
+    def path(self, adj: tuple[int, ...]) -> tuple[int, ...]:
+        """Shortest LC vertex sequence from the input graph to member adj."""
+        return _path_to(self.members, adj)
 
 
 def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP) -> OrbitSummary:
     """Enumerate the labelled LC orbit and minimise |M_max| and |beta| over it.
 
-    The representative minimises (|beta|, |M_max|, adjacency-bytes)
-    lexicographically; when the cap truncates enumeration the minima are only
-    upper bounds and the truncated flag is set.
+    Each member is solved once.  The representative minimises (|beta|,
+    |M_max|, adjacency-bytes) lexicographically; when the cap truncates
+    enumeration the minima are only upper bounds and the truncated flag is set.
     """
     members, truncated = lc_orbit_members(g, cap)
     n = g.n
     best_key = None
-    best_adj = None
-    best_path: tuple[int, ...] = ()
-    min_match = n + 1
-    min_cover = n + 1
-    for adj, path in members.items():
+    min_match = min_cover = own_cover = n + 1
+    for adj, link in members.items():
         msize = _matching_max_size(n, adj)
         cover = n - _mis_size(n, adj)
         min_match = min(min_match, msize)
         min_cover = min(min_cover, cover)
+        if link is None:
+            own_cover = cover
         key = (cover, msize, adj)
         if best_key is None or key < best_key:
             best_key = key
-            best_adj = adj
-            best_path = path
+    _, rep_match, rep_adj = best_key
     return OrbitSummary(
         size=len(members),
-        representative=Graph(n, best_adj),
+        representative=Graph(n, rep_adj),
         min_matching=min_match,
         min_vertex_cover=min_cover,
         truncated=truncated,
-        lc_path=best_path,
+        lc_path=_path_to(members, rep_adj),
+        own_vertex_cover=own_cover,
+        representative_matching=rep_match,
+        members=members,
     )
 
 

@@ -148,7 +148,8 @@ def generate_lattice(spec: LatticeSpec) -> Graph:
     if n > 64:
         raise ValueError(f"{spec.kind} size {spec.size} yields {n} > 64 vertices")
     g = Graph.from_edges(n, edges)
-    assert g.is_connected()
+    if not g.is_connected():
+        raise ValueError(f"{spec.kind} size {spec.size} patch is not connected")
     return g
 
 

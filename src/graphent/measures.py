@@ -5,6 +5,11 @@ bound (min |beta|); when they coincide all three measures equal log2 of the
 number of terms in the minimal product decomposition, and the closest
 separable state / closest product state certificates are built from the
 product basis stabilized by the maximum-independent-set subgroup.
+
+evaluate solves each sub-problem once: the orbit enumeration solves every
+member, and its summary carries the values bounds needs; then one maximum
+independent set gives one stabilized basis, of which the decomposition, the
+CSS and the CPS are views.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from .graphs import (
     OrbitSummary,
     _bits,
     _matching_max_size,
-    _mis_size,
     _tau,
     is_bipartite,
     lc_orbit,
@@ -80,7 +84,8 @@ def bounds(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP, orbit: OrbitSummary | N
 
     Bipartite inputs short-circuit to BIPARTITE_KONIG; otherwise the
     statements are evaluated on the orbit representative.  A truncated orbit
-    makes the minima upper bounds only, flagged via `truncated`.
+    makes the minima upper bounds only, flagged via `truncated`.  A given
+    orbit summary may be rooted at any member of g's orbit.
     """
     if not g.is_connected():
         raise ValueError("bounds require a connected graph")
@@ -90,9 +95,8 @@ def bounds(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP, orbit: OrbitSummary | N
     if is_bipartite(g) is not None:
         classification = BIPARTITE_KONIG
     else:
-        rep_alpha = _mis_size(rep.n, rep.adj)
-        rep_match = _matching_max_size(rep.n, rep.adj)
-        classification = classify(rep_alpha, rep.n, 2 * rep_match == rep.n)
+        rep_alpha = rep.n - orbit.min_vertex_cover
+        classification = classify(rep_alpha, rep.n, 2 * orbit.representative_matching == rep.n)
     return BoundsReport(
         lower=orbit.min_matching,
         upper=orbit.min_vertex_cover,
@@ -453,28 +457,27 @@ class EntanglementReport:
         }
 
 
-def evaluate(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP, orbit: OrbitSummary | None = None) -> EntanglementReport:
+def evaluate(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> EntanglementReport:
     """Evaluate all three measures with certificates for a connected graph state.
 
     The decomposition is built on g itself whenever its own vertex cover
     already attains the orbit minimum; otherwise on the orbit representative,
     with the CSS/CPS transported back to g's labelling along the LC path.
     """
-    rep_bounds = bounds(g, orbit_cap, orbit=orbit)
+    orbit = lc_orbit(g, orbit_cap)
+    rep_bounds = bounds(g, orbit=orbit)
     n = g.n
-    beta_own = n - _mis_size(n, g.adj)
-    if beta_own == rep_bounds.upper:
+    if orbit.own_vertex_cover == rep_bounds.upper:
         base, path = g, ()
     else:
         base, path = rep_bounds.representative, rep_bounds.lc_path
     decomp = minimal_decomposition(base)
-    css_base = closest_separable_state(base)
+    basis = tuple(state for _, state in decomp.terms)  # the CSS mixes the same basis
     if path:
-        back, comps = _transport_components(base, tuple(reversed(path)), css_base.components)
-        assert back.adj == g.adj, "LC path replay failed to return to the input graph"
-        css = SeparableStateDescription(comps, css_base.weight)
-    else:
-        css = css_base
+        back, basis = _transport_components(base, tuple(reversed(path)), basis)
+        if back.adj != g.adj:
+            raise RuntimeError("LC path replay failed to return to the input graph")
+    css = SeparableStateDescription(basis, 1.0 / len(basis))
     cps = css.components[0]
     if rep_bounds.coincide:
         value = float(rep_bounds.upper)

@@ -10,6 +10,7 @@ import pytest
 from graphent import Graph, parse_graph
 
 FIG6_TEXT = "6 5\n1 6\n2 6\n3 5\n4 5\n5 6\n"
+FIG6 = parse_graph(FIG6_TEXT)
 
 
 @pytest.fixture

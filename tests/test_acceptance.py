@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printed in the run summary.
 
-The exhaustive small-graph criteria share an orbit index that memoises
-matching/cover solves per labelled graph and LC paths per orbit class, so
-every labelled instance is still checked individually within the budgets.
+The exhaustive small-graph criteria share the library's orbit summaries: one
+is computed per orbit class and looked up by any member's adjacency, so every
+labelled instance is still checked individually within the budgets.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ import pytest
 
 from graphent import (
     Graph,
+    OrbitSummary,
     bell_extraction,
+    bounds,
     closest_separable_state,
     cut_rank,
     dense,
@@ -24,7 +26,7 @@ from graphent import (
     gap_formula,
     generate_lattice,
     is_bipartite,
-    lc_orbit_members,
+    lc_orbit,
     max_matching,
     minimal_decomposition,
     restricted_subgroup,
@@ -33,13 +35,7 @@ from graphent import (
 )
 from graphent.graphs import _matching_max_size, _mis_size
 from graphent.lattices import LatticeSpec
-from graphent.measures import (
-    BIPARTITE_KONIG,
-    BellSearchError,
-    classify,
-    css_stabilizer_form,
-    predicts_equal,
-)
+from graphent.measures import BellSearchError, css_stabilizer_form, predicts_equal
 from graphent.pauli import entangles_check, generators_from_graph
 from graphent.separable import noise_css, peps_css
 
@@ -71,54 +67,28 @@ def connected_graphs(n: int) -> list[Graph]:
     return _CONNECTED[n]
 
 
-class OrbitIndex:
-    """Orbit minima, representative, and LC paths, amortised over orbit classes."""
-
-    def __init__(self):
-        self.stats: dict[tuple, tuple[int, int]] = {}
-        self.info: dict[tuple, tuple] = {}
-
-    def _solve(self, n, adj):
-        st = self.stats.get(adj)
-        if st is None:
-            st = (_matching_max_size(n, adj), n - _mis_size(n, adj))
-            self.stats[adj] = st
-        return st
-
-    def lookup(self, g: Graph):
-        """-> (lower, upper, rep Graph, path g->rep)."""
-        if g.adj not in self.info:
-            members, truncated = lc_orbit_members(g, cap=500_000)
-            assert not truncated
-            n = g.n
-            lower = upper = n + 1
-            best_key = None
-            for adj in members:
-                ms, cv = self._solve(n, adj)
-                lower = min(lower, ms)
-                upper = min(upper, cv)
-                key = (cv, ms, adj)
-                if best_key is None or key < best_key:
-                    best_key = key
-            rep_adj = best_key[2]
-            rep_path = members[rep_adj]
-            for adj, path in members.items():
-                # path adj -> rep: undo (root -> adj), then follow (root -> rep)
-                self.info[adj] = (lower, upper, rep_adj, tuple(reversed(path)) + rep_path)
-        lower, upper, rep_adj, path = self.info[g.adj]
-        return lower, upper, Graph(g.n, rep_adj), path
+_ORBITS: dict[tuple, OrbitSummary] = {}
 
 
-ORBITS = OrbitIndex()
+def orbit_of(g: Graph) -> OrbitSummary:
+    """The library's orbit summary, computed once per orbit class, for any member."""
+    if g.adj not in _ORBITS:
+        summary = lc_orbit(g, cap=500_000)
+        assert not summary.truncated
+        _ORBITS.update(dict.fromkeys(summary.members, summary))
+    return _ORBITS[g.adj]
 
 
-def certificate_css(g: Graph, orbits: OrbitIndex):
+def certificate_css(g: Graph):
     """The evaluate-pipeline CSS for g: own basis, or the transported one."""
-    lower, upper, rep, path = orbits.lookup(g)
-    beta_own = g.n - _mis_size(g.n, g.adj)
-    if beta_own == upper:
+    summary = orbit_of(g)
+    lower, upper = summary.min_matching, summary.min_vertex_cover
+    if g.n - _mis_size(g.n, g.adj) == upper:
         return lower, upper, closest_separable_state(g)
-    return lower, upper, transport_css(rep, tuple(reversed(path)))
+    # the summary may be rooted at another member: back from the representative
+    # to that root, then out along the search tree to g
+    back = tuple(reversed(summary.lc_path)) + summary.path(g.adj)
+    return lower, upper, transport_css(summary.representative, back)
 
 
 def css_density(css):
@@ -185,7 +155,7 @@ def test_criterion_04_oracle_ree_certificates():
                 for s, st in dec.terms
             )
             assert np.abs(rec - psi).max() < DENSE_TOL, g.edges()
-            lower, upper, css = certificate_css(g, ORBITS)
+            lower, upper, css = certificate_css(g)
             if lower != upper:
                 continue
             coinciding += 1
@@ -233,15 +203,9 @@ def test_criterion_05_three_way_css_agreement():
     )
 
 
-def _classification_prediction_matches(g: Graph, orbits: OrbitIndex) -> bool:
-    lower, upper, rep, _ = orbits.lookup(g)
-    if is_bipartite(g) is not None:
-        cls = BIPARTITE_KONIG
-    else:
-        rep_alpha = _mis_size(rep.n, rep.adj)
-        rep_match = _matching_max_size(rep.n, rep.adj)
-        cls = classify(rep_alpha, rep.n, 2 * rep_match == rep.n)
-    return predicts_equal(cls) == (lower == upper)
+def _classification_prediction_matches(g: Graph) -> bool:
+    report = bounds(g, orbit=orbit_of(g))
+    return predicts_equal(report.classification) == report.coincide
 
 
 def test_criterion_06_statement_soundness():
@@ -249,13 +213,13 @@ def test_criterion_06_statement_soundness():
     count = 0
     for n in range(2, 7):
         for g in connected_graphs(n):
-            assert _classification_prediction_matches(g, ORBITS), g.edges()
+            assert _classification_prediction_matches(g), g.edges()
             count += 1
     rng = random.Random(606)
     done = 0
     while done < 1000:
         g = random_connected(7, rng)
-        assert _classification_prediction_matches(g, ORBITS), g.edges()
+        assert _classification_prediction_matches(g), g.edges()
         done += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 900.0
@@ -368,7 +332,8 @@ def test_criterion_10_cps_heuristic_never_beats_certificate():
     checked = 0
     for n in range(2, 6):
         for g in connected_graphs(n):
-            lower, upper, _, _ = ORBITS.lookup(g)
+            summary = orbit_of(g)
+            lower, upper = summary.min_matching, summary.min_vertex_cover
             if lower != upper:
                 continue
             psi = dense.statevector(g)

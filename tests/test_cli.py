@@ -103,19 +103,9 @@ def test_analyze_out_file(capsys, fig6_file, tmp_path):
 
 
 def test_byte_identical_reruns(capsys, fig6_file):
-    _, first, _ = run(capsys, ["analyze", fig6_file, "--oracle", "--seed", "7"])
-    _, second, _ = run(capsys, ["analyze", fig6_file, "--oracle", "--seed", "7"])
+    _, first, _ = run(capsys, ["analyze", fig6_file, "--oracle"])
+    _, second, _ = run(capsys, ["analyze", fig6_file, "--oracle"])
     assert first == second
-
-
-def test_threads_env_is_accepted(capsys, fig6_file, monkeypatch):
-    _, base, _ = run(capsys, ["analyze", fig6_file])
-    monkeypatch.setenv("GRAPHENT_THREADS", "4")
-    _, with_env, _ = run(capsys, ["analyze", fig6_file])
-    assert base == with_env
-    monkeypatch.setenv("GRAPHENT_THREADS", "zero")
-    code, out, err = run(capsys, ["analyze", fig6_file])
-    assert code == 0 and "GRAPHENT_THREADS" in err
 
 
 def test_css_all_fig6(capsys, fig6_file):

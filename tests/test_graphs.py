@@ -26,7 +26,7 @@ from graphent import (
 )
 from graphent.graphs import _matching_max_size, _mis_size
 
-from conftest import complete, random_connected, star
+from conftest import FIG6, complete, random_connected, ring, star
 
 
 def graphs_strategy(max_n=7):
@@ -153,6 +153,60 @@ def test_orbit_path_reaches_representative(fig6):
     for a in summary.lc_path:
         g = local_complement(g, a)
     assert g.adj == summary.representative.adj
+
+
+# (graph, orbit size, lc_path, representative edges): the lexicographic
+# tie-breaks of the representative and the breadth-first path to it
+ORBIT_PINS = {
+    "K4": (complete(4), 5, (2,), [(1, 2), (2, 3), (2, 4)]),
+    "star5": (star(5), 6, (1, 2), [(1, 2), (2, 3), (2, 4), (2, 5)]),
+    "C5": (ring(5), 132, (1, 2, 5, 4), [(1, 2), (1, 3), (2, 4), (3, 5), (4, 5)]),
+    "fig6": (FIG6, 18, (5, 3, 6, 2), [(1, 2), (2, 3), (2, 6), (3, 4), (3, 5)]),
+    "ring6": (ring(6), 372, (1, 6, 5, 2, 1), [(1, 2), (1, 3), (2, 4), (2, 5), (3, 5), (4, 6), (5, 6)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_PINS))
+def test_orbit_pinned_tie_breaks(name):
+    g, size, path, rep_edges = ORBIT_PINS[name]
+    summary = lc_orbit(g)
+    assert summary.size == size and not summary.truncated
+    assert summary.lc_path == path
+    assert summary.representative.edges() == rep_edges
+    assert summary.own_vertex_cover == len(min_vertex_cover(g))
+    rep = summary.representative
+    assert summary.representative_matching == _matching_max_size(rep.n, rep.adj)
+
+
+def _bfs_depths(g: Graph) -> dict:
+    depth = {g.adj: 0}
+    frontier = [g]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for a in range(1, g.n + 1):
+                k = local_complement(h, a)
+                if k.adj not in depth:
+                    depth[k.adj] = depth[h.adj] + 1
+                    nxt.append(k)
+        frontier = nxt
+    return depth
+
+
+@pytest.mark.parametrize("g", [FIG6, complete(4)], ids=["fig6", "K4"])
+def test_orbit_parent_pointers_replay(g):
+    summary = lc_orbit(g)
+    depths = _bfs_depths(g)
+    assert set(summary.members) == set(depths)
+    for adj in summary.members:
+        path = summary.path(adj)
+        h = g
+        for a in path:
+            h = local_complement(h, a)
+        assert h.adj == adj
+        assert len(path) == depths[adj]
+    assert summary.path(g.adj) == ()
+    assert summary.path(summary.representative.adj) == summary.lc_path
 
 
 def test_orbit_closure_small(p3, triangle):

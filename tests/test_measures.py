@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -19,9 +20,11 @@ from graphent import (
     cut_rank,
     dense,
     evaluate,
+    lc_orbit,
     lc_orbit_members,
     max_independent_set,
     max_matching,
+    measures,
     minimal_decomposition,
     predicts_equal,
     sign_function,
@@ -319,6 +322,17 @@ def test_evaluate_k4_transports_certificates():
     psi = dense.statevector(k4)
     assert abs(dense.relative_entropy_pure(psi, css_density(report.css)) - 1.0) < 1e-9
     assert abs(dense.overlap2(psi, report.cps) - 0.5) < 1e-12
+
+
+def test_evaluate_rejects_lc_path_that_misses_the_input(monkeypatch):
+    k4 = complete(4)
+    real = lc_orbit(k4)
+    assert real.min_vertex_cover == 1 and real.lc_path == (2,)
+    # vertex 1 is a leaf of the representative star, so replaying (1,) leaves the star
+    forged = dataclasses.replace(real, lc_path=(1,))
+    monkeypatch.setattr(measures, "lc_orbit", lambda *args, **kwargs: forged)
+    with pytest.raises(RuntimeError, match="replay"):
+        evaluate(k4)
 
 
 def test_evaluate_c5_interval(c5):
