@@ -1,6 +1,7 @@
 """Command-line frontend: scriptable JSON/CSV reports over the library.
 
-Exit codes: 0 success; 1 input error; 2 bounds do not coincide (analyze; the
+Exit codes: 0 success; 1 input error (malformed graph, unreadable path, bad
+option value or command-line usage); 2 bounds do not coincide (analyze; the
 interval report is still emitted); 3 CSS construction disagreement; 4 verify
 failures.  Identical arguments yield byte-identical output; --seed (verify
 only) picks the random cuts of the cut-rank check.
@@ -298,8 +299,16 @@ def _parse_sizes(spec: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with usage errors ending in the input-error exit code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphent",
         description="Direct evaluation of pure graph state entanglement.",
     )
@@ -344,7 +353,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (GraphFormatError, FileNotFoundError, ValueError) as exc:
+    except (GraphFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

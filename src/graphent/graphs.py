@@ -6,9 +6,13 @@ branch-and-bound solvers and orbit enumeration fast up to the 64-vertex cap.
 All functions are pure and deterministic: ties are broken lexicographically.
 
 Local complementation has one primitive, _tau on raw adjacency tuples.
-lc_orbit is the one orbit engine: it enumerates the orbit breadth-first,
-solves every member once, and keeps the search's parent pointers, from which
-the LC path to any member is read back.
+lc_orbit is the one orbit engine: it enumerates the orbit breadth-first and
+keeps the search's parent pointers, from which the LC path to any member is
+read back.  It solves the input graph exactly, and the other members only
+while a solve could still change its summary: the GF(2) rank of a cut is the
+same on every member and bounds every member's |M_max| and |beta| from below,
+so once the running minima reach that rank most members need no solve, and
+the summary is the one that solving every member would give.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 MAX_VERTICES = 64
 
@@ -269,8 +274,11 @@ def _tau(adj: tuple[int, ...], a0: int) -> tuple[int, ...]:
     """local_complement on a raw adjacency tuple, 0-indexed vertex."""
     nb = adj[a0]
     out = list(adj)
-    for b in _bits(nb):
-        out[b] ^= nb & ~(1 << b)
+    m = nb
+    while m:
+        low = m & -m
+        out[low.bit_length() - 1] ^= nb ^ low
+        m ^= low
     return tuple(out)
 
 
@@ -283,8 +291,11 @@ def lc_orbit_members(
     to (parent_adj, vertex): parent_adj is the member the search first reached
     it from, by local complementation at vertex (1-indexed).  g's own
     adjacency maps to None, so following the links from any member back to g
-    retraces a shortest LC path (see OrbitSummary.path).
+    retraces a shortest LC path (see OrbitSummary.path).  cap, at least 1,
+    bounds the number of members kept.
     """
+    if cap < 1:
+        raise ValueError(f"orbit cap {cap} must be at least 1")
     start = g.adj
     members: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {start: None}
     queue = deque([start])
@@ -293,8 +304,9 @@ def lc_orbit_members(
     while queue:
         cur = queue.popleft()
         for a0 in range(n):
-            if not cur[a0]:
-                continue
+            nb = cur[a0]
+            if not nb & (nb - 1):
+                continue  # degree <= 1: local complementation changes nothing
             nxt = _tau(cur, a0)
             if nxt not in members:
                 if len(members) >= cap:
@@ -344,34 +356,52 @@ class OrbitSummary:
 def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP) -> OrbitSummary:
     """Enumerate the labelled LC orbit and minimise |M_max| and |beta| over it.
 
-    Each member is solved once.  The representative minimises (|beta|,
-    |M_max|, adjacency-bytes) lexicographically; when the cap truncates
-    enumeration the minima are only upper bounds and the truncated flag is set.
+    The representative minimises (|beta|, |M_max|, adjacency-bytes)
+    lexicographically; when the cap truncates enumeration the minima are only
+    upper bounds and the truncated flag is set.
+
+    The input graph is solved exactly.  Every other member is solved only as
+    far as it could still change a field of the summary: the GF(2) rank r of
+    a cut of g is the same on every member (local complementation keeps cut
+    ranks) and bounds each member's |M_max| from below, which bounds its
+    |beta| in turn.  So a member's matching is solved only while the running
+    minimum exceeds r, and its independent set only when its cover could
+    still beat the best key, with the search told the size it has to beat.
+    Every field equals what solving every member would give.
     """
     members, truncated = lc_orbit_members(g, cap)
     n = g.n
-    best_key = None
-    min_match = min_cover = own_cover = n + 1
-    for adj, link in members.items():
-        msize = _matching_max_size(n, adj)
-        cover = n - _mis_size(n, adj)
-        min_match = min(min_match, msize)
-        min_cover = min(min_cover, cover)
-        if link is None:
-            own_cover = cover
-        key = (cover, msize, adj)
-        if best_key is None or key < best_key:
-            best_key = key
-    _, rep_match, rep_adj = best_key
+    r = _cut_rank_bound(n, g.adj)
+    root = g.adj
+    min_match = bm = _matching_max_size(n, root)
+    own_cover = bc = n - _mis_size(n, root)
+    badj = root
+    for adj in islice(members, 1, None):  # the root comes first
+        msize = None
+        if min_match > r:
+            msize = _matching_max_size(n, adj)
+            min_match = min(min_match, msize)
+        mlow = r if msize is None else msize  # |beta| >= |M_max| >= mlow
+        tie = (mlow, adj) < (bm, badj)  # could a cover equal to bc still win?
+        if mlow > bc or (mlow == bc and not tie):
+            continue
+        cover = n - _mis_size(n, adj, floor=n - bc - 1 if tie else n - bc)
+        if cover > bc or (cover == bc and not tie):
+            continue
+        if msize is None:
+            msize = r if cover == r else _matching_max_size(n, adj)  # r <= |M_max| <= |beta|
+            min_match = min(min_match, msize)
+        if (cover, msize, adj) < (bc, bm, badj):
+            bc, bm, badj = cover, msize, adj
     return OrbitSummary(
         size=len(members),
-        representative=Graph(n, rep_adj),
+        representative=Graph(n, badj),
         min_matching=min_match,
-        min_vertex_cover=min_cover,
+        min_vertex_cover=bc,
         truncated=truncated,
-        lc_path=_path_to(members, rep_adj),
+        lc_path=_path_to(members, badj),
         own_vertex_cover=own_cover,
-        representative_matching=rep_match,
+        representative_matching=bm,
         members=members,
     )
 
@@ -512,22 +542,29 @@ def _greedy_clique_cover(adj, cand: int) -> int:
     return count
 
 
-def _mis_size(n: int, adj, cand: int | None = None, deadline: float | None = None) -> int:
+def _mis_size(
+    n: int, adj, cand: int | None = None, deadline: float | None = None, floor: int = 0
+) -> int:
     """Exact maximum independent set size on the subgraph induced by cand.
 
     Branch and bound over bitmasks: vertices of degree <= 1 inside the
     candidate set are taken greedily (always safe), otherwise we branch on a
-    maximum-degree vertex, pruning with a greedy clique-cover bound.
+    maximum-degree vertex, pruning with a greedy clique-cover bound.  The
+    search only looks for sets larger than floor: the result is exact when
+    it exceeds floor, and some value <= floor otherwise.
     """
     if cand is None:
         cand = (1 << n) - 1
-    best = 0
     work = cand
     size = 0
     while work:  # greedy min-degree start solution
         pick = -1
         pick_deg = n + 1
-        for v in _bits(work):
+        m = work
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
             d = (adj[v] & work).bit_count()
             if d < pick_deg:
                 pick, pick_deg = v, d
@@ -535,7 +572,7 @@ def _mis_size(n: int, adj, cand: int | None = None, deadline: float | None = Non
                     break
         size += 1
         work &= ~(adj[pick] | (1 << pick))
-    best = size
+    best = max(size, floor)
     nodes = 0
 
     if deadline is not None and time.monotonic() > deadline:
@@ -551,20 +588,26 @@ def _mis_size(n: int, adj, cand: int | None = None, deadline: float | None = Non
                 if size > best:
                     best = size
                 return
-            reduced = False
-            for v in _bits(cand):
+            m = cand
+            while m:
+                low = m & -m
+                v = low.bit_length() - 1
                 if (adj[v] & cand).bit_count() <= 1:
-                    cand &= ~(adj[v] | (1 << v))
+                    cand &= ~(adj[v] | low)
                     size += 1
-                    reduced = True
                     break
-            if not reduced:
+                m ^= low
+            if not m:
                 break
         if size + _greedy_clique_cover(adj, cand) <= best:
             return
         pivot = -1
         pivot_deg = -1
-        for v in _bits(cand):
+        m = cand
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
             d = (adj[v] & cand).bit_count()
             if d > pivot_deg:
                 pivot, pivot_deg = v, d
@@ -626,25 +669,88 @@ def is_bipartite(g: Graph):
 def cut_rank(g: Graph, a) -> int:
     """GF(2) rank of the adjacency submatrix between a and its complement."""
     amask = _mask_of(a, g.n)
-    full = (1 << g.n) - 1
-    comp = full & ~amask
+    comp = ((1 << g.n) - 1) & ~amask
     if amask == 0 or comp == 0:
         raise ValueError("cut requires a proper nonempty vertex subset")
-    rows = [g.adj[v] & comp for v in _bits(amask)]
-    rank = 0
-    for col in _bits(comp):
-        pivot = None
-        for idx in range(rank, len(rows)):
-            if (rows[idx] >> col) & 1:
-                pivot = idx
+    return _cut_rank(g.adj, amask, comp)
+
+
+def _cut_rank(adj, amask: int, comp: int) -> int:
+    """GF(2) rank of the rows of amask restricted to the columns of comp."""
+    if amask.bit_count() > comp.bit_count():  # the rank is symmetric
+        amask, comp = comp, amask
+    basis: list[int] = []
+    while amask:
+        low = amask & -amask
+        row = adj[low.bit_length() - 1] & comp
+        for b in basis:  # clears b's leading bit, which no later basis row has
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+        amask ^= low
+    return len(basis)
+
+
+# up to this many vertices _cut_rank_bound tries every cut (2^11 at n = 12)
+_ALL_CUTS_N = 12
+
+
+def _cut_rank_bound(n: int, adj) -> int:
+    """GF(2) rank of the best cut of g found: a lower bound on |M_max| (so on
+    |beta|) of every member of g's LC orbit.
+
+    A cut's rank is at most the term rank of its crossing submatrix, which is
+    the size of a maximum crossing matching (Koenig), so at most |M_max|; and
+    local complementation leaves every cut rank unchanged (Hein, Eisert and
+    Briegel, quant-ph/0307130).  Up to _ALL_CUTS_N vertices every cut is
+    tried; above it, an ascent that moves one vertex across the cut or swaps
+    two runs from the low half and from one endpoint of each edge of a
+    greedy matching.
+    """
+    full = (1 << n) - 1
+    top = n // 2  # no cut rank exceeds this
+    best = 0
+    if n <= _ALL_CUTS_N:
+        for amask in range(1, 1 << (n - 1)):
+            k = amask.bit_count()
+            if min(k, n - k) <= best:
+                continue
+            best = max(best, _cut_rank(adj, amask, full ^ amask))
+            if best == top:
                 break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for idx in range(len(rows)):
-            if idx != rank and (rows[idx] >> col) & 1:
-                rows[idx] ^= rows[rank]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+        return best
+    ends = 0
+    matched = 0
+    for v in range(n):
+        free = adj[v] & ~matched
+        if not (matched >> v) & 1 and free:
+            u = (free & -free).bit_length() - 1
+            ends |= 1 << v
+            matched |= (1 << v) | (1 << u)
+    for amask in ((1 << top) - 1, ends):
+        rank = _cut_rank(adj, amask, full ^ amask) if amask else 0
+        while rank < top:
+            for move in _cut_moves(n, amask, full):
+                trial = amask ^ move
+                t = _cut_rank(adj, trial, full ^ trial)
+                if t > rank:
+                    amask, rank = trial, t
+                    break
+            else:
+                break
+        best = max(best, rank)
+    return best
+
+
+def _cut_moves(n: int, amask: int, full: int):
+    """Masks to XOR into a cut: every single-vertex move and every swap,
+    skipping those that would leave a side empty."""
+    for v in range(n):
+        trial = amask ^ (1 << v)
+        if trial and trial != full:
+            yield 1 << v
+    for v in range(n):
+        if (amask >> v) & 1:
+            for u in range(n):
+                if not (amask >> u) & 1:
+                    yield (1 << v) | (1 << u)

@@ -73,6 +73,27 @@ def test_analyze_missing_file_exits_1(capsys):
     assert code == 1
 
 
+def test_analyze_directory_exits_1(capsys, tmp_path):
+    code, out, err = run(capsys, ["analyze", str(tmp_path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_usage_error_exits_1(capsys, fig6_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", fig6_file, "--orbit-cap", "abc"])
+    assert exc.value.code == 1
+    assert "invalid int value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_orbit_cap_below_1_exits_1(capsys, fig6_file, cap):
+    for command in ("analyze", "orbit"):
+        code, out, err = run(capsys, [command, fig6_file, "--orbit-cap", cap])
+        assert code == 1 and out == ""
+        assert "orbit cap" in err
+
+
 def test_analyze_disconnected_exits_1(capsys, tmp_path):
     path = tmp_path / "disc.txt"
     path.write_text("4 2\n1 2\n3 4\n")

@@ -24,7 +24,13 @@ from graphent import (
     min_vertex_cover,
     parse_graph,
 )
-from graphent.graphs import _matching_max_size, _mis_size
+from graphent.graphs import (
+    DEFAULT_ORBIT_CAP,
+    _cut_rank_bound,
+    _matching_max_size,
+    _mis_size,
+    _vertices_of,
+)
 
 from conftest import FIG6, complete, random_connected, ring, star
 
@@ -225,6 +231,14 @@ def test_orbit_truncation_flag():
     assert summary.truncated and summary.size <= 5
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_orbit_cap_below_1_rejected(p3, cap):
+    with pytest.raises(ValueError):
+        lc_orbit_members(p3, cap)
+    with pytest.raises(ValueError):
+        lc_orbit(p3, cap)
+
+
 def test_orbit_matches_brute(p3):
     assert set(lc_orbit_members(p3)[0]) == dense.brute_orbit(p3)
 
@@ -382,3 +396,142 @@ def test_cut_rank_invariant_under_lc():
         a = rng.randrange(1, 7)
         cut = [1, 4, 5]
         assert cut_rank(g, cut) == cut_rank(local_complement(g, a), cut)
+
+
+# ---------------------------------------------------------------------------
+# lc_orbit's solve pruning against solving every member
+
+
+def _connected_graphs(max_n: int):
+    for n in range(1, max_n + 1):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1])
+            if g.is_connected():
+                yield g
+
+
+def _reference_summary(g: Graph, cap: int) -> dict:
+    """Every field of lc_orbit's summary, from a loop that solves every member."""
+    members, truncated = lc_orbit_members(g, cap)
+    n = g.n
+    keys = [(n - _mis_size(n, adj), _matching_max_size(n, adj), adj) for adj in members]
+    cover, msize, rep = min(keys)
+    path = []
+    link = members[rep]
+    while link is not None:
+        path.append(link[1])
+        link = members[link[0]]
+    return {
+        "size": len(members),
+        "representative": rep,
+        "min_matching": min(k[1] for k in keys),
+        "min_vertex_cover": cover,
+        "truncated": truncated,
+        "lc_path": tuple(reversed(path)),
+        "own_vertex_cover": keys[0][0],
+        "representative_matching": msize,
+        "members": list(members.items()),
+    }
+
+
+def _summary_fields(g: Graph, cap: int) -> dict:
+    s = lc_orbit(g, cap)
+    return {
+        "size": s.size,
+        "representative": s.representative.adj,
+        "min_matching": s.min_matching,
+        "min_vertex_cover": s.min_vertex_cover,
+        "truncated": s.truncated,
+        "lc_path": s.lc_path,
+        "own_vertex_cover": s.own_vertex_cover,
+        "representative_matching": s.representative_matching,
+        "members": list(s.members.items()),
+    }
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 20, DEFAULT_ORBIT_CAP])
+def test_orbit_summary_equals_solving_every_member(cap):
+    for g in _connected_graphs(5):
+        assert _summary_fields(g, cap) == _reference_summary(g, cap), g.edges()
+
+
+# The minimum-cover members of this truncated orbit need their own matching
+# solves: the smallest matching among them exceeds the cut-rank bound.
+MATCHING_ABOVE_BOUND = Graph.from_edges(10, [
+    (1, 2), (1, 5), (1, 7), (1, 9), (2, 4), (2, 6), (2, 10), (3, 4), (3, 6), (4, 5),
+    (4, 6), (4, 8), (4, 10), (5, 6), (5, 8), (5, 10), (6, 10),
+])
+
+
+def test_orbit_summary_equals_solving_every_member_random():
+    rng = random.Random(23)
+    graphs = [random_connected(n, rng) for n in (6, 7, 8, 9, 10) for _ in range(2)]
+    for g in graphs + [MATCHING_ABOVE_BOUND]:
+        assert _summary_fields(g, 3000) == _reference_summary(g, 3000), g.edges()
+
+
+def test_mis_floor_is_exact_above_floor():
+    rng = random.Random(29)
+    for _ in range(60):
+        g = random_connected(rng.randrange(2, 10), rng)
+        exact = _mis_size(g.n, g.adj)
+        for floor in range(g.n + 1):
+            got = _mis_size(g.n, g.adj, floor=floor)
+            if exact > floor:
+                assert got == exact
+            else:
+                assert got <= floor
+
+
+def _brute_max_cut_rank(g: Graph) -> int:
+    """Maximum GF(2) cut rank by plain row reduction over every bipartition."""
+    best = 0
+    for amask in range(1, (1 << g.n) - 1):
+        side = [v for v in range(g.n) if (amask >> v) & 1]
+        other = [v for v in range(g.n) if not (amask >> v) & 1]
+        rows = [[(g.adj[a] >> b) & 1 for b in other] for a in side]
+        rank = 0
+        for col in range(len(other)):
+            pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+            if pivot is None:
+                continue
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            for i in range(len(rows)):
+                if i != rank and rows[i][col]:
+                    rows[i] = [x ^ y for x, y in zip(rows[i], rows[rank])]
+            rank += 1
+        best = max(best, rank)
+    return best
+
+
+def _up_to_n6(seed: int, count: int):
+    """Every connected graph with n <= 5, then count seeded ones with n = 6."""
+    yield from _connected_graphs(5)
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield random_connected(6, rng)
+
+
+def test_cut_rank_bound_is_the_maximum_cut_rank_up_to_n6():
+    # every cut is tried up to 12 vertices, so the bound is the maximum itself
+    for g in _up_to_n6(31, 200):
+        assert _cut_rank_bound(g.n, g.adj) == _brute_max_cut_rank(g), g.edges()
+
+
+def test_cut_rank_bound_below_every_member_matching():
+    for g in _up_to_n6(37, 40):
+        r = _cut_rank_bound(g.n, g.adj)
+        members, _ = lc_orbit_members(g)
+        assert all(r <= _matching_max_size(g.n, adj) for adj in members), g.edges()
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_cut_rank_bound_by_ascent_is_sound(n):
+    rng = random.Random(n)
+    for _ in range(2):
+        g = random_connected(n, rng)
+        r = _cut_rank_bound(n, g.adj)
+        full = (1 << n) - 1
+        assert 1 <= r <= max(cut_rank(g, _vertices_of(a)) for a in range(1, full))
+        assert r <= _matching_max_size(n, g.adj)
