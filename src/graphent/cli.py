@@ -73,8 +73,7 @@ def _oracle_block(g: Graph, report) -> dict:
     if g.n > dense.DENSE_OP_CAP:
         return {"skipped": f"dense oracle limited to n <= {dense.DENSE_OP_CAP}"}
     psi = dense.statevector(g)
-    omega = dense.mixture_density(report.css.components)
-    ree = dense.relative_entropy_pure(psi, omega)
+    ree = dense.mixture_relative_entropy(psi, report.css.components)
     base = g
     for a in report.lc_path:  # the decomposition belongs to the lc_path target
         base = local_complement(base, a)
@@ -231,8 +230,7 @@ def run_verification(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP, seed: int = 0
     rec_err = float(np.abs(rec - psi).max())
     checks.append(("decomposition_reconstructs", rec_err < DENSE_TOL, f"max_err={rec_err:.3e}"))
 
-    omega = dense.mixture_density(report.css.components)
-    ree = dense.relative_entropy_pure(psi, omega)
+    ree = dense.mixture_relative_entropy(psi, report.css.components)
     ree_err = abs(ree - report.bounds.upper)
     checks.append(
         ("relative_entropy_equals_upper", ree_err < REE_TOL, f"ree={ree:.12f} upper={report.bounds.upper}")

@@ -31,12 +31,10 @@ QUBIT_STATES = {
     "j": np.array([_S2, -_S2 * 1j], dtype=complex),
 }
 
-_PAULI_1Q = {
-    (0, 0): np.eye(2, dtype=complex),
-    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
-    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
-    (1, 1): np.array([[0, -1], [1, 0]], dtype=complex),  # X @ Z
-}
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+_EIG_FLOOR = 1e-14
 
 
 def _check_cap(n: int, cap: int, what: str):
@@ -98,30 +96,50 @@ def product_state_vector(state: str) -> np.ndarray:
     return vec
 
 
+def _index_mask(bits: int, n: int) -> int:
+    """Index-space mask of a vertex bit mask: bit a-1 (qubit a) goes to bit n-a."""
+    return sum(1 << (n - a) for a in range(1, n + 1) if (bits >> (a - 1)) & 1)
+
+
+def _parity(v: np.ndarray, n: int) -> np.ndarray:
+    """Parity of the low n bits of each entry, by XOR-folding."""
+    shift = 1
+    while shift < n:
+        v = v ^ (v >> shift)
+        shift <<= 1
+    return v & 1
+
+
 def pauli_dense(p) -> np.ndarray:
-    """Kronecker build of a symplectic Pauli operator, phase included."""
+    """Dense matrix of a symplectic Pauli operator, phase included.
+
+    i^phase X^x Z^z sends |k> to i^phase (-1)^(z.k) |k xor x>: a signed
+    permutation with one nonzero entry per column.
+    """
     _check_cap(p.n, DENSE_OP_CAP, "dense Pauli")
-    mat = np.array([[1.0 + 0.0j]])
-    for a in range(1, p.n + 1):
-        xb = (p.x >> (a - 1)) & 1
-        zb = (p.z >> (a - 1)) & 1
-        mat = np.kron(mat, _PAULI_1Q[(xb, zb)])
-    return (1j ** (p.phase % 4)) * mat
+    k = np.arange(1 << p.n)
+    sign = 1 - 2 * _parity(k & _index_mask(p.z, p.n), p.n)
+    mat = np.zeros((k.size, k.size), dtype=complex)
+    mat[k ^ _index_mask(p.x, p.n), k] = (1j ** (p.phase % 4)) * sign
+    return mat
+
+
+def _mixture_factor(components, weights) -> np.ndarray:
+    """dim x K factor A = V^T sqrt(w) of the mixture A A^dagger; V's rows are
+    the components' vectors, and equal weights are the default."""
+    vecs = np.array([product_state_vector(s) for s in components])
+    if weights is None:
+        weights = [1.0 / len(vecs)] * len(vecs)
+    return vecs.T * np.sqrt(np.asarray(weights, dtype=float))
 
 
 def mixture_density(components, weights=None) -> np.ndarray:
     """Density matrix of a classical mixture of product state strings."""
-    vecs = [product_state_vector(s) for s in components]
-    if weights is None:
-        weights = [1.0 / len(vecs)] * len(vecs)
-    dim = len(vecs[0])
-    rho = np.zeros((dim, dim), dtype=complex)
-    for w, v in zip(weights, vecs):
-        rho += w * np.outer(v, v.conj())
-    return rho
+    factor = _mixture_factor(components, weights)
+    return factor @ factor.conj().T
 
 
-def relative_entropy_pure(psi: np.ndarray, omega: np.ndarray, eig_floor: float = 1e-14) -> float:
+def relative_entropy_pure(psi: np.ndarray, omega: np.ndarray, eig_floor: float = _EIG_FLOOR) -> float:
     """S(rho||omega) = -<psi|log2 omega|psi> for pure rho; +inf outside support."""
     evals, evecs = np.linalg.eigh(omega)
     coeffs = evecs.conj().T @ psi
@@ -131,6 +149,24 @@ def relative_entropy_pure(psi: np.ndarray, omega: np.ndarray, eig_floor: float =
         return math.inf
     keep = evals > eig_floor
     return float(-(weights[keep] * np.log2(evals[keep])).sum())
+
+
+def mixture_relative_entropy(psi: np.ndarray, components, weights=None) -> float:
+    """relative_entropy_pure(psi, mixture_density(components, weights)) from the
+    thin factor of the mixture, without forming or diagonalising omega.
+
+    omega = A A^dagger for the dim x K factor A, so the SVD A = U S W^dagger
+    gives omega's nonzero eigenpairs (S^2, U) at O(dim K^2) cost; every other
+    eigenvector is orthogonal to U, with eigenvalue 0.
+    """
+    u, s, _ = np.linalg.svd(_mixture_factor(components, weights), full_matrices=False)
+    evals = s**2
+    weights_psi = np.abs(u.conj().T @ psi) ** 2
+    keep = evals > _EIG_FLOOR
+    out_of_support = float(np.vdot(psi, psi).real) - weights_psi[keep].sum()
+    if out_of_support > 1e-10:
+        return math.inf
+    return float(-(weights_psi[keep] * np.log2(evals[keep])).sum())
 
 
 def overlap2(psi: np.ndarray, phi: str) -> float:
@@ -147,44 +183,55 @@ def best_product_overlap(
     A lower bound witness only: used to check that no product state found by
     search beats a closest-product-state certificate, never to certify
     optimality on its own.
+
+    All restarts run together as one (R, n, 2) array of site vectors.  A
+    sweep sets each site in turn to its normalised environment (psi
+    contracted with the conjugates of the other sites).  A restart stops once
+    a sweep changes its overlap by less than 1e-13 and keeps the overlap from
+    before that sweep.
     """
     n = int(round(math.log2(psi.size)))
     if 1 << n != psi.size:
         raise ValueError("statevector length is not a power of two")
     _check_cap(n, 8, "product-overlap search")
     rng = np.random.default_rng(seed)
-    tensor = psi.reshape((2,) * n)
-    best = 0.0
-    for _ in range(restarts):
-        locs = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-        locs /= np.linalg.norm(locs, axis=1, keepdims=True)
-        prev = -1.0
-        for _ in range(iterations):
-            for a in range(n):
-                contracted = tensor
-                for b in range(n):
-                    if b == a:
-                        continue
-                    # sites before a are already gone, so a sits at axis 0
-                    axis = 0 if b < a else 1
-                    contracted = np.tensordot(locs[b].conj(), contracted, axes=([0], [axis]))
-                env = np.asarray(contracted).reshape(2)
-                norm = np.linalg.norm(env)
-                if norm > 1e-15:
-                    locs[a] = env / norm
-            val = _product_overlap_value(tensor, locs)
-            if abs(val - prev) < 1e-13:
-                break
-            prev = val
-        best = max(best, prev)
-    return best
+    # the same numbers as drawing real then imaginary parts restart by restart
+    draws = rng.normal(size=(restarts, 2, n, 2))
+    locs = draws[:, 0] + 1j * draws[:, 1]
+    locs /= np.linalg.norm(locs, axis=2, keepdims=True)
+    prev = np.full(restarts, -1.0)
+    active = np.arange(restarts)
+    for _ in range(iterations):
+        if active.size == 0:
+            break
+        sub = locs[active]
+        val = _overlap_sweep(psi, sub)
+        locs[active] = sub
+        moving = ~(np.abs(val - prev[active]) < 1e-13)
+        prev[active[moving]] = val[moving]
+        active = active[moving]
+    return float(prev.max(initial=0.0))
 
 
-def _product_overlap_value(tensor: np.ndarray, locs: np.ndarray) -> float:
-    contracted = tensor
-    for b in range(locs.shape[0]):
-        contracted = np.tensordot(locs[b].conj(), contracted, axes=([0], [0]))
-    return float(abs(complex(contracted)) ** 2)
+def _overlap_sweep(psi: np.ndarray, locs: np.ndarray) -> np.ndarray:
+    """One Gauss-Seidel sweep over the sites of every restart in locs (R, n, 2),
+    in place; returns each restart's squared overlap after the sweep."""
+    r, n, _ = locs.shape
+    # right[a]: product of the conjugate site vectors after a, before the sweep
+    right = [np.ones((r, 1), dtype=complex)]
+    for a in range(n - 1, 0, -1):
+        right.append((locs[:, a, :, None].conj() * right[-1][:, None, :]).reshape(r, -1))
+    right.reverse()
+    # left: psi contracted with the updated conjugate site vectors before a
+    left = np.broadcast_to(psi, (r, psi.size))
+    for a in range(n):
+        block = left.reshape(r, 2, -1)
+        env = np.einsum("rij,rj->ri", block, right[a])
+        norm = np.linalg.norm(env, axis=1)
+        ok = norm > 1e-15
+        locs[ok, a] = env[ok] / norm[ok, None]
+        left = np.einsum("ri,rij->rj", locs[:, a].conj(), block)
+    return np.abs(left[:, 0]) ** 2
 
 
 def reduced_entropy(psi: np.ndarray, a, n: int | None = None) -> float:
@@ -266,8 +313,8 @@ def lc_unitary_dense(g: Graph, a: int) -> np.ndarray:
     on each neighbour of a; locked by unit tests against the statevectors.
     """
     _check_cap(g.n, DENSE_OP_CAP, "dense LC unitary")
-    sx = (np.eye(2) - 1j * _PAULI_1Q[(1, 0)]) / math.sqrt(2)
-    sz = (np.eye(2) + 1j * _PAULI_1Q[(0, 1)]) / math.sqrt(2)
+    sx = (np.eye(2) - 1j * _X) / math.sqrt(2)
+    sz = (np.eye(2) + 1j * _Z) / math.sqrt(2)
     nb = g.neighbors(a)
     mat = np.array([[1.0 + 0.0j]])
     for v in range(1, g.n + 1):

@@ -705,10 +705,10 @@ def _cut_rank_bound(n: int, adj) -> int:
     Briegel, quant-ph/0307130).  Up to _ALL_CUTS_N vertices every cut is
     tried; above it, an ascent that moves one vertex across the cut or swaps
     two runs from the low half and from one endpoint of each edge of a
-    greedy matching.
+    greedy matching.  Both stop once the rank meets _cut_rank_ceiling.
     """
     full = (1 << n) - 1
-    top = n // 2  # no cut rank exceeds this
+    top = _cut_rank_ceiling(n, adj)  # no cut rank exceeds this
     best = 0
     if n <= _ALL_CUTS_N:
         for amask in range(1, 1 << (n - 1)):
@@ -739,7 +739,30 @@ def _cut_rank_bound(n: int, adj) -> int:
             else:
                 break
         best = max(best, rank)
+        if best == top:
+            break
     return best
+
+
+def _cut_rank_ceiling(n: int, adj) -> int:
+    """An upper bound on every cut rank of g, worked out from g alone.
+
+    The smallest of: floor(n/2); n minus a greedy independent set (vertices
+    tried in order of degree, least first), which is the size of a vertex
+    cover and so bounds |M_max| and the cut rank; and the numbers of
+    distinct open and of distinct closed neighbourhoods.  A vertex u on the
+    side S of a cut has the crossing row N(u) & ~S = N[u] & ~S, so vertices
+    with equal N(u) or equal N[u] have equal rows.
+    """
+    independent = 0
+    blocked = 0
+    for v in sorted(range(n), key=lambda u: adj[u].bit_count()):
+        if not (blocked >> v) & 1:
+            independent += 1
+            blocked |= adj[v] | (1 << v)
+    open_nbhds = len(set(adj))
+    closed_nbhds = len({a | (1 << v) for v, a in enumerate(adj)})
+    return min(n // 2, n - independent, open_nbhds, closed_nbhds)
 
 
 def _cut_moves(n: int, amask: int, full: int):

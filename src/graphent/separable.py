@@ -250,7 +250,9 @@ def noise_css(g: Graph, beta=None) -> CssConstruction:
 
     The continuous phase average over the cover qubits reduces exactly to the
     two-point average phi in {0, pi} per qubit (cross terms carry e^{+-i phi}),
-    i.e. the uniform mixture of Z^S|G> over subsets S of the cover.
+    i.e. the uniform mixture of Z^S|G> over subsets S of the cover.  The 2^m
+    copies Z^S|G> are the rows of one array Phi, so the average is the one
+    matrix product Phi^T Phi* / 2^m.
     """
     if beta is None:
         beta = frozenset(range(1, g.n + 1)) - max_independent_set(g)
@@ -262,20 +264,13 @@ def noise_css(g: Graph, beta=None) -> CssConstruction:
     if g.n > dense.DENSE_OP_CAP:
         raise ValueError(f"dense assembly limited to n <= {dense.DENSE_OP_CAP}")
     psi = dense.statevector(g)
-    dim = psi.size
-    beta_sorted = sorted(beta)
-    m = len(beta_sorted)
-    idx = np.arange(dim)
-    rho = np.zeros((dim, dim), dtype=complex)
-    for subset in range(1 << m):
-        flip = np.zeros(dim, dtype=np.int64)
-        for pos in range(m):
-            if (subset >> pos) & 1:
-                b = beta_sorted[pos]
-                flip ^= (idx >> (g.n - b)) & 1
-        vec = np.where(flip, -psi, psi)
-        rho += np.outer(vec, vec.conj())
-    rho /= 1 << m
+    idx = np.arange(psi.size)
+    subsets = np.arange(1 << len(beta))[:, None]
+    flip = np.zeros((subsets.size, psi.size), dtype=np.int64)
+    for pos, b in enumerate(sorted(beta)):
+        flip ^= ((subsets >> pos) & 1) & ((idx >> (g.n - b)) & 1)
+    phi = np.where(flip, -psi, psi)
+    rho = phi.T @ phi.conj() / subsets.size
     css = closest_separable_state(g, alpha)
     mix = dense.mixture_density(css.components)
     if not np.allclose(rho, mix, atol=1e-12):

@@ -8,10 +8,11 @@ import random
 import numpy as np
 import pytest
 
-from graphent import Graph, cut_rank, dense
+from graphent import Graph, closest_separable_state, cut_rank, dense, max_independent_set
 from graphent.pauli import PauliOperator, generators_from_graph, group_elements
+from graphent.separable import noise_css
 
-from conftest import complete, random_connected, ring, star
+from conftest import FIG6, complete, random_connected, ring, star
 
 
 def test_statevector_p2(p2):
@@ -148,3 +149,145 @@ def test_best_product_overlap_fig6_certificate(fig6):
     # 200 restarts reach the 1/4 certificate and never beat it
     val = dense.best_product_overlap(dense.statevector(fig6), restarts=200, iterations=60, seed=0)
     assert 0.25 - 1e-9 <= val <= 0.25 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The vectorised kernels against the plain loops they replaced
+
+
+def _kron_pauli(p) -> np.ndarray:
+    one_qubit = {
+        (0, 0): np.eye(2, dtype=complex),
+        (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
+        (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
+        (1, 1): np.array([[0, -1], [1, 0]], dtype=complex),  # X @ Z
+    }
+    mat = np.array([[1.0 + 0.0j]])
+    for a in range(1, p.n + 1):
+        mat = np.kron(mat, one_qubit[((p.x >> (a - 1)) & 1, (p.z >> (a - 1)) & 1)])
+    return (1j ** (p.phase % 4)) * mat
+
+
+def _outer_mixture(components, weights=None) -> np.ndarray:
+    vecs = [dense.product_state_vector(s) for s in components]
+    if weights is None:
+        weights = [1.0 / len(vecs)] * len(vecs)
+    rho = np.zeros((len(vecs[0]), len(vecs[0])), dtype=complex)
+    for w, v in zip(weights, vecs):
+        rho += w * np.outer(v, v.conj())
+    return rho
+
+
+def _subset_noise(g: Graph, beta) -> np.ndarray:
+    psi = dense.statevector(g)
+    beta_sorted = sorted(beta)
+    m = len(beta_sorted)
+    idx = np.arange(psi.size)
+    rho = np.zeros((psi.size, psi.size), dtype=complex)
+    for subset in range(1 << m):
+        flip = np.zeros(psi.size, dtype=np.int64)
+        for pos in range(m):
+            if (subset >> pos) & 1:
+                flip ^= (idx >> (g.n - beta_sorted[pos])) & 1
+        vec = np.where(flip, -psi, psi)
+        rho += np.outer(vec, vec.conj())
+    return rho / (1 << m)
+
+
+def _serial_overlap(psi, restarts, iterations, seed) -> float:
+    n = int(round(math.log2(psi.size)))
+    rng = np.random.default_rng(seed)
+    tensor = psi.reshape((2,) * n)
+
+    def value(locs):
+        contracted = tensor
+        for b in range(n):
+            contracted = np.tensordot(locs[b].conj(), contracted, axes=([0], [0]))
+        return float(abs(complex(contracted)) ** 2)
+
+    best = 0.0
+    for _ in range(restarts):
+        locs = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        locs /= np.linalg.norm(locs, axis=1, keepdims=True)
+        prev = -1.0
+        for _ in range(iterations):
+            for a in range(n):
+                contracted = tensor
+                for b in range(n):
+                    if b != a:
+                        axis = 0 if b < a else 1
+                        contracted = np.tensordot(locs[b].conj(), contracted, axes=([0], [axis]))
+                env = np.asarray(contracted).reshape(2)
+                norm = np.linalg.norm(env)
+                if norm > 1e-15:
+                    locs[a] = env / norm
+            val = value(locs)
+            if abs(val - prev) < 1e-13:
+                break
+            prev = val
+        best = max(best, prev)
+    return best
+
+
+def test_pauli_dense_is_the_kronecker_build():
+    for n in range(1, 4):
+        for x in range(1 << n):
+            for z in range(1 << n):
+                for phase in range(4):
+                    p = PauliOperator(n, x, z, phase)
+                    assert np.array_equal(dense.pauli_dense(p), _kron_pauli(p)), p
+
+
+def test_mixture_density_is_the_outer_product_sum():
+    rng = random.Random(3)
+    for components in (["+0"], ["0+-", "1i-", "j++"], ["01+-i", "10-+j", "++++0", "ij01-"]):
+        assert np.allclose(dense.mixture_density(components), _outer_mixture(components), atol=1e-14)
+        weights = [rng.random() for _ in components]
+        assert np.allclose(
+            dense.mixture_density(components, weights), _outer_mixture(components, weights), atol=1e-14
+        )
+
+
+def test_noise_css_is_the_subset_loop():
+    rng = random.Random(5)
+    for g in (FIG6, ring(5), random_connected(7, rng), random_connected(7, rng)):
+        beta = frozenset(range(1, g.n + 1)) - max_independent_set(g)
+        assert np.allclose(noise_css(g, beta).dense, _subset_noise(g, beta), atol=1e-14), g.edges()
+
+
+def _overlap_graphs():
+    rng = random.Random(11)
+    named = [("p2", Graph.from_edges(2, [(1, 2)])), ("fig6", FIG6), ("ring5", ring(5))]
+    named += [(f"gnp{n}", random_connected(n, rng)) for n in range(4, 8)]
+    return [pytest.param(g, id=name) for name, g in named]
+
+
+@pytest.mark.parametrize("g", _overlap_graphs())
+def test_best_product_overlap_is_the_serial_loop(g):
+    psi = dense.statevector(g)
+    want = _serial_overlap(psi, 200, 60, 11)
+    assert abs(dense.best_product_overlap(psi, restarts=200, iterations=60, seed=11) - want) < 1e-12
+
+
+def test_best_product_overlap_short_runs():
+    psi = dense.statevector(ring(5))
+    for restarts, iterations in ((0, 60), (20, 0), (0, 0), (1, 1), (7, 3)):
+        want = _serial_overlap(psi, restarts, iterations, 2)
+        got = dense.best_product_overlap(psi, restarts=restarts, iterations=iterations, seed=2)
+        assert abs(got - want) < 1e-12, (restarts, iterations)
+
+
+def test_mixture_relative_entropy_is_the_eigensolve():
+    for n in range(1, 6):
+        for g in dense.all_connected_graphs(n):
+            psi = dense.statevector(g)
+            components = closest_separable_state(g, max_independent_set(g)).components
+            want = dense.relative_entropy_pure(psi, dense.mixture_density(components))
+            assert abs(dense.mixture_relative_entropy(psi, components) - want) < 1e-12, g.edges()
+
+
+def test_mixture_relative_entropy_outside_support(p2):
+    psi = dense.statevector(p2)
+    assert dense.relative_entropy_pure(psi, dense.mixture_density(["00", "11"])) == math.inf
+    assert dense.mixture_relative_entropy(psi, ["00", "11"]) == math.inf
+    assert abs(dense.mixture_relative_entropy(psi, ["+0", "-1"]) - 1.0) < 1e-12

@@ -26,7 +26,9 @@ from graphent import (
 )
 from graphent.graphs import (
     DEFAULT_ORBIT_CAP,
+    _cut_rank,
     _cut_rank_bound,
+    _cut_rank_ceiling,
     _matching_max_size,
     _mis_size,
     _vertices_of,
@@ -524,6 +526,25 @@ def test_cut_rank_bound_below_every_member_matching():
         r = _cut_rank_bound(g.n, g.adj)
         members, _ = lc_orbit_members(g)
         assert all(r <= _matching_max_size(g.n, adj) for adj in members), g.edges()
+
+
+def _scanned_max_cut_rank(n: int, adj) -> int:
+    """Maximum cut rank over every cut, with no early stop."""
+    full = (1 << n) - 1
+    return max((_cut_rank(adj, a, full ^ a) for a in range(1, 1 << (n - 1))), default=0)
+
+
+def test_cut_rank_bound_ceiling_keeps_the_full_scan_value():
+    # the ceiling only stops the scan early; it never changes the rank found
+    graphs = list(_connected_graphs(6))
+    graphs += [star(n) for n in range(2, 13)] + [complete(n) for n in range(2, 13)]
+    for g in graphs:
+        top = _scanned_max_cut_rank(g.n, g.adj)
+        assert _cut_rank_ceiling(g.n, g.adj) >= top, g.edges()
+        assert _cut_rank_bound(g.n, g.adj) == top, g.edges()
+    # stars stop at once through the independent set, cliques through N[v]
+    assert all(_cut_rank_ceiling(n, star(n).adj) == 1 for n in range(2, 13))
+    assert all(_cut_rank_ceiling(n, complete(n).adj) == 1 for n in range(2, 13))
 
 
 @pytest.mark.parametrize("n", [13, 14])
