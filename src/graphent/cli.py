@@ -20,13 +20,14 @@ from .graphs import (
     DEFAULT_ORBIT_CAP,
     Graph,
     GraphFormatError,
+    cut_rank,
     lc_orbit,
     local_complement,
     max_independent_set,
     parse_graph,
 )
 from .lattices import KINDS, gap_scan
-from .pauli import generators_from_graph
+from .pauli import generators_from_graph, group_elements
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -77,12 +78,7 @@ def _oracle_block(g: Graph, report) -> dict:
     base = g
     for a in report.lc_path:  # the decomposition belongs to the lc_path target
         base = local_complement(base, a)
-    base_psi = dense.statevector(base)
-    rec = sum(
-        sign * report.decomposition.normalization * dense.product_state_vector(state)
-        for sign, state in report.decomposition.terms
-    )
-    rec_err = float(np.abs(rec - base_psi).max())
+    rec_err = _reconstruction_error(report.decomposition, dense.statevector(base))
     cps_overlap = dense.overlap2(psi, report.cps)
     upper = report.bounds.upper
     verified = (
@@ -98,51 +94,54 @@ def _oracle_block(g: Graph, report) -> dict:
     }
 
 
+def _reconstruction_error(decomp, psi: np.ndarray) -> float:
+    """Largest entrywise distance of the signed decomposition sum from psi."""
+    vecs = dense._product_vectors([state for _, state in decomp.terms])
+    rec = sum(sign * decomp.normalization * vec for (sign, _), vec in zip(decomp.terms, vecs))
+    return float(np.abs(rec - psi).max())
+
+
+def _css_errors(basis, group_sum, peps: np.ndarray, noise: np.ndarray) -> dict[str, float]:
+    """Largest entrywise distance of each independent CSS construction (the
+    group sum, the PEPS assembly, dephasing) from the uniform mixture over basis."""
+    mixture = dense.mixture_density(basis)
+    eq6 = sum(dense.pauli_dense(p) for p in group_sum.elements) * group_sum.scale
+    return {
+        "stabilizer_sum": float(np.abs(eq6 - mixture).max()),
+        "peps": float(np.abs(peps - mixture).max()),
+        "noise": float(np.abs(noise - mixture).max()),
+    }
+
+
 def cmd_css(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     alpha = max_independent_set(g)
     methods = ("stabilizer", "peps", "noise") if args.method == "all" else (args.method,)
+    built = {}
     descriptions = []
-    dense_forms = {}
     for method in methods:
         if method == "stabilizer":
-            css = measures.closest_separable_state(g, alpha)
-            desc = {"method": "stabilizer", "components": list(css.components), "weight": css.weight}
-            if g.n <= dense.DENSE_OP_CAP:
-                dense_forms["stabilizer"] = dense.mixture_density(css.components)
-                form = measures.css_stabilizer_form(g, alpha)
-                desc["group_sum"] = {
-                    "elements": [p.text() for p in form.elements],
-                    "scale": form.scale,
-                }
+            res = measures.closest_separable_state(g, alpha)
         elif method == "peps":
             res = separable.peps_css(g, alpha)
-            desc = {"method": "peps", "components": list(res.components), "weight": res.weight}
-            dense_forms["peps"] = res.dense
         else:
             res = separable.noise_css(g, beta=frozenset(range(1, g.n + 1)) - alpha)
-            desc = {"method": "noise", "components": list(res.components), "weight": res.weight}
-            dense_forms["noise"] = res.dense
+        built[method] = res
+        desc = {"method": method, "components": list(res.components), "weight": res.weight}
+        if method == "stabilizer" and g.n <= dense.DENSE_OP_CAP:
+            built["group_sum"] = form = measures.css_stabilizer_form(g, alpha)
+            desc["group_sum"] = {"elements": [p.text() for p in form.elements], "scale": form.scale}
         descriptions.append(desc)
     doc: dict = {"n": g.n, "methods": descriptions}
     exit_code = EXIT_OK
-    if args.method == "all":
-        if g.n <= dense.DENSE_OP_CAP:
-            ref = dense_forms["stabilizer"]
-            # form is the group sum built in the stabilizer branch
-            eq6 = sum(dense.pauli_dense(p) for p in form.elements) * form.scale
-            errs = {
-                "stabilizer_sum": float(np.abs(eq6 - ref).max()),
-                "peps": float(np.abs(dense_forms["peps"] - ref).max()),
-                "noise": float(np.abs(dense_forms["noise"] - ref).max()),
-            }
-            equal = all(v < DENSE_TOL for v in errs.values())
-            doc["verdict"] = "equal" if equal else "unequal"
-            doc["max_errors"] = errs
-            if not equal:
-                exit_code = EXIT_CSS_MISMATCH
-        else:
-            doc["verdict"] = "skipped"
+    if args.method == "all":  # peps_css refuses n > DENSE_OP_CAP, so the group sum exists
+        errs = _css_errors(
+            built["stabilizer"].components, built["group_sum"], built["peps"].dense, built["noise"].dense
+        )
+        equal = all(v < DENSE_TOL for v in errs.values())
+        doc["verdict"] = "equal" if equal else "unequal"
+        doc["max_errors"] = errs
+        exit_code = EXIT_OK if equal else EXIT_CSS_MISMATCH
     _emit(args, _json(doc))
     return exit_code
 
@@ -195,7 +194,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if g.n > dense.DENSE_OP_CAP:
         raise GraphFormatError(f"verify needs n <= {dense.DENSE_OP_CAP}")
     report = measures.evaluate(g, orbit_cap=args.orbit_cap)
-    checks = run_verification(g, orbit_cap=args.orbit_cap, seed=args.seed, report=report)
+    checks = run_verification(g, report, seed=args.seed)
     doc = {
         "n": g.n,
         "measures": report.to_dict()["measures"],
@@ -210,14 +209,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if doc["all_passed"] else EXIT_VERIFY_FAILED
 
 
-def run_verification(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP, seed: int = 0, report=None):
-    """Oracle cross-checks for one graph; returns (name, passed, detail) triples."""
+def run_verification(g: Graph, report, seed: int = 0):
+    """Oracle cross-checks of g's evaluate report; returns (name, passed, detail) triples.
+
+    g's own basis is built once, by minimal_decomposition, and checked against
+    the independent constructions: the dense statevector, the group sum, the
+    PEPS assembly and dephasing.
+    """
     import random
 
     checks: list[tuple[str, bool, str]] = []
     psi = dense.statevector(g)
-    if report is None:
-        report = measures.evaluate(g, orbit_cap=orbit_cap)
     alpha = max_independent_set(g)
 
     fix_err = 0.0
@@ -226,8 +228,7 @@ def run_verification(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP, seed: int = 0
     checks.append(("generators_fix_statevector", fix_err < DENSE_TOL, f"max_err={fix_err:.3e}"))
 
     own = measures.minimal_decomposition(g, alpha)
-    rec = sum(s * own.normalization * dense.product_state_vector(st) for s, st in own.terms)
-    rec_err = float(np.abs(rec - psi).max())
+    rec_err = _reconstruction_error(own, psi)
     checks.append(("decomposition_reconstructs", rec_err < DENSE_TOL, f"max_err={rec_err:.3e}"))
 
     ree = dense.mixture_relative_entropy(psi, report.css.components)
@@ -236,19 +237,15 @@ def run_verification(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP, seed: int = 0
         ("relative_entropy_equals_upper", ree_err < REE_TOL, f"ree={ree:.12f} upper={report.bounds.upper}")
     )
 
-    sum_form = measures.css_stabilizer_form(g, alpha)
-    eq6 = sum(dense.pauli_dense(p) for p in sum_form.elements) * sum_form.scale
-    own_css = measures.closest_separable_state(g, alpha)
-    eq5 = dense.mixture_density(own_css.components)
-    eq_err = float(np.abs(eq6 - eq5).max())
-    checks.append(("group_sum_equals_mixture", eq_err < DENSE_TOL, f"max_err={eq_err:.3e}"))
-
-    peps_err = float(np.abs(separable.peps_css(g, alpha).dense - eq5).max())
-    checks.append(("peps_equals_stabilizer", peps_err < DENSE_TOL, f"max_err={peps_err:.3e}"))
-    noise_err = float(
-        np.abs(separable.noise_css(g, frozenset(range(1, g.n + 1)) - alpha).dense - eq5).max()
+    errs = _css_errors(
+        [state for _, state in own.terms],
+        measures.css_stabilizer_form(g, alpha),
+        separable.peps_css(g, alpha).dense,
+        separable.noise_css(g, frozenset(range(1, g.n + 1)) - alpha).dense,
     )
-    checks.append(("noise_equals_stabilizer", noise_err < DENSE_TOL, f"max_err={noise_err:.3e}"))
+    names = ("group_sum_equals_mixture", "peps_equals_stabilizer", "noise_equals_stabilizer")
+    for name, err in zip(names, errs.values()):
+        checks.append((name, err < DENSE_TOL, f"max_err={err:.3e}"))
 
     cps_overlap = dense.overlap2(psi, report.cps)
     cps_err = abs(cps_overlap - 2.0 ** -report.bounds.upper)
@@ -261,8 +258,6 @@ def run_verification(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP, seed: int = 0
     for _ in range(3):
         size = rng.randrange(1, g.n)
         cuts.append(sorted(rng.sample(range(1, g.n + 1), size)))
-    from .graphs import cut_rank
-
     for cut in cuts:
         want = cut_rank(g, cut)
         got = dense.reduced_entropy(psi, cut, g.n)
@@ -273,8 +268,6 @@ def run_verification(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP, seed: int = 0
     checks.append(("cut_rank_equals_entropy", cut_ok, detail or f"{len(cuts)} cuts"))
 
     if g.n <= 6:
-        from .pauli import group_elements
-
         full = generators_from_graph(g)
         proj = sum(dense.pauli_dense(p) for p in group_elements(full)) / (1 << g.n)
         proj_err = float(np.abs(proj - np.outer(psi, psi.conj())).max())
@@ -312,10 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_graph_opts(p):
+    def add_graph_opts(p, orbit_cap=True):
         p.add_argument("graph", help="path to a graph file, or '-' for stdin")
         p.add_argument("--format", dest="fmt", choices=["edgelist", "graph6"], default="edgelist")
-        p.add_argument("--orbit-cap", type=int, default=DEFAULT_ORBIT_CAP)
+        if orbit_cap:
+            p.add_argument("--orbit-cap", type=int, default=DEFAULT_ORBIT_CAP)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("analyze", help="full entanglement report (JSON)")
@@ -324,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("css", help="closest separable state constructions (JSON)")
-    add_graph_opts(p)
+    add_graph_opts(p, orbit_cap=False)
     p.add_argument("--method", choices=["stabilizer", "peps", "noise", "all"], default="all")
     p.set_defaults(handler=cmd_css)
 

@@ -7,7 +7,6 @@ bit of the computational-basis index, so state strings read left to right.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import deque
@@ -30,6 +29,8 @@ QUBIT_STATES = {
     "i": np.array([_S2, _S2 * 1j], dtype=complex),
     "j": np.array([_S2, -_S2 * 1j], dtype=complex),
 }
+_LABEL_INDEX = {label: i for i, label in enumerate(QUBIT_STATES)}
+_QUBIT_TABLE = np.array(list(QUBIT_STATES.values()))
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -79,21 +80,25 @@ def _as_bits(k, n: int) -> tuple[int, ...]:
     return bits
 
 
-@functools.lru_cache(maxsize=1 << 16)
 def product_state_vector(state: str) -> np.ndarray:
-    """Dense vector of a product state string over the {0,1,+,-,i,j} alphabet.
+    """Dense vector of a product state string over the {0,1,+,-,i,j} alphabet."""
+    return _product_vectors([state])[0]
 
-    Cached and returned read-only; copy before mutating.
+
+def _product_vectors(states) -> np.ndarray:
+    """(K, 2^n) array of the dense vectors of K product state strings of length n.
+
+    Row by row the same multiplications as np.kron from [1], so the same bits.
     """
-    vec = np.array([1.0 + 0.0j])
-    for ch in state:
-        try:
-            q = QUBIT_STATES[ch]
-        except KeyError:
-            raise ValueError(f"unknown qubit label {ch!r}") from None
-        vec = np.kron(vec, q)
-    vec.setflags(write=False)
-    return vec
+    try:  # numpy refuses strings of different lengths with a ValueError
+        labels = np.array([[_LABEL_INDEX[ch] for ch in s] for s in states], dtype=np.intp)
+    except KeyError as exc:
+        raise ValueError(f"unknown qubit label {exc.args[0]!r}") from None
+    k = len(states)
+    vecs = np.ones((k, 1), dtype=complex)
+    for col in labels.T:
+        vecs = (vecs[:, :, None] * _QUBIT_TABLE[col][:, None, :]).reshape(k, -1)
+    return vecs
 
 
 def _index_mask(bits: int, n: int) -> int:
@@ -127,7 +132,7 @@ def pauli_dense(p) -> np.ndarray:
 def _mixture_factor(components, weights) -> np.ndarray:
     """dim x K factor A = V^T sqrt(w) of the mixture A A^dagger; V's rows are
     the components' vectors, and equal weights are the default."""
-    vecs = np.array([product_state_vector(s) for s in components])
+    vecs = _product_vectors(components)
     if weights is None:
         weights = [1.0 / len(vecs)] * len(vecs)
     return vecs.T * np.sqrt(np.asarray(weights, dtype=float))
@@ -139,15 +144,15 @@ def mixture_density(components, weights=None) -> np.ndarray:
     return factor @ factor.conj().T
 
 
-def relative_entropy_pure(psi: np.ndarray, omega: np.ndarray, eig_floor: float = _EIG_FLOOR) -> float:
+def relative_entropy_pure(psi: np.ndarray, omega: np.ndarray) -> float:
     """S(rho||omega) = -<psi|log2 omega|psi> for pure rho; +inf outside support."""
     evals, evecs = np.linalg.eigh(omega)
     coeffs = evecs.conj().T @ psi
     weights = np.abs(coeffs) ** 2
-    out_of_support = weights[evals <= eig_floor].sum()
+    out_of_support = weights[evals <= _EIG_FLOOR].sum()
     if out_of_support > 1e-10:
         return math.inf
-    keep = evals > eig_floor
+    keep = evals > _EIG_FLOOR
     return float(-(weights[keep] * np.log2(evals[keep])).sum())
 
 

@@ -56,6 +56,15 @@ def _mask_of(vertices, n: int) -> int:
     return mask
 
 
+def _independent_mask(g: Graph, vertices, what: str = "alpha") -> int:
+    """Bit mask of vertices; ValueError unless no edge of g joins two of them."""
+    mask = _mask_of(vertices, g.n)
+    for v in _bits(mask):
+        if g.adj[v] & mask:
+            raise ValueError(f"{what} is not an independent set")
+    return mask
+
+
 def _vertices_of(mask: int) -> frozenset[int]:
     return frozenset(b + 1 for b in _bits(mask))
 

@@ -179,12 +179,18 @@ def gap_formula(kind: str, n: int) -> float:
     raise ValueError(f"unknown lattice kind {kind!r}")
 
 
+def _solve_gap(g: Graph, timeout: float | None) -> tuple[int, int, int]:
+    """(|M_max|, |beta|, |beta| - |M_max|) of g; the independent-set solve has
+    the time budget and raises SolverTimeout past it."""
+    deadline = None if timeout is None else time.monotonic() + timeout
+    cover = g.n - _mis_size(g.n, g.adj, deadline=deadline)
+    matching = _matching_max_size(g.n, g.adj)
+    return matching, cover, cover - matching
+
+
 def gap_exact(g: Graph, timeout: float | None = None) -> int:
     """Exact |beta| - |M_max| on the given lattice graph (no orbit minimisation)."""
-    deadline = None if timeout is None else time.monotonic() + timeout
-    alpha = _mis_size(g.n, g.adj, deadline=deadline)
-    matching = _matching_max_size(g.n, g.adj)
-    return (g.n - alpha) - matching
+    return _solve_gap(g, timeout)[2]
 
 
 @dataclass(frozen=True)
@@ -213,11 +219,7 @@ def gap_scan(kind: str, sizes, exact: bool = True, timeout: float | None = None)
         timed_out = False
         if exact:
             try:
-                deadline = None if timeout is None else time.monotonic() + timeout
-                alpha = _mis_size(g.n, g.adj, deadline=deadline)
-                matching = _matching_max_size(g.n, g.adj)
-                cover = g.n - alpha
-                exact_gap = cover - matching
+                matching, cover, exact_gap = _solve_gap(g, timeout)
             except SolverTimeout:
                 timed_out = True
         rows.append(

@@ -6,10 +6,10 @@ number of terms in the minimal product decomposition, and the closest
 separable state / closest product state certificates are built from the
 product basis stabilized by the maximum-independent-set subgroup.
 
-evaluate solves each sub-problem once: the orbit enumeration solves every
-member, and its summary carries the values bounds needs; then one maximum
-independent set gives one stabilized basis, of which the decomposition, the
-CSS and the CPS are views.
+evaluate solves each sub-problem once: the orbit enumeration solves the
+members whose solve could still change its summary, and that summary carries
+the values bounds needs; then one maximum independent set gives one
+stabilized basis, of which the decomposition, the CSS and the CPS are views.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .graphs import (
     Graph,
     OrbitSummary,
     _bits,
+    _independent_mask,
+    _mask_of,
     _matching_max_size,
     _tau,
     is_bipartite,
@@ -71,7 +73,6 @@ def predicts_equal(classification: str) -> bool:
 class BoundsReport:
     lower: int
     upper: int
-    alpha_size: int
     coincide: bool
     classification: str
     representative: Graph
@@ -100,7 +101,6 @@ def bounds(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP, orbit: OrbitSummary | N
     return BoundsReport(
         lower=orbit.min_matching,
         upper=orbit.min_vertex_cover,
-        alpha_size=g.n - orbit.min_vertex_cover,
         coincide=orbit.min_matching == orbit.min_vertex_cover,
         classification=classification,
         representative=rep,
@@ -124,15 +124,16 @@ def sign_function(k, g: Graph, beta) -> int:
     bits = [int(b) for b in k]
     if len(bits) != len(beta_sorted):
         raise ValueError("k length does not match beta")
-    kmask = 0
-    for bit, b in zip(bits, beta_sorted):
-        if bit:
-            kmask |= 1 << (b - 1)
-    f = 0
-    for b in beta_sorted:
-        if (kmask >> (b - 1)) & 1:
-            f += (g.adj[b - 1] & kmask).bit_count()
-    return (f // 2) % 2
+    return _edge_parity(g, _mask_of((b for bit, b in zip(bits, beta_sorted) if bit), g.n))
+
+
+def _edge_parity(g: Graph, kmask: int) -> int:
+    """Parity of the edges of g with both endpoints in kmask."""
+    return sum((g.adj[v] & kmask).bit_count() for v in _bits(kmask)) // 2 % 2
+
+
+# basis-state label -> the k bit it carries: "1" on the beta vertices with k = 1
+_K_BITS = str.maketrans("0+-", "000")
 
 
 @dataclass(frozen=True)
@@ -163,33 +164,27 @@ class CssStabilizerSum:
 
 
 def _alpha_or_default(g: Graph, alpha):
-    if alpha is None:
-        return max_independent_set(g)
-    return frozenset(alpha)
+    return max_independent_set(g) if alpha is None else frozenset(alpha)
 
 
 def minimal_decomposition(g: Graph, alpha=None) -> Decomposition:
     """Signed product-state decomposition of |g> over the alpha-stabilized basis.
 
-    2^{|beta|} terms with signs from sign_function; reconstructs the
-    statevector exactly (an oracle-checked invariant).
+    2^{|beta|} terms; each state's k is the set of beta vertices carrying 1,
+    and its sign is sign_function of that k.  Reconstructs the statevector
+    exactly (an oracle-checked invariant).
     """
-    alpha = _alpha_or_default(g, alpha)
-    basis = stabilized_product_basis(g, alpha)
-    beta = sorted(set(range(1, g.n + 1)) - alpha)
-    m = len(beta)
-    terms = []
-    for idx, state in enumerate(basis):
-        kbits = [(idx >> (m - 1 - pos)) & 1 for pos in range(m)]
-        sign = -1 if sign_function(kbits, g, beta) else 1
-        terms.append((sign, state))
-    return Decomposition(tuple(terms), 1.0 / math.sqrt(len(basis)))
+    basis = stabilized_product_basis(g, _alpha_or_default(g, alpha))
+    terms = tuple(
+        (-1 if _edge_parity(g, int(state.translate(_K_BITS)[::-1], 2)) else 1, state)
+        for state in basis
+    )
+    return Decomposition(terms, 1.0 / math.sqrt(len(basis)))
 
 
 def closest_separable_state(g: Graph, alpha=None) -> SeparableStateDescription:
     """Uniform mixture over the stabilized product basis (the CSS certificate)."""
-    alpha = _alpha_or_default(g, alpha)
-    basis = stabilized_product_basis(g, alpha)
+    basis = stabilized_product_basis(g, _alpha_or_default(g, alpha))
     return SeparableStateDescription(basis, 1.0 / len(basis))
 
 
@@ -197,15 +192,15 @@ def css_stabilizer_form(g: Graph, alpha=None) -> CssStabilizerSum:
     """The same CSS as the normalized sum over the alpha-subgroup elements."""
     from .pauli import generators_from_graph, group_elements, restricted_subgroup
 
-    alpha = _alpha_or_default(g, alpha)
-    sub = restricted_subgroup(generators_from_graph(g), alpha)
+    sub = restricted_subgroup(generators_from_graph(g), _alpha_or_default(g, alpha))
     return CssStabilizerSum(tuple(group_elements(sub)), 1.0 / (1 << g.n))
 
 
 def closest_product_state(g: Graph, alpha=None) -> str:
-    """First basis state under the canonical ordering (the CPS certificate)."""
-    alpha = _alpha_or_default(g, alpha)
-    return stabilized_product_basis(g, alpha)[0]
+    """|+> on alpha and |0> on beta: the k = 0 basis state, first under the
+    canonical ordering (the CPS certificate)."""
+    amask = _independent_mask(g, _alpha_or_default(g, alpha))
+    return "".join("+" if (amask >> v) & 1 else "0" for v in range(g.n))
 
 
 def _transport_components(g: Graph, lc_sequence, components):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import Graph, _bits, _mask_of
+from .graphs import Graph, _bits, _independent_mask
 
 STATE_ALPHABET = "01+-ij"
 
@@ -173,10 +173,7 @@ def stabilized_product_basis(g: Graph, alpha) -> tuple[str, ...]:
     integer, first beta vertex most significant): beta vertex b carries Z+/Z-
     per k_b, alpha vertex a carries X+/X- per the parity of k over N_a.
     """
-    amask = _mask_of(alpha, g.n)
-    for a0 in _bits(amask):
-        if g.adj[a0] & amask:
-            raise ValueError("alpha is not an independent set")
+    amask = _independent_mask(g, alpha)
     beta = [b + 1 for b in range(g.n) if not (amask >> b) & 1]
     m = len(beta)
     states = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, _bits, _mask_of, max_independent_set
+from .graphs import Graph, _bits, _independent_mask, _mask_of, max_independent_set
 from .measures import closest_separable_state
 from . import dense
 
@@ -65,10 +65,7 @@ def assign_edge_states(g: Graph, alpha) -> VirtualLayout:
     orientation; the downstream equality test against the stabilized mixture
     is the arbiter of that choice.
     """
-    amask = _mask_of(alpha, g.n)
-    for a0 in _bits(amask):
-        if g.adj[a0] & amask:
-            raise ValueError("alpha is not an independent set")
+    amask = _independent_mask(g, alpha)
     assignments = []
     for u, v in g.edges():
         u_in = (amask >> (u - 1)) & 1
@@ -257,10 +254,7 @@ def noise_css(g: Graph, beta=None) -> CssConstruction:
     if beta is None:
         beta = frozenset(range(1, g.n + 1)) - max_independent_set(g)
     alpha = frozenset(range(1, g.n + 1)) - frozenset(beta)
-    amask = _mask_of(alpha, g.n) if alpha else 0
-    for a0 in _bits(amask):
-        if g.adj[a0] & amask:
-            raise ValueError("complement of beta is not an independent set")
+    _independent_mask(g, alpha, "complement of beta")
     if g.n > dense.DENSE_OP_CAP:
         raise ValueError(f"dense assembly limited to n <= {dense.DENSE_OP_CAP}")
     psi = dense.statevector(g)

@@ -94,6 +94,14 @@ def test_orbit_cap_below_1_exits_1(capsys, fig6_file, cap):
         assert "orbit cap" in err
 
 
+def test_css_orbit_cap_is_a_usage_error(capsys, fig6_file):
+    # css never enumerates an orbit, so it takes no --orbit-cap
+    with pytest.raises(SystemExit) as exc:
+        main(["css", fig6_file, "--orbit-cap", "5"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --orbit-cap" in capsys.readouterr().err
+
+
 def test_analyze_disconnected_exits_1(capsys, tmp_path):
     path = tmp_path / "disc.txt"
     path.write_text("4 2\n1 2\n3 4\n")

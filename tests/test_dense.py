@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -104,6 +105,31 @@ def test_overlap2(p2, fig6):
 
 def test_reduced_entropy_bell(p2):
     assert abs(dense.reduced_entropy(dense.statevector(p2), [1]) - 1.0) < 1e-9
+
+
+def _kron_product_state(state: str) -> np.ndarray:
+    vec = np.array([1.0 + 0.0j])
+    for ch in state:
+        vec = np.kron(vec, dense.QUBIT_STATES[ch])
+    return vec
+
+
+def test_product_state_vector_equals_kronecker_bit_for_bit():
+    for n in range(4):
+        for labels in itertools.product(dense.QUBIT_STATES, repeat=n):
+            state = "".join(labels)
+            assert dense.product_state_vector(state).tobytes() == _kron_product_state(state).tobytes(), state
+
+
+def test_product_state_vector_returns_a_fresh_array():
+    vec = dense.product_state_vector("+0j")
+    vec[:] = 7.0
+    assert dense.product_state_vector("+0j").tobytes() == _kron_product_state("+0j").tobytes()
+
+
+def test_product_state_vector_rejects_unknown_label():
+    with pytest.raises(ValueError, match="unknown qubit label 'x'"):
+        dense.product_state_vector("+x0")
 
 
 def test_reduced_entropy_product_state():

@@ -1,4 +1,5 @@
-"""Golden outputs: the SHA-256 of the analyze report JSON on fixed graphs.
+"""Golden outputs: the SHA-256 of the analyze report JSON on fixed graphs, and
+of the oracle commands' stdout (verify, css --method all, analyze --oracle).
 
 The digests pin the reports byte for byte, tie-breaks and float formatting
 included.  K_{3,3} at orbit cap 2 reports coinciding bounds with the value 3,
@@ -14,7 +15,7 @@ import hashlib
 import pytest
 
 from graphent import Graph, evaluate
-from graphent.cli import _json
+from graphent.cli import _json, main
 
 from conftest import FIG6, complete, ring, star
 
@@ -38,3 +39,33 @@ GOLDEN = [
 def test_analyze_report_digest(graph, cap, digest):
     text = _json(evaluate(graph, orbit_cap=cap).to_dict())
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+ORACLE_GRAPHS = {"fig6": FIG6, "C5": ring(5), "K4": complete(4)}
+ORACLE_COMMANDS = {
+    "verify": ["verify", "--seed", "3"],
+    "css": ["css", "--method", "all"],
+    "analyze-oracle": ["analyze", "--oracle"],
+}
+
+# (command, graph, SHA-256 of its stdout); K4's analyze report has a nonempty lc_path
+ORACLE_GOLDEN = [
+    ("verify", "fig6", "74924d0776e0f7045ef0151a1c73196dd8bec4cbe4de0869590c95b6342760b7"),
+    ("css", "fig6", "4cf0a30765488f1cab948be35794d9c717a50b0b6006765a89352b6671f64bf5"),
+    ("analyze-oracle", "fig6", "5f876fd18c7d82997c1252a97c61de41d0a99d7a444f938dade2ee2a3d0d6c6f"),
+    ("verify", "C5", "05c04d75d532b1879a99efeab58ca663e8698eaf57f28049ea29c23e54c600d7"),
+    ("css", "C5", "bb0fc1df544e816238aff733aaafd978864576a74fa851f52382779bda98d681"),
+    ("analyze-oracle", "C5", "a0e4d4a6c1e28240ac8cd54e3c92622b0591930f77f88651215f2d1325ce9ddd"),
+    ("verify", "K4", "d25c60cb3e15dbfa370ccf20bd24c6b378fb0ddd71cfa40f309fd8a0820e5d6f"),
+    ("css", "K4", "e71cc879c724d530e94dbf3bde5da9eafc3c2cae18fa35004129f22005ea0a08"),
+    ("analyze-oracle", "K4", "41eb8e77925f11dca74ff05e0452359e5b7adc21cc4c8c6ddff310a5e9805a9b"),
+]
+
+
+@pytest.mark.parametrize("command,graph,digest", ORACLE_GOLDEN, ids=[f"{c}-{g}" for c, g, _ in ORACLE_GOLDEN])
+def test_oracle_command_digest(command, graph, digest, tmp_path, capsys):
+    g = ORACLE_GRAPHS[graph]
+    path = tmp_path / "graph.txt"
+    path.write_text(f"{g.n} {len(g.edges())}\n" + "".join(f"{u} {v}\n" for u, v in g.edges()))
+    main([*ORACLE_COMMANDS[command], str(path)])
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest

@@ -28,6 +28,7 @@ from graphent import (
     minimal_decomposition,
     predicts_equal,
     sign_function,
+    stabilized_product_basis,
     transport_css,
 )
 from graphent.measures import (
@@ -43,6 +44,24 @@ from graphent.measures import (
 from conftest import complete, random_connected, ring, star
 
 FIG4 = Graph.from_edges(7, [(1, 7), (2, 7), (3, 6), (4, 5), (5, 6), (5, 7), (6, 7)])
+
+
+def maximal_independent_sets(g: Graph):
+    """Every maximal independent set of g, by brute force over vertex subsets."""
+    for mask in range(1 << g.n):
+        members = [v for v in range(1, g.n + 1) if (mask >> (v - 1)) & 1]
+        if any(g.has_edge(u, v) for u in members for v in members if u < v):
+            continue
+        if all(any(g.has_edge(u, v) for u in members) for v in range(1, g.n + 1) if v not in members):
+            yield frozenset(members)
+
+
+def small_graphs_with_alphas():
+    """(g, alpha) for every connected graph with n <= 5 and each of its maximal independent sets."""
+    for n in range(1, 6):
+        for g in dense.all_connected_graphs(n):
+            for alpha in maximal_independent_sets(g):
+                yield g, alpha
 
 
 def reconstruct(decomposition):
@@ -140,6 +159,18 @@ def test_sign_function_matches_dense_amplitudes():
         assert np.abs(reconstruct(dec) - dense.statevector(g)).max() < 1e-12
 
 
+def test_decomposition_signs_equal_sign_function():
+    # k of term idx in the basis order: first beta vertex most significant
+    for g, alpha in small_graphs_with_alphas():
+        beta = sorted(set(range(1, g.n + 1)) - alpha)
+        m = len(beta)
+        dec = minimal_decomposition(g, alpha)
+        assert dec.size() == 1 << m
+        for idx, (sign, _) in enumerate(dec.terms):
+            kbits = [(idx >> (m - 1 - pos)) & 1 for pos in range(m)]
+            assert sign == (-1 if sign_function(kbits, g, beta) else 1), (g.adj, alpha, idx)
+
+
 def test_decomposition_fig6(fig6):
     dec = minimal_decomposition(fig6)
     assert dec.terms == (
@@ -215,6 +246,18 @@ def test_cps(fig6, p3, p2):
     for g, want in ((fig6, 0.25), (p3, 0.5), (p2, 0.5)):
         got = dense.overlap2(dense.statevector(g), closest_product_state(g))
         assert abs(got - want) < 1e-12
+
+
+def test_cps_is_first_basis_state():
+    for g, alpha in small_graphs_with_alphas():
+        assert closest_product_state(g, alpha) == stabilized_product_basis(g, alpha)[0], (g.adj, alpha)
+
+
+def test_cps_rejects_dependent_alpha(p3, fig6):
+    with pytest.raises(ValueError, match="independent"):
+        closest_product_state(p3, [1, 2])
+    with pytest.raises(ValueError, match="independent"):
+        closest_product_state(fig6, [5, 6])
 
 
 # ---------------------------------------------------------------------------
