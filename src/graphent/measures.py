@@ -18,6 +18,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graphs import (
     DEFAULT_ORBIT_CAP,
     Graph,
@@ -32,7 +34,7 @@ from .graphs import (
     local_complement,
     max_independent_set,
 )
-from .pauli import lc_clifford_transport, stabilized_product_basis
+from .pauli import _decode_states, _encode_states, _transport_step, stabilized_product_basis
 
 # Classification labels for the bound-equality statements.
 ALPHA_LT_HALF = "ALPHA_LT_HALF"
@@ -132,8 +134,25 @@ def _edge_parity(g: Graph, kmask: int) -> int:
     return sum((g.adj[v] & kmask).bit_count() for v in _bits(kmask)) // 2 % 2
 
 
-# basis-state label -> the k bit it carries: "1" on the beta vertices with k = 1
-_K_BITS = str.maketrans("0+-", "000")
+def _sign_bits(g: Graph, amask: int) -> np.ndarray:
+    """q(k) = _edge_parity of k for every k over beta = V \\ amask, in basis order.
+
+    Built by the basis order's doubling, last beta vertex b first:
+    q(k + e_b) = q(k) + |N(b) & k| mod 2 over the k of the vertices placed so far.
+    """
+    beta = [v for v in range(g.n) if not (amask >> v) & 1]
+    m = len(beta)
+    q = np.zeros(1 << m, np.uint8)
+    kbits = np.zeros((1 << m, m), np.uint8)  # column j: k's bit on beta[j]
+    for t, j in enumerate(reversed(range(m))):  # beta[j] is bit t of k
+        old, new = slice(0, 1 << t), slice(1 << t, 2 << t)
+        kbits[new] = kbits[old]
+        kbits[new, j] = 1
+        q[new] = q[old]
+        for i in range(j + 1, m):  # the beta vertices placed so far
+            if (g.adj[beta[j]] >> beta[i]) & 1:
+                q[new] ^= kbits[old, i]
+    return q
 
 
 @dataclass(frozen=True)
@@ -174,12 +193,10 @@ def minimal_decomposition(g: Graph, alpha=None) -> Decomposition:
     and its sign is sign_function of that k.  Reconstructs the statevector
     exactly (an oracle-checked invariant).
     """
-    basis = stabilized_product_basis(g, _alpha_or_default(g, alpha))
-    terms = tuple(
-        (-1 if _edge_parity(g, int(state.translate(_K_BITS)[::-1], 2)) else 1, state)
-        for state in basis
-    )
-    return Decomposition(terms, 1.0 / math.sqrt(len(basis)))
+    alpha = _alpha_or_default(g, alpha)
+    basis = stabilized_product_basis(g, alpha)
+    signs = (1 - 2 * _sign_bits(g, _mask_of(alpha, g.n)).astype(np.int8)).tolist()
+    return Decomposition(tuple(zip(signs, basis)), 1.0 / math.sqrt(len(basis)))
 
 
 def closest_separable_state(g: Graph, alpha=None) -> SeparableStateDescription:
@@ -206,11 +223,11 @@ def closest_product_state(g: Graph, alpha=None) -> str:
 def _transport_components(g: Graph, lc_sequence, components):
     """Apply the LC Cliffords for lc_sequence to each component label string."""
     h = g
-    comps = list(components)
+    codes = _encode_states(tuple(components), g.n)
     for a in lc_sequence:
-        comps = [lc_clifford_transport(h, a, c) for c in comps]
+        _transport_step(h, a, codes)
         h = local_complement(h, a)
-    return h, tuple(comps)
+    return h, _decode_states(codes)
 
 
 def transport_css(g: Graph, lc_sequence, alpha=None) -> SeparableStateDescription:

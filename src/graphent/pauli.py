@@ -4,12 +4,19 @@ A PauliOperator is i^phase * X^x Z^z with X written to the left of Z on each
 qubit and the phase tracked as an exponent of i mod 4.  Product stabilizer
 states are plain strings over the alphabet {0,1,+,-,i,j} where i/j denote the
 Y+ / Y- eigenstates; qubit a is character a-1.
+
+Whole bases are built as arrays: a (states, n) uint8 array of the labels'
+ASCII codes, decoded to strings once.  The stabilized basis is the GF(2) span
+of one row per beta vertex, and the LC transport maps whole columns through
+256-entry byte tables.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graphs import Graph, _bits, _independent_mask
 
@@ -28,11 +35,46 @@ _XZ_ACTION = {
     (1, 1): {"0": (0, "1"), "1": (2, "0"), "+": (2, "-"), "-": (0, "+"), "i": (3, "i"), "j": (1, "j")},
 }
 
-# Projective action of the local Cliffords in U_a^tau = sqrt(-iX)_a sqrt(iZ)_{N_a}.
-# Global phases are deliberately dropped; the conventions match
-# dense.lc_unitary_dense and are locked by unit tests.
-_SQRT_MINUS_IX = {"0": "j", "1": "i", "+": "+", "-": "-", "i": "0", "j": "1"}
-_SQRT_PLUS_IZ = {"0": "0", "1": "1", "+": "j", "-": "i", "i": "+", "j": "-"}
+
+def _label_table(images: str) -> np.ndarray:
+    """Byte table sending STATE_ALPHABET[i] to images[i] and every other byte to 0."""
+    table = np.zeros(256, np.uint8)
+    table[list(STATE_ALPHABET.encode("ascii"))] = list(images.encode("ascii"))
+    return table
+
+
+# Projective action of the local Cliffords in U_a^tau = sqrt(-iX)_a sqrt(iZ)_{N_a},
+# as byte tables over the labels 0 1 + - i j.  Global phases are deliberately
+# dropped; the conventions match dense.lc_unitary_dense and are locked by unit tests.
+_SQRT_MINUS_IX = _label_table("ji+-01")
+_SQRT_PLUS_IZ = _label_table("01ji+-")
+_LABEL_BYTES = STATE_ALPHABET.encode("ascii")
+
+
+def _unknown_label(label: str) -> ValueError:
+    return ValueError(f"unknown state label {label!r}; labels are {STATE_ALPHABET!r}")
+
+
+def _encode_states(states, n: int) -> np.ndarray:
+    """The (len(states), n) uint8 array of the labels' ASCII codes, writable.
+
+    ValueError for a state whose length is not n or a label outside
+    STATE_ALPHABET.
+    """
+    if set(map(len, states)) - {n}:
+        raise ValueError("state length does not match graph size")
+    # a non-ASCII character becomes "?", which is not a label either
+    data = "".join(states).encode("ascii", "replace")
+    if data.translate(None, _LABEL_BYTES):
+        raise _unknown_label(next(c for s in states for c in s if c not in STATE_ALPHABET))
+    return np.frombuffer(bytearray(data), np.uint8).reshape(len(states), n)
+
+
+def _decode_states(codes: np.ndarray) -> tuple[str, ...]:
+    """The rows of an ASCII code array as strings: one decode, then slices."""
+    n = codes.shape[1]
+    data = codes.tobytes().decode("ascii")
+    return tuple([data[i:i + n] for i in range(0, len(data), n)])
 
 
 @dataclass(frozen=True)
@@ -172,25 +214,23 @@ def stabilized_product_basis(g: Graph, alpha) -> tuple[str, ...]:
     One state per bit-string k over beta = V \\ alpha (k ascending as a binary
     integer, first beta vertex most significant): beta vertex b carries Z+/Z-
     per k_b, alpha vertex a carries X+/X- per the parity of k over N_a.
+
+    Each state's bits are a GF(2)-linear function of k, so the basis is built
+    by doubling, last beta vertex b first: the rows for k + e_b are the rows
+    so far XOR b's row, which flips "0"/"1" on b and "+"/"-" on its alpha
+    neighbours.
     """
     amask = _independent_mask(g, alpha)
-    beta = [b + 1 for b in range(g.n) if not (amask >> b) & 1]
-    m = len(beta)
-    states = []
-    for k in range(1 << m):
-        kmask = 0
-        for pos, b in enumerate(beta):
-            if (k >> (m - 1 - pos)) & 1:
-                kmask |= 1 << (b - 1)
-        chars = []
-        for v in range(1, g.n + 1):
-            if (amask >> (v - 1)) & 1:
-                parity = (g.adj[v - 1] & kmask).bit_count() & 1
-                chars.append("-" if parity else "+")
-            else:
-                chars.append("1" if (kmask >> (v - 1)) & 1 else "0")
-        states.append("".join(chars))
-    return tuple(states)
+    n = g.n
+    beta = [v for v in range(n) if not (amask >> v) & 1]
+    codes = np.empty((1 << len(beta), n), np.uint8)
+    codes[0] = [ord("+") if (amask >> v) & 1 else ord("0") for v in range(n)]
+    for t, b in enumerate(reversed(beta)):  # b is bit t of k
+        flip = np.zeros(n, np.uint8)
+        flip[b] = ord("0") ^ ord("1")
+        flip[list(_bits(g.adj[b] & amask))] = ord("+") ^ ord("-")
+        np.bitwise_xor(codes[:1 << t], flip, out=codes[1 << t:2 << t])
+    return _decode_states(codes)
 
 
 def apply_pauli(p: PauliOperator, state: str) -> tuple[int, str]:
@@ -202,7 +242,10 @@ def apply_pauli(p: PauliOperator, state: str) -> tuple[int, str]:
     for b, ch in enumerate(state):
         xb = (p.x >> b) & 1
         zb = (p.z >> b) & 1
-        dk, new = _XZ_ACTION[(xb, zb)][ch]
+        try:
+            dk, new = _XZ_ACTION[(xb, zb)][ch]
+        except KeyError:
+            raise _unknown_label(ch) from None
         k += dk
         out.append(new)
     return k % 4, "".join(out)
@@ -216,16 +259,19 @@ def apply_generator(p: PauliOperator, state: str) -> tuple[int, str]:
     return (1 if k == 0 else -1), new
 
 
+def _transport_step(g: Graph, a: int, codes: np.ndarray) -> None:
+    """Relabel every row of an ASCII code array under U_a^tau for g, in place."""
+    g._check_vertex(a)
+    codes[:, a - 1] = _SQRT_MINUS_IX[codes[:, a - 1]]
+    cols = list(_bits(g.adj[a - 1]))
+    codes[:, cols] = _SQRT_PLUS_IZ[codes[:, cols]]
+
+
 def lc_clifford_transport(g: Graph, a: int, state: str) -> str:
     """Relabel a product state under U_a^tau for graph g (global phase dropped)."""
-    g._check_vertex(a)
-    if len(state) != g.n:
-        raise ValueError("state length does not match graph size")
-    out = list(state)
-    out[a - 1] = _SQRT_MINUS_IX[out[a - 1]]
-    for b0 in _bits(g.adj[a - 1]):
-        out[b0] = _SQRT_PLUS_IZ[out[b0]]
-    return "".join(out)
+    codes = _encode_states((state,), g.n)
+    _transport_step(g, a, codes)
+    return _decode_states(codes)[0]
 
 
 def states_orthogonal(s1: str, s2: str) -> bool:

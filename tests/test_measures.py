@@ -41,27 +41,9 @@ from graphent.measures import (
     _transport_components,
 )
 
-from conftest import complete, random_connected, ring, star
+from conftest import complete, kernel_cases, random_connected, ring, small_graphs_with_alphas, star
 
 FIG4 = Graph.from_edges(7, [(1, 7), (2, 7), (3, 6), (4, 5), (5, 6), (5, 7), (6, 7)])
-
-
-def maximal_independent_sets(g: Graph):
-    """Every maximal independent set of g, by brute force over vertex subsets."""
-    for mask in range(1 << g.n):
-        members = [v for v in range(1, g.n + 1) if (mask >> (v - 1)) & 1]
-        if any(g.has_edge(u, v) for u in members for v in members if u < v):
-            continue
-        if all(any(g.has_edge(u, v) for u in members) for v in range(1, g.n + 1) if v not in members):
-            yield frozenset(members)
-
-
-def small_graphs_with_alphas():
-    """(g, alpha) for every connected graph with n <= 5 and each of its maximal independent sets."""
-    for n in range(1, 6):
-        for g in dense.all_connected_graphs(n):
-            for alpha in maximal_independent_sets(g):
-                yield g, alpha
 
 
 def reconstruct(decomposition):
@@ -169,6 +151,27 @@ def test_decomposition_signs_equal_sign_function():
         for idx, (sign, _) in enumerate(dec.terms):
             kbits = [(idx >> (m - 1 - pos)) & 1 for pos in range(m)]
             assert sign == (-1 if sign_function(kbits, g, beta) else 1), (g.adj, alpha, idx)
+
+
+# Reference for the array-built signs: each state's k read from its labels
+# ("1" on the beta vertices with k = 1), its sign from the edges inside k.
+LOOP_K_BITS = str.maketrans("0+-", "000")
+
+
+def loop_terms(g: Graph, basis):
+    terms = []
+    for state in basis:
+        kmask = int(state.translate(LOOP_K_BITS)[::-1], 2)
+        parity = sum((g.adj[v] & kmask).bit_count() for v in range(g.n) if (kmask >> v) & 1) // 2 % 2
+        terms.append((-1 if parity else 1, state))
+    return tuple(terms)
+
+
+def test_decomposition_is_the_per_state_loop():
+    for g, alpha, _ in kernel_cases():
+        dec = minimal_decomposition(g, alpha)
+        assert dec.terms == loop_terms(g, stabilized_product_basis(g, alpha)), (g.adj, alpha)
+        assert all(type(sign) is int for sign, _ in dec.terms)
 
 
 def test_decomposition_fig6(fig6):
@@ -331,7 +334,9 @@ def test_transport_p3_to_triangle(p3, triangle):
 def test_transport_components_track_graph(p3):
     final, comps = _transport_components(p3, (2, 2), ("+0+", "-1-"))
     assert final.adj == p3.adj  # involution
-    assert comps == ("+0+", "-1-") or len(comps) == 2
+    # "+0+" -> "jjj" -> "-1-" and "-1-" -> "iii" -> "+0+": the square of the
+    # Clifford is X_2 Z_1 Z_3 up to phase, which swaps the two states
+    assert comps == ("-1-", "+0+")
 
 
 # ---------------------------------------------------------------------------

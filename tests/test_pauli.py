@@ -22,9 +22,10 @@ from graphent import (
     restricted_subgroup,
     stabilized_product_basis,
 )
+from graphent.measures import _transport_components
 from graphent.pauli import commutes, group_elements, identity, states_orthogonal
 
-from conftest import random_connected
+from conftest import kernel_cases, random_connected
 
 
 def test_generators_p3(p3):
@@ -269,3 +270,98 @@ def test_transport_closed_on_six_states(fig6):
         for ch in labels:
             out = lc_clifford_transport(fig6, a, ch * 6)
             assert set(out) <= labels
+
+
+def test_transport_rejects_unknown_labels(p3):
+    for bad, label in (("+x+", "x"), ("+\u00e9+", "\u00e9")):
+        with pytest.raises(ValueError, match=repr(label)):
+            lc_clifford_transport(p3, 1, bad)
+        with pytest.raises(ValueError, match=repr(label)):
+            apply_pauli(identity(3), bad)
+        # also on a qubit that no step touches, and with no step at all
+        with pytest.raises(ValueError, match=repr(label)):
+            _transport_components(p3, (1,), ("+0+", bad[::-1]))
+        with pytest.raises(ValueError, match=repr(label)):
+            _transport_components(p3, (), (bad,))
+
+
+def test_transport_rejects_bad_lengths(p3):
+    with pytest.raises(ValueError, match="state length does not match graph size"):
+        lc_clifford_transport(p3, 1, "+0")
+    # the lengths are checked per string, not only in total
+    with pytest.raises(ValueError, match="state length does not match graph size"):
+        _transport_components(p3, (2,), ("+0+0", "+0"))
+
+
+# ---------------------------------------------------------------------------
+# The array builders against the per-character loops they replaced
+
+LOOP_SQRT_MINUS_IX = {"0": "j", "1": "i", "+": "+", "-": "-", "i": "0", "j": "1"}
+LOOP_SQRT_PLUS_IZ = {"0": "0", "1": "1", "+": "j", "-": "i", "i": "+", "j": "-"}
+
+
+def loop_basis(g: Graph, alpha) -> tuple[str, ...]:
+    """The stabilized basis built one character at a time."""
+    amask = sum(1 << (a - 1) for a in alpha)
+    beta = [b + 1 for b in range(g.n) if not (amask >> b) & 1]
+    m = len(beta)
+    states = []
+    for k in range(1 << m):
+        kmask = 0
+        for pos, b in enumerate(beta):
+            if (k >> (m - 1 - pos)) & 1:
+                kmask |= 1 << (b - 1)
+        chars = []
+        for v in range(1, g.n + 1):
+            if (amask >> (v - 1)) & 1:
+                chars.append("-" if (g.adj[v - 1] & kmask).bit_count() & 1 else "+")
+            else:
+                chars.append("1" if (kmask >> (v - 1)) & 1 else "0")
+        states.append("".join(chars))
+    return tuple(states)
+
+
+def loop_lc_transport(g: Graph, a: int, state: str) -> str:
+    """U_a^tau on one label string through the two label dicts."""
+    out = list(state)
+    out[a - 1] = LOOP_SQRT_MINUS_IX[out[a - 1]]
+    for b in range(1, g.n + 1):
+        if g.has_edge(a, b):
+            out[b - 1] = LOOP_SQRT_PLUS_IZ[out[b - 1]]
+    return "".join(out)
+
+
+def loop_transport(g: Graph, lc_sequence, states):
+    h, out = g, list(states)
+    for a in lc_sequence:
+        out = [loop_lc_transport(h, a, s) for s in out]
+        h = local_complement(h, a)
+    return h, tuple(out)
+
+
+def test_basis_is_the_character_loop():
+    for g, alpha, _ in kernel_cases():
+        assert stabilized_product_basis(g, alpha) == loop_basis(g, alpha), (g.adj, alpha)
+
+
+def test_transport_is_the_dict_loop():
+    complex_labels = repeats = 0
+    for g, alpha, seq in kernel_cases():
+        basis = loop_basis(g, alpha)
+        final, comps = _transport_components(g, seq, basis)
+        want_final, want = loop_transport(g, seq, basis)
+        assert final.adj == want_final.adj and comps == want, (g.adj, alpha, seq)
+        for state in basis[:4]:
+            assert lc_clifford_transport(g, seq[0], state) == loop_lc_transport(g, seq[0], state)
+        complex_labels += any("i" in s or "j" in s for s in comps)
+        repeats += len(set(seq)) < len(seq)
+    assert complex_labels and repeats
+
+
+def test_transport_is_the_dict_loop_on_every_label():
+    rng = random.Random(17)
+    for n in range(6, 11):
+        g = random_connected(n, rng)
+        states = ["".join(rng.choice("01+-ij") for _ in range(n)) for _ in range(50)]
+        seq = [rng.randrange(1, n + 1) for _ in range(4)] * 2
+        assert _transport_components(g, seq, states)[1] == loop_transport(g, seq, states)[1]
