@@ -51,7 +51,7 @@ from .pauli import (
     stabilized_product_basis,
 )
 from .lattices import LatticeSpec, gap_exact, gap_formula, gap_scan, generate_lattice
-from .separable import assign_edge_states, noise_css, peps_css
+from .separable import noise_css, peps_css
 
 __version__ = "0.1.0"
 

@@ -10,6 +10,7 @@ only) picks the random cuts of the cut-rank check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -298,6 +299,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="graphent",

@@ -14,6 +14,7 @@ stabilized basis, of which the decomposition, the CSS and the CPS are views.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -252,8 +253,6 @@ class BellExtraction:
     partition_a: frozenset[int]
 
 
-_BELL_TREES: dict = {}
-_BELL_TREE_LIMIT = 64
 _BACKWARD_CAP_N = 6
 _FORWARD_STATE_CAP = 500_000
 
@@ -293,6 +292,7 @@ def _goal_adj(n: int, medges) -> tuple[int, ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=64)
 def _bell_tree(n: int, medges, amask: int) -> dict:
     """Backward BFS tree over all matching-preserving states, rooted at the goal.
 
@@ -300,10 +300,6 @@ def _bell_tree(n: int, medges, amask: int) -> dict:
     which the goal is reachable; shared across queries with the same matching
     and partition.
     """
-    key = (n, medges, amask)
-    tree = _BELL_TREES.get(key)
-    if tree is not None:
-        return tree
     goal = _goal_adj(n, medges)
     moves = _bell_moves(n, amask)
     tree = {goal: None}
@@ -316,9 +312,6 @@ def _bell_tree(n: int, medges, amask: int) -> dict:
                 continue
             tree[nxt] = (move, cur)
             queue.append(nxt)
-    if len(_BELL_TREES) >= _BELL_TREE_LIMIT:
-        _BELL_TREES.pop(next(iter(_BELL_TREES)))
-    _BELL_TREES[key] = tree
     return tree
 
 

@@ -13,70 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, _bits, _independent_mask, _mask_of, max_independent_set
+from .graphs import Graph, _independent_mask, _mask_of, max_independent_set
 from .measures import closest_separable_state
 from . import dense
 
 VIRTUAL_EDGE_CAP = 24
-
-# Edge states on (first, second) virtual qubits, as mixtures of two product
-# strings indexed by t: kind A puts the X-basis (orange) qubit first, kind B
-# second.  Unnormalized per-component vectors; weights equal by symmetry.
-_EDGE_COMPONENTS = {
-    "A": {0: "+0", 1: "-1"},
-    "B": {0: "0+", 1: "1-"},
-}
-
-_ORANGE = "orange"  # X basis
-_BLUE = "blue"  # Z basis
-
-
-@dataclass(frozen=True)
-class EdgeAssignment:
-    u: int
-    v: int
-    kind: str  # "A": orange on u; "B": orange on v
-
-
-@dataclass(frozen=True)
-class VirtualLayout:
-    """One virtual qubit per edge endpoint; colours record the local basis."""
-
-    n: int
-    edges: tuple[EdgeAssignment, ...]
-
-    def virtual_count(self) -> int:
-        return 2 * len(self.edges)
-
-    def site_colours(self, a: int) -> tuple[str, ...]:
-        out = []
-        for e in self.edges:
-            if e.u == a:
-                out.append(_ORANGE if e.kind == "A" else _BLUE)
-            elif e.v == a:
-                out.append(_ORANGE if e.kind == "B" else _BLUE)
-        return tuple(out)
-
-
-def assign_edge_states(g: Graph, alpha) -> VirtualLayout:
-    """Pick the A/B edge state per edge so every alpha-site virtual is orange.
-
-    Edges between two cover vertices default to kind A with lexicographic
-    orientation; the downstream equality test against the stabilized mixture
-    is the arbiter of that choice.
-    """
-    amask = _independent_mask(g, alpha)
-    assignments = []
-    for u, v in g.edges():
-        u_in = (amask >> (u - 1)) & 1
-        v_in = (amask >> (v - 1)) & 1
-        kind = "B" if (v_in and not u_in) else "A"
-        assignments.append(EdgeAssignment(u, v, kind))
-    layout = VirtualLayout(g.n, tuple(assignments))
-    for a0 in _bits(amask):
-        if any(c != _ORANGE for c in layout.site_colours(a0 + 1)):
-            raise RuntimeError("independent-set site got a Z-basis virtual")
-    return layout
 
 
 @dataclass(frozen=True)
@@ -99,72 +40,42 @@ _QUBIT_REAL = {
 }
 
 
-def _site_tables(g: Graph, layout: VirtualLayout, amask: int):
-    """Per site: incident edge ids, and the projected 2-vector + label per
-    local bit combination of those edges."""
-    edges = layout.edges
-    incident: list[list[tuple[int, str]]] = [[] for _ in range(g.n)]
-    for eid, e in enumerate(edges):
-        incident[e.u - 1].append((eid, "u"))
-        incident[e.v - 1].append((eid, "v"))
+def _site_table(virtuals: list[str], in_alpha: int):
+    """Projected 2-vector and axis label for every bit combination of a site.
 
-    def local_state(eid: int, end: str, t: int) -> str:
-        comp = _EDGE_COMPONENTS[edges[eid].kind][t]
-        return comp[0] if end == "u" else comp[1]
-
-    vec_tables = []
-    char_tables = []
-    edge_ids = []
-    for a in range(1, g.n + 1):
-        loc = incident[a - 1]
-        edge_ids.append([eid for eid, _ in loc])
-        deg = len(loc)
-        combos = 1 << deg
-        vecs = np.zeros((combos, 2), dtype=float)
-        chars = []
-        site_in_alpha = (amask >> (a - 1)) & 1
-        for combo in range(combos):
-            states = [
-                local_state(eid, end, (combo >> pos) & 1)
-                for pos, (eid, end) in enumerate(loc)
-            ]
-            if deg == 1:
-                vec = _QUBIT_REAL[states[0]]
-            elif site_in_alpha:
-                vec = _project_parity(states)
-            else:
-                vec = _project_repetition(states)
-            vecs[combo] = vec
-            chars.append(_axis_label(vec))
-        vec_tables.append(vecs)
-        char_tables.append(chars)
-    return edge_ids, vec_tables, char_tables
-
-
-def _project_repetition(states: list[str]):
-    """P^A = |0><0...0| + |1><1...1| applied to a product of local states."""
-    c0 = 1.0
-    c1 = 1.0
-    for s in states:
-        v = _QUBIT_REAL[s]
-        c0 *= v[0]
-        c1 *= v[1]
-    return (c0, c1)
-
-
-def _project_parity(states: list[str]):
-    """P^B = |+><~+| + |-><~-|: parity of minus signs over X-basis strings."""
-    prod_sum = 1.0
-    prod_diff = 1.0
-    for s in states:
-        v = _QUBIT_REAL[s]
-        up = (v[0] + v[1]) * _S2  # <+|s>
-        um = (v[0] - v[1]) * _S2  # <-|s>
-        prod_sum *= up + um
-        prod_diff *= up - um
-    c_plus = (prod_sum + prod_diff) / 2.0
-    c_minus = (prod_sum - prod_diff) / 2.0
-    return (c_plus + c_minus) * _S2, (c_plus - c_minus) * _S2
+    ``virtuals[pos]`` is "+-" for an X-basis (orange) virtual qubit and "01"
+    for a Z-basis one; bit pos of the combination is the edge component t and
+    picks the character.  A lone virtual is the site itself; otherwise alpha
+    sites apply the parity projector |+><~+| + |-><~-| and cover sites the
+    repetition projector |0><0...0| + |1><1...1|.
+    """
+    vecs = np.zeros((1 << len(virtuals), 2), dtype=float)
+    labels = []
+    for combo in range(len(vecs)):
+        qubits = [_QUBIT_REAL[pair[(combo >> pos) & 1]] for pos, pair in enumerate(virtuals)]
+        if len(qubits) == 1:
+            vec = qubits[0]
+        elif in_alpha:
+            prod_sum = 1.0
+            prod_diff = 1.0
+            for q0, q1 in qubits:
+                up = (q0 + q1) * _S2  # <+|q>
+                um = (q0 - q1) * _S2  # <-|q>
+                prod_sum *= up + um
+                prod_diff *= up - um
+            c_plus = (prod_sum + prod_diff) / 2.0
+            c_minus = (prod_sum - prod_diff) / 2.0
+            vec = ((c_plus + c_minus) * _S2, (c_plus - c_minus) * _S2)
+        else:
+            c0 = 1.0
+            c1 = 1.0
+            for q0, q1 in qubits:
+                c0 *= q0
+                c1 *= q1
+            vec = (c0, c1)
+        vecs[combo] = vec
+        labels.append(_axis_label(vec))
+    return vecs, labels
 
 
 def _axis_label(vec) -> str:
@@ -183,25 +94,35 @@ def _axis_label(vec) -> str:
 def peps_css(g: Graph, alpha=None) -> CssConstruction:
     """Closest separable state assembled from virtual-qubit edge mixtures.
 
-    Tensor the per-edge two-qubit separable states over 2|E| virtual qubits,
-    apply the repetition projector at cover sites and the parity projector at
+    Each edge (u, v) carries the two-qubit separable state mixing |+0> with
+    |-1>, its X-basis (orange) virtual qubit at the alpha end, or at u when
+    both ends are in the cover.  Tensor these over 2|E| virtual qubits, apply
+    the repetition projector at cover sites and the parity projector at
     independent-set sites (degree-1 sites are identified with their lone
     virtual qubit), and renormalize.
     """
     if alpha is None:
         alpha = max_independent_set(g)
-    amask = _mask_of(alpha, g.n)
-    layout = assign_edge_states(g, alpha)
-    n_edges = len(layout.edges)
-    if n_edges > VIRTUAL_EDGE_CAP:
+    amask = _independent_mask(g, alpha)
+    edges = g.edges()
+    if len(edges) > VIRTUAL_EDGE_CAP:
         raise ValueError(f"virtual assembly limited to {VIRTUAL_EDGE_CAP} edges")
     if g.n > dense.DENSE_OP_CAP:
         raise ValueError(f"dense assembly limited to n <= {dense.DENSE_OP_CAP}")
-    edge_ids, vec_tables, char_tables = _site_tables(g, layout, amask)
+    edge_ids: list[list[int]] = [[] for _ in range(g.n)]
+    virtuals: list[list[str]] = [[] for _ in range(g.n)]
+    for eid, (u, v) in enumerate(edges):
+        orange = v if (amask >> (v - 1)) & 1 else u
+        for a in (u, v):
+            edge_ids[a - 1].append(eid)
+            virtuals[a - 1].append("+-" if a == orange else "01")
+    vec_tables, char_tables = zip(
+        *(_site_table(virtuals[site], (amask >> site) & 1) for site in range(g.n))
+    )
 
     nonzero_tables = [np.linalg.norm(v, axis=1) > 1e-12 for v in vec_tables]
     dim = 1 << g.n
-    total = 1 << n_edges
+    total = 1 << len(edges)
     rho = np.zeros((dim, dim), dtype=float)
     components: list[str] = []
     norms_seen: list[np.ndarray] = []
@@ -253,6 +174,7 @@ def noise_css(g: Graph, beta=None) -> CssConstruction:
     """
     if beta is None:
         beta = frozenset(range(1, g.n + 1)) - max_independent_set(g)
+    _mask_of(beta, g.n)
     alpha = frozenset(range(1, g.n + 1)) - frozenset(beta)
     _independent_mask(g, alpha, "complement of beta")
     if g.n > dense.DENSE_OP_CAP:
@@ -299,10 +221,7 @@ def noise_css_quadrature(g: Graph, beta=None, points: int = 64) -> np.ndarray:
 
 
 __all__ = [
-    "EdgeAssignment",
-    "VirtualLayout",
     "CssConstruction",
-    "assign_edge_states",
     "peps_css",
     "noise_css",
     "noise_css_quadrature",

@@ -7,7 +7,6 @@ labelled instance is still checked individually within the budgets.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 
@@ -56,14 +55,7 @@ _CONNECTED: dict[int, list[Graph]] = {}
 
 def connected_graphs(n: int) -> list[Graph]:
     if n not in _CONNECTED:
-        pairs = list(itertools.combinations(range(1, n + 1), 2))
-        out = []
-        for mask in range(1 << len(pairs)):
-            edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
-            g = Graph.from_edges(n, edges)
-            if g.is_connected():
-                out.append(g)
-        _CONNECTED[n] = out
+        _CONNECTED[n] = list(dense.all_connected_graphs(n))
     return _CONNECTED[n]
 
 

@@ -11,7 +11,6 @@ import pytest
 
 from graphent import (
     Graph,
-    assign_edge_states,
     closest_separable_state,
     dense,
     max_independent_set,
@@ -27,34 +26,15 @@ def stab_density(g, alpha=None):
     return dense.mixture_density(closest_separable_state(g, alpha).components)
 
 
-def test_layout_p4(p4):
-    layout = assign_edge_states(p4, {1, 3})
-    assert [(e.u, e.v, e.kind) for e in layout.edges] == [
-        (1, 2, "A"),
-        (2, 3, "B"),
-        (3, 4, "A"),
-    ]
-    assert layout.virtual_count() == 6
-    assert layout.site_colours(1) == ("orange",)
-    assert layout.site_colours(3) == ("orange", "orange")
-    assert layout.site_colours(2) == ("blue", "blue")
-
-
-def test_layout_p2(p2):
-    layout = assign_edge_states(p2, {1})
-    assert [(e.u, e.v, e.kind) for e in layout.edges] == [(1, 2, "A")]
-
-
-def test_layout_triangle_beta_edge(triangle):
-    layout = assign_edge_states(triangle, {1})
-    kinds = {(e.u, e.v): e.kind for e in layout.edges}
-    assert kinds[(1, 2)] == "A" and kinds[(1, 3)] == "A"
-    assert kinds[(2, 3)] == "A"  # beta-beta edge: lexicographic orientation
-
-
-def test_layout_rejects_dependent_alpha(p4):
+def test_peps_rejects_dependent_alpha(p4):
     with pytest.raises(ValueError):
-        assign_edge_states(p4, {1, 2})
+        peps_css(p4, {1, 2})
+
+
+def test_peps_beta_edge_orange_at_lower_end(triangle):
+    # the 2-3 edge joins two cover vertices: its X-basis virtual sits at 2;
+    # at 3 instead the components would be ("+00", "-01", "-10", "+11")
+    assert peps_css(triangle, {1}).components == ("+00", "-10", "-01", "+11")
 
 
 def test_peps_open_chain_4qubit_example(p4):
@@ -143,6 +123,12 @@ def test_noise_fig6(fig6):
 def test_noise_rejects_bad_beta(p4):
     with pytest.raises(ValueError):
         noise_css(p4, {4})  # complement {1,2,3} is not independent
+
+
+@pytest.mark.parametrize("beta, bad", [({2, 4, 9}, 9), ({0, 2, 4}, 0), ({-1, 2, 4}, -1)])
+def test_noise_rejects_out_of_range_beta(p4, beta, bad):
+    with pytest.raises(ValueError, match=f"vertex {bad} out of range 1..4"):
+        noise_css(p4, beta)
 
 
 def test_quadrature_matches_two_point(p3, p2, triangle):
