@@ -17,9 +17,6 @@ from .graphs import Graph, _independent_mask, _mask_of, max_independent_set
 from .measures import closest_separable_state
 from . import dense
 
-VIRTUAL_EDGE_CAP = 24
-
-
 @dataclass(frozen=True)
 class CssConstruction:
     """Dense separable state plus its explicit product-projector mixture."""
@@ -27,7 +24,6 @@ class CssConstruction:
     dense: np.ndarray
     components: tuple[str, ...]
     weight: float
-    method: str
 
 
 _S2 = 1.0 / math.sqrt(2.0)
@@ -96,71 +92,56 @@ def peps_css(g: Graph, alpha=None) -> CssConstruction:
 
     Each edge (u, v) carries the two-qubit separable state mixing |+0> with
     |-1>, its X-basis (orange) virtual qubit at the alpha end, or at u when
-    both ends are in the cover.  Tensor these over 2|E| virtual qubits, apply
-    the repetition projector at cover sites and the parity projector at
-    independent-set sites (degree-1 sites are identified with their lone
-    virtual qubit), and renormalize.
+    both ends are in the cover, so its Z-basis (blue) virtual sits at a cover
+    end.  Tensor these over 2|E| virtual qubits, apply the repetition projector
+    at cover sites and the parity projector at independent-set sites
+    (degree-1 sites are identified with their lone virtual qubit), and
+    renormalize.  The parity projector never vanishes and the repetition
+    projector vanishes unless a cover site's blue virtuals agree, so for a
+    maximal alpha the surviving edge strings are t(k) with t_e = k_b, b the
+    blue end of e: one row for each k in {0,1}^beta, in ascending t.
     """
     if alpha is None:
         alpha = max_independent_set(g)
     amask = _independent_mask(g, alpha)
-    edges = g.edges()
-    if len(edges) > VIRTUAL_EDGE_CAP:
-        raise ValueError(f"virtual assembly limited to {VIRTUAL_EDGE_CAP} edges")
+    if any(not g.adj[v] & amask for v in range(g.n) if not (amask >> v) & 1):
+        raise ValueError("alpha is not a maximal independent set")
     if g.n > dense.DENSE_OP_CAP:
         raise ValueError(f"dense assembly limited to n <= {dense.DENSE_OP_CAP}")
     edge_ids: list[list[int]] = [[] for _ in range(g.n)]
     virtuals: list[list[str]] = [[] for _ in range(g.n)]
-    for eid, (u, v) in enumerate(edges):
+    blue_edges = [0] * g.n
+    for eid, (u, v) in enumerate(g.edges()):
         orange = v if (amask >> (v - 1)) & 1 else u
+        blue_edges[(u if orange == v else v) - 1] |= 1 << eid
         for a in (u, v):
             edge_ids[a - 1].append(eid)
             virtuals[a - 1].append("+-" if a == orange else "01")
-    vec_tables, char_tables = zip(
-        *(_site_table(virtuals[site], (amask >> site) & 1) for site in range(g.n))
-    )
+    ts = np.zeros(1, dtype=np.int64)
+    for mask in filter(None, blue_edges):  # alpha sites have no blue virtual
+        ts = np.concatenate([ts, ts | mask])
+    ts.sort()
 
-    nonzero_tables = [np.linalg.norm(v, axis=1) > 1e-12 for v in vec_tables]
-    dim = 1 << g.n
-    total = 1 << len(edges)
-    rho = np.zeros((dim, dim), dtype=float)
-    components: list[str] = []
-    norms_seen: list[np.ndarray] = []
-    chunk = 1 << 16
-    for start in range(0, total, chunk):
-        ts = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        site_idx = []
-        keep = np.ones(ts.size, dtype=bool)
-        for site in range(g.n):
-            idx = np.zeros(ts.size, dtype=np.int64)
-            for pos, eid in enumerate(edge_ids[site]):
-                idx |= ((ts >> eid) & 1) << pos
-            site_idx.append(idx)
-            # a zero site factor kills the whole product row exactly
-            keep &= nonzero_tables[site][idx]
-        rows = np.flatnonzero(keep)
-        if rows.size == 0:
-            continue
-        block = np.ones((rows.size, 1), dtype=float)
-        for site in range(g.n):
-            vecs = vec_tables[site][site_idx[site][rows]]
-            block = (block[:, :, None] * vecs[:, None, :]).reshape(rows.size, -1)
-        rho += block.T @ block
-        norms_seen.append(np.linalg.norm(block, axis=1))
-        for row in rows:
-            joined = "".join(char_tables[site][site_idx[site][row]] for site in range(g.n))
-            if "?" in joined:
-                raise RuntimeError("projected component did not land on an axis state")
-            components.append(joined)
+    block = np.ones((ts.size, 1), dtype=float)
+    site_chars = []
+    for site in range(g.n):
+        idx = np.zeros(ts.size, dtype=np.int64)
+        for pos, eid in enumerate(edge_ids[site]):
+            idx |= ((ts >> eid) & 1) << pos
+        vecs, chars = _site_table(virtuals[site], (amask >> site) & 1)
+        block = (block[:, :, None] * vecs[idx][:, None, :]).reshape(ts.size, -1)
+        site_chars.append([chars[i] for i in idx])
+    components = tuple(map("".join, zip(*site_chars)))
+    if any("?" in c for c in components):
+        raise RuntimeError("projected component did not land on an axis state")
+    rho = block.T @ block
     trace = float(np.trace(rho))
-    if not components or trace <= 0:
+    if trace <= 0:
         raise RuntimeError("virtual assembly produced a zero state")
-    norms = np.concatenate(norms_seen)
+    norms = np.linalg.norm(block, axis=1)
     if norms.max() - norms.min() > 1e-9 * norms.max():
         raise RuntimeError("surviving components are not uniformly weighted")
-    rho = (rho / trace).astype(complex)
-    weight = 1.0 / len(components)
-    return CssConstruction(rho, tuple(components), weight, "peps")
+    return CssConstruction((rho / trace).astype(complex), components, 1.0 / len(components))
 
 
 def noise_css(g: Graph, beta=None) -> CssConstruction:
@@ -191,13 +172,14 @@ def noise_css(g: Graph, beta=None) -> CssConstruction:
     mix = dense.mixture_density(css.components)
     if not np.allclose(rho, mix, atol=1e-12):
         raise RuntimeError("dephasing average disagrees with the product mixture")
-    return CssConstruction(rho, css.components, css.weight, "noise")
+    return CssConstruction(rho, css.components, css.weight)
 
 
 def noise_css_quadrature(g: Graph, beta=None, points: int = 64) -> np.ndarray:
     """Continuous-phase version on a uniform grid, for validating the 2-point average."""
     if beta is None:
         beta = frozenset(range(1, g.n + 1)) - max_independent_set(g)
+    _mask_of(beta, g.n)
     beta_sorted = sorted(beta)
     m = len(beta_sorted)
     if g.n > 6 or points**m > 1 << 20:

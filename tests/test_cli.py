@@ -8,7 +8,7 @@ import pytest
 
 from graphent.cli import main
 
-from conftest import FIG6_TEXT
+from conftest import FIG6_TEXT, complete
 
 C5_TEXT = "5 5\n1 2\n2 3\n3 4\n4 5\n5 1\n"
 STAR4_TEXT = "4 3\n1 2\n1 3\n1 4\n"
@@ -143,6 +143,19 @@ def test_css_all_fig6(capsys, fig6_file):
     doc = json.loads(out)
     assert doc["verdict"] == "equal"
     assert {m["method"] for m in doc["methods"]} == {"stabilizer", "peps", "noise"}
+
+
+def test_verify_and_css_k8(capsys, tmp_path):
+    # 28 edges: the PEPS assembly builds its 2^|beta| rows, with no edge cap
+    edges = complete(8).edges()
+    path = tmp_path / "k8.txt"
+    path.write_text(f"8 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    code, out, _ = run(capsys, ["verify", str(path)])
+    assert code == 0, out
+    assert json.loads(out)["all_passed"] is True
+    code, out, _ = run(capsys, ["css", str(path), "--method", "all"])
+    assert code == 0, out
+    assert json.loads(out)["verdict"] == "equal"
 
 
 def test_css_single_method(capsys, tmp_path):

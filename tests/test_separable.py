@@ -19,7 +19,7 @@ from graphent import (
 )
 from graphent.separable import noise_css_quadrature
 
-from conftest import random_connected
+from conftest import complete, random_connected, small_graphs_with_alphas
 
 
 def stab_density(g, alpha=None):
@@ -29,6 +29,25 @@ def stab_density(g, alpha=None):
 def test_peps_rejects_dependent_alpha(p4):
     with pytest.raises(ValueError):
         peps_css(p4, {1, 2})
+
+
+def test_peps_rejects_non_maximal_alpha(p3):
+    # cover vertex 1 has no neighbour in {3}
+    with pytest.raises(ValueError, match="alpha is not a maximal independent set"):
+        peps_css(p3, {3})
+
+
+def test_peps_every_maximal_alpha_small_graphs():
+    for g, alpha in small_graphs_with_alphas():
+        assert np.abs(peps_css(g, alpha).dense - stab_density(g, alpha)).max() < 1e-12, (g.edges(), alpha)
+
+
+def test_peps_k8_beyond_24_edges():
+    k8 = complete(8)
+    assert k8.edge_count() == 28
+    result = peps_css(k8)
+    assert len(result.components) == 1 << 7
+    assert np.abs(result.dense - stab_density(k8)).max() < 1e-12
 
 
 def test_peps_beta_edge_orange_at_lower_end(triangle):
@@ -129,6 +148,12 @@ def test_noise_rejects_bad_beta(p4):
 def test_noise_rejects_out_of_range_beta(p4, beta, bad):
     with pytest.raises(ValueError, match=f"vertex {bad} out of range 1..4"):
         noise_css(p4, beta)
+
+
+@pytest.mark.parametrize("beta, bad", [({9}, 9), ({0}, 0)])
+def test_quadrature_rejects_out_of_range_beta(p3, beta, bad):
+    with pytest.raises(ValueError, match=f"vertex {bad} out of range 1..3"):
+        noise_css_quadrature(p3, beta, points=4)
 
 
 def test_quadrature_matches_two_point(p3, p2, triangle):
