@@ -167,6 +167,8 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 
 def cmd_lattice(args: argparse.Namespace) -> int:
     sizes = _parse_sizes(args.sizes)
+    if args.timeout is not None and args.timeout < 0:
+        raise ValueError(f"--timeout {args.timeout} must be at least 0")
     if args.kind == "triangular" and not args.exact and any(s <= 3 for s in sizes):
         # formula-only triangular runs need L > 3
         raise GraphFormatError("triangular gap formula is valid for L > 3 only")
@@ -255,10 +257,12 @@ def run_verification(g: Graph, report, seed: int = 0):
     rng = random.Random(seed)
     cut_ok = True
     detail = ""
-    cuts = [[a] for a in range(1, g.n + 1)]
-    for _ in range(3):
-        size = rng.randrange(1, g.n)
-        cuts.append(sorted(rng.sample(range(1, g.n + 1), size)))
+    cuts = []
+    if g.n > 1:  # a one-vertex graph has no proper cut
+        cuts = [[a] for a in range(1, g.n + 1)]
+        for _ in range(3):
+            size = rng.randrange(1, g.n)
+            cuts.append(sorted(rng.sample(range(1, g.n + 1), size)))
     for cut in cuts:
         want = cut_rank(g, cut)
         got = dense.reduced_entropy(psi, cut, g.n)

@@ -206,23 +206,27 @@ class GapRow:
 
 
 def gap_scan(kind: str, sizes, exact: bool = True, timeout: float | None = None):
-    """Per-size gap table rows; solver timeouts are flagged, not fatal."""
+    """Per-size gap table rows; solver timeouts are flagged, not fatal.
+
+    Only exact rows build the patch, so formula-only rows have no vertex cap.
+    """
     rows = []
     for size in sizes:
-        g = generate_lattice(LatticeSpec(kind, size))
-        formula: float | None
-        try:
-            formula = gap_formula(kind, g.n)
-        except ValueError:
-            formula = None
         matching = cover = exact_gap = None
         timed_out = False
         if exact:
+            g = generate_lattice(LatticeSpec(kind, size))
+            n = g.n
             try:
                 matching, cover, exact_gap = _solve_gap(g, timeout)
             except SolverTimeout:
                 timed_out = True
-        rows.append(
-            GapRow(kind, size, g.n, matching, cover, exact_gap, formula, timed_out)
-        )
+        else:
+            n = lattice_vertex_count(kind, size)
+        formula: float | None
+        try:
+            formula = gap_formula(kind, n)
+        except ValueError:
+            formula = None
+        rows.append(GapRow(kind, size, n, matching, cover, exact_gap, formula, timed_out))
     return rows

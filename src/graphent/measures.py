@@ -243,7 +243,7 @@ def transport_css(g: Graph, lc_sequence, alpha=None) -> SeparableStateDescriptio
 
 
 class BellSearchError(RuntimeError):
-    """Raised when no in-budget move sequence reaches the Bell-pair graph."""
+    """Raised when no move sequence reaches the Bell-pair graph for any endpoint selection."""
 
 
 @dataclass(frozen=True)
@@ -251,10 +251,6 @@ class BellExtraction:
     moves: tuple
     final: Graph
     partition_a: frozenset[int]
-
-
-_BACKWARD_CAP_N = 6
-_FORWARD_STATE_CAP = 500_000
 
 
 def _bell_moves(n: int, amask: int):
@@ -284,14 +280,6 @@ def _contains_all(adj, medges) -> bool:
     return all((adj[u - 1] >> (v - 1)) & 1 for u, v in medges)
 
 
-def _goal_adj(n: int, medges) -> tuple[int, ...]:
-    out = [0] * n
-    for u, v in medges:
-        out[u - 1] |= 1 << (v - 1)
-        out[v - 1] |= 1 << (u - 1)
-    return tuple(out)
-
-
 @functools.lru_cache(maxsize=64)
 def _bell_tree(n: int, medges, amask: int) -> dict:
     """Backward BFS tree over all matching-preserving states, rooted at the goal.
@@ -300,7 +288,7 @@ def _bell_tree(n: int, medges, amask: int) -> dict:
     which the goal is reachable; shared across queries with the same matching
     and partition.
     """
-    goal = _goal_adj(n, medges)
+    goal = Graph.from_edges(n, medges).adj
     moves = _bell_moves(n, amask)
     tree = {goal: None}
     queue = deque([goal])
@@ -315,61 +303,19 @@ def _bell_tree(n: int, medges, amask: int) -> dict:
     return tree
 
 
-def _bell_forward(g: Graph, medges, amask: int, budget: int):
-    goal = _goal_adj(g.n, medges)
-    moves = _bell_moves(g.n, amask)
-    start = g.adj
-    if start == goal:
-        return ()
-    parents = {start: None}
-    queue = deque([(start, 0)])
-    while queue:
-        cur, depth = queue.popleft()
-        if depth >= budget:
-            continue
-        for move in moves:
-            nxt = _apply_bell_move(cur, move)
-            if nxt in parents or not _contains_all(nxt, medges):
-                continue
-            parents[nxt] = (move, cur)
-            if nxt == goal:
-                seq = []
-                state = nxt
-                while parents[state] is not None:
-                    move, prev = parents[state]
-                    seq.append(move)
-                    state = prev
-                return tuple(reversed(seq))
-            if len(parents) > _FORWARD_STATE_CAP:
-                return None
-            queue.append((nxt, depth + 1))
-    return None
-
-
-def _bell_try_partition(g: Graph, medges, amask: int, budget: int):
-    if g.n <= _BACKWARD_CAP_N:
-        tree = _bell_tree(g.n, medges, amask)
-        if g.adj not in tree:
-            return None
-        seq = []
-        state = g.adj
-        while tree[state] is not None:
-            move, parent = tree[state]
-            seq.append(move)
-            state = parent
-        return tuple(seq) if len(seq) <= budget else None
-    return _bell_forward(g, medges, amask, budget)
-
-
-def bell_extraction(g: Graph, matching, budget: int | None = None) -> BellExtraction:
+def bell_extraction(g: Graph, matching) -> BellExtraction:
     """Reduce g to exactly its matched edges using within-partition CZs and LCs.
 
     Partition A holds one endpoint per matched edge (smaller endpoint first;
-    the remaining selections are tried in order on failure).  The returned
-    move sequence is replayed and verified: every matched edge survives every
-    intermediate graph and the final graph is the disjoint union of the
-    matched edges plus isolated vertices.
+    the remaining selections are tried in order on failure).  Each selection's
+    backward tree lists every graph that can reach the goal, so a refusal is
+    exact; the trees are built for n <= 6 only, and larger graphs raise
+    ValueError.  The returned move sequence is replayed and verified: every
+    matched edge survives every intermediate graph and the final graph is the
+    disjoint union of the matched edges plus isolated vertices.
     """
+    if g.n > 6:
+        raise ValueError("Bell extraction is limited to n <= 6")
     medges = tuple(sorted((min(u, v), max(u, v)) for u, v in matching))
     used = set()
     for u, v in medges:
@@ -380,33 +326,34 @@ def bell_extraction(g: Graph, matching, budget: int | None = None) -> BellExtrac
         used.update((u, v))
     if len(medges) != _matching_max_size(g.n, g.adj):
         raise ValueError("matching is not maximum")
-    if budget is None:
-        budget = 4 * g.n
 
-    m = len(medges)
-    for sel in range(1 << m):
+    goal = Graph.from_edges(g.n, medges)
+    for sel in range(1 << len(medges)):
         amask = 0
         for i, (u, v) in enumerate(medges):
             pick = v if (sel >> i) & 1 else u
             amask |= 1 << (pick - 1)
-        seq = _bell_try_partition(g, medges, amask, budget)
-        if seq is None:
+        tree = _bell_tree(g.n, medges, amask)
+        if g.adj not in tree:
             continue
+        seq = []
+        state = g.adj
+        while tree[state] is not None:
+            move, state = tree[state]
+            seq.append(move)
         adj = g.adj
         for move in seq:
             adj = _apply_bell_move(adj, move)
             if not _contains_all(adj, medges):
                 raise BellSearchError("matched edge deleted mid-sequence")
-        if adj != _goal_adj(g.n, medges):
+        if adj != goal.adj:
             raise BellSearchError("replayed sequence missed the goal graph")
         return BellExtraction(
-            moves=seq,
-            final=Graph(g.n, adj),
+            moves=tuple(seq),
+            final=goal,
             partition_a=frozenset(b + 1 for b in _bits(amask)),
         )
-    raise BellSearchError(
-        f"no move sequence within budget {budget} for any endpoint selection"
-    )
+    raise BellSearchError("no sequence of these moves exists for any endpoint selection")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -211,6 +212,37 @@ def test_lattice_triangular_exact(capsys):
     assert code == 0
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert [r[5] for r in rows] == ["2", "4"]
+
+
+def test_lattice_formula_only_past_64_vertices(capsys):
+    code, out, _ = run(capsys, ["lattice", "triangular", "4..9"])
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [r[2] for r in rows] == ["16", "25", "36", "49", "64", "81"]
+    assert rows[-1][6] == "14.0" and rows[-1][5] == ""
+    code, out, _ = run(capsys, ["lattice", "kagome", "5"])
+    assert code == 0 and out.splitlines()[1].startswith("kagome,5,89,")
+    # an exact row needs the graph, which is capped at 64 vertices
+    code, out, err = run(capsys, ["lattice", "kagome", "5", "--exact"])
+    assert code == 1 and out == "" and "89 > 64" in err
+
+
+def test_lattice_negative_timeout_exits_1(capsys):
+    code, out, err = run(capsys, ["lattice", "hexagonal", "1", "--exact", "--timeout", "-1"])
+    assert code == 1 and out == ""
+    assert "--timeout" in err
+    code, out, _ = run(capsys, ["lattice", "hexagonal", "1", "--exact", "--timeout", "0"])
+    assert code == 0
+
+
+def test_verify_one_vertex(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 0\n"))
+    code, out, _ = run(capsys, ["verify", "-"])
+    assert code == 0, out
+    doc = json.loads(out)
+    assert doc["all_passed"] is True
+    cut_check = [c for c in doc["checks"] if c["name"] == "cut_rank_equals_entropy"]
+    assert cut_check == [{"detail": "0 cuts", "name": "cut_rank_equals_entropy", "passed": True}]
 
 
 def test_verify_examples(capsys, tmp_path, fig6_file):

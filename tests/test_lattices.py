@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from graphent import LatticeSpec, gap_exact, gap_formula, gap_scan, generate_lattice
+from graphent import LatticeSpec, gap_exact, gap_formula, gap_scan, generate_lattice, lattices
 from graphent.graphs import SolverTimeout, _matching_max_size
 from graphent.lattices import lattice_vertex_count
 
@@ -129,6 +129,22 @@ def test_gap_scan_rows():
     assert all(r.gap_exact == 0 and r.gap_formula == 0.0 for r in rows)
     rows = gap_scan("triangular", [2], exact=False)
     assert rows[0].gap_exact is None and rows[0].gap_formula is None
+
+
+def test_gap_scan_builds_only_exact_patches(monkeypatch):
+    built = []
+    real = lattices.generate_lattice
+
+    def counting(spec):
+        built.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(lattices, "generate_lattice", counting)
+    rows = gap_scan("kagome", [1, 2, 5], exact=False)
+    assert built == [] and [r.n for r in rows] == [5, 17, 89]
+    assert all(r.gap_exact is None for r in rows)
+    gap_scan("hexagonal", [1, 2, 3], exact=True)
+    assert built == [LatticeSpec("hexagonal", s) for s in (1, 2, 3)]
 
 
 def test_generate_over_64_rejected():

@@ -310,6 +310,43 @@ def test_bell_rejects_bad_matching(p4):
         bell_extraction(p4, [(1, 3), (2, 4)])  # not edges
 
 
+def test_bell_refusals_are_exact_up_to_n5():
+    # extraction succeeds exactly when some endpoint selection A has cut rank
+    # |M|, on every connected graph with 2 <= n <= 5
+    graphs = refused = 0
+    for n in range(2, 6):
+        for g in dense.all_connected_graphs(n):
+            m = max_matching(g)
+            feasible = any(
+                cut_rank(g, [(v if (sel >> i) & 1 else u) for i, (u, v) in enumerate(m)]) == len(m)
+                for sel in range(1 << len(m))
+            )
+            if feasible:
+                result = bell_extraction(g, m)
+                assert result.final.edges() == sorted(m)
+                assert cut_rank(g, sorted(result.partition_a)) == len(m)
+            else:
+                with pytest.raises(BellSearchError, match="any endpoint selection"):
+                    bell_extraction(g, m)
+                refused += 1
+            graphs += 1
+    assert graphs == 771 and refused == 2
+
+
+def test_bell_above_n6_is_refused_at_once():
+    motivation = Graph.from_edges(8, [
+        (1, 3), (1, 4), (1, 7), (2, 3), (2, 5), (3, 5), (3, 6),
+        (3, 8), (4, 5), (4, 8), (5, 6), (5, 8), (7, 8),
+    ])
+    cases = [
+        (ring(7), max_matching(ring(7))),
+        (motivation, [(1, 4), (2, 3), (5, 6), (7, 8)]),
+    ]
+    for g, m in cases:
+        with pytest.raises(ValueError, match="n <= 6"):
+            bell_extraction(g, m)
+
+
 # ---------------------------------------------------------------------------
 # LC transport of certificates
 
