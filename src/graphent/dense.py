@@ -171,7 +171,8 @@ def mixture_relative_entropy(psi: np.ndarray, components, weights=None) -> float
     out_of_support = float(np.vdot(psi, psi).real) - weights_psi[keep].sum()
     if out_of_support > 1e-10:
         return math.inf
-    return float(-(weights_psi[keep] * np.log2(evals[keep])).sum())
+    # adding 0.0 turns the -0.0 of a zero sum (one vertex: log2(1) = 0) into 0.0
+    return float(-(weights_psi[keep] * np.log2(evals[keep])).sum()) + 0.0
 
 
 def overlap2(psi: np.ndarray, phi: str) -> float:

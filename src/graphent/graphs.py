@@ -5,18 +5,22 @@ one integer bitmask (bit a-1) holding its neighbourhood, which keeps the
 branch-and-bound solvers and orbit enumeration fast up to the 64-vertex cap.
 All functions are pure and deterministic: ties are broken lexicographically.
 
-Local complementation has one primitive, _tau on raw adjacency tuples.
-lc_orbit is the one orbit engine: it enumerates the orbit breadth-first and
-keeps the search's parent pointers, from which the LC path to any member is
-read back.  It solves the input graph exactly, and the other members only
-while a solve could still change its summary: the GF(2) rank of a cut is the
-same on every member and bounds every member's |M_max| and |beta| from below,
-so once the running minima reach that rank most members need no solve, and
-the summary is the one that solving every member would give.
+Local complementation has one primitive, _lc on packed adjacency keys: the
+rows of the adjacency in one integer, row 0 in the highest bits, so that
+the toggle is a shift, a multiply, two masks and an XOR, and integer order
+is the order of adjacency tuples.  lc_orbit is the one orbit engine: it
+enumerates the orbit breadth-first over packed keys and keeps the search's
+parent pointers, from which the LC path to any member is read back.  It
+solves the input graph exactly, and the other members only while a solve
+could still change its summary: the GF(2) rank of a cut is the same on
+every member and bounds every member's |M_max| and |beta| from below, so
+once the running minima reach that rank most members need no solve, and the
+summary is the one that solving every member would give.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -271,69 +275,115 @@ def parse_graph(text: str, fmt: str = "edgelist", require_connected: bool = True
 
 # ---------------------------------------------------------------------------
 # Local complementation and orbits
+#
+# An orbit member is one integer key: row a of the adjacency (0-based) sits at
+# shift (n-1-a)*n, so row 0 holds the highest bits and comparing two keys as
+# integers compares their adjacency tuples lexicographically.
+
+
+def _pack(adj) -> int:
+    """The packed key of an adjacency tuple."""
+    n = len(adj)
+    key = 0
+    for row in adj:
+        key = (key << n) | row
+    return key
+
+
+def _unpack(n: int, key: int) -> tuple[int, ...]:
+    """The adjacency tuple of a packed key."""
+    full = (1 << n) - 1
+    rows = []
+    for _ in range(n):  # last row first, from the bottom of the shrinking key
+        rows.append(key & full)
+        key >>= n
+    return tuple(reversed(rows))
+
+
+@functools.lru_cache(maxsize=MAX_VERTICES)
+def _lc_masks(n: int) -> tuple[int, int]:
+    """(lows, keep) for _lc: the bottom bit of every row, and every bit of
+    the n*n square but the diagonal."""
+    lows = diag = 0
+    for a0 in range(n):
+        shift = (n - 1 - a0) * n
+        lows |= 1 << shift
+        diag |= 1 << (shift + a0)
+    return lows, ((1 << n * n) - 1) ^ diag
+
+
+def _lc(key: int, a0: int, row: int, lows: int, keep: int) -> int:
+    """Local complementation of a packed key at 0-based vertex a0, whose
+    neighbourhood mask is row; lows and keep come from _lc_masks(n).
+
+    Column a0 marks the rows to toggle (the adjacency is symmetric): shifted
+    to the bottom of each row and multiplied by row, it writes N(a0) into
+    each of them, and keep clears each row's own bit.
+    """
+    return key ^ ((((key >> a0) & lows) * row) & keep)
+
+
+def _lc_key(n: int, key: int, a0: int) -> int:
+    """_lc with the row and masks worked out from key and n."""
+    return _lc(key, a0, (key >> (n - 1 - a0) * n) & ((1 << n) - 1), *_lc_masks(n))
+
+
+def _edge_key(n: int, u0: int, v0: int) -> int:
+    """The two bits of the packed key that hold edge {u0, v0} (0-based)."""
+    return (1 << ((n - 1 - u0) * n + v0)) | (1 << ((n - 1 - v0) * n + u0))
 
 
 def local_complement(g: Graph, a: int) -> Graph:
     """Toggle every edge inside the neighbourhood of a (addition mod 2)."""
     g._check_vertex(a)
-    return Graph(g.n, _tau(g.adj, a - 1))
-
-
-def _tau(adj: tuple[int, ...], a0: int) -> tuple[int, ...]:
-    """local_complement on a raw adjacency tuple, 0-indexed vertex."""
-    nb = adj[a0]
-    out = list(adj)
-    m = nb
-    while m:
-        low = m & -m
-        out[low.bit_length() - 1] ^= nb ^ low
-        m ^= low
-    return tuple(out)
+    return Graph(g.n, _unpack(g.n, _lc_key(g.n, _pack(g.adj), a - 1)))
 
 
 def lc_orbit_members(
     g: Graph, cap: int = DEFAULT_ORBIT_CAP
-) -> tuple[dict[tuple[int, ...], tuple[tuple[int, ...], int] | None], bool]:
+) -> tuple[dict[int, tuple[int, int] | None], bool]:
     """Breadth-first closure of g under all single local complementations.
 
-    Returns (members, truncated).  members maps each labelled adjacency tuple
-    to (parent_adj, vertex): parent_adj is the member the search first reached
-    it from, by local complementation at vertex (1-indexed).  g's own
-    adjacency maps to None, so following the links from any member back to g
-    retraces a shortest LC path (see OrbitSummary.path).  cap, at least 1,
-    bounds the number of members kept.
+    Returns (members, truncated).  members maps each member's packed key
+    (see _pack; _unpack(g.n, key) is its adjacency tuple) to (parent_key,
+    vertex): parent_key is the member the search first reached it from, by
+    local complementation at vertex (1-indexed).  g's own key maps to None,
+    so following the links from any member back to g retraces a shortest LC
+    path (see OrbitSummary.path).  cap, at least 1, bounds the number of
+    members kept; truncated is set once a further member was found, and the
+    search stops there.
     """
     if cap < 1:
         raise ValueError(f"orbit cap {cap} must be at least 1")
-    start = g.adj
-    members: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {start: None}
-    queue = deque([start])
-    truncated = False
     n = g.n
-    while queue:
-        cur = queue.popleft()
-        for a0 in range(n):
-            nb = cur[a0]
-            if not nb & (nb - 1):
+    full = (1 << n) - 1
+    lows, keep = _lc_masks(n)
+    rows = [(a0, (n - 1 - a0) * n) for a0 in range(n)]
+    start = _pack(g.adj)
+    members: dict[int, tuple[int, int] | None] = {start: None}
+    order = [start]  # the breadth-first queue; the loop reads it as it grows
+    for cur in order:
+        for a0, shift in rows:
+            row = (cur >> shift) & full
+            if not row & (row - 1):
                 continue  # degree <= 1: local complementation changes nothing
-            nxt = _tau(cur, a0)
+            nxt = _lc(cur, a0, row, lows, keep)
             if nxt not in members:
                 if len(members) >= cap:
-                    truncated = True
-                    continue
+                    return members, True
                 members[nxt] = (cur, a0 + 1)
-                queue.append(nxt)
-    return members, truncated
+                order.append(nxt)
+    return members, False
 
 
-def _path_to(members, adj) -> tuple[int, ...]:
-    """Walk lc_orbit_members' parent links from adj back to the root."""
+def _path_to(members, key: int) -> tuple[int, ...]:
+    """Walk lc_orbit_members' parent links from key back to the root."""
     path = []
-    link = members[adj]
+    link = members[key]
     while link is not None:
-        adj, a = link
+        key, a = link
         path.append(a)
-        link = members[adj]
+        link = members[key]
     return tuple(reversed(path))
 
 
@@ -341,10 +391,13 @@ def _path_to(members, adj) -> tuple[int, ...]:
 class OrbitSummary:
     """LC-orbit census: minima of matching/vertex-cover size over the orbit.
 
-    members is the parent-pointer map of lc_orbit_members, rooted at the
-    input graph.  own_vertex_cover is the input graph's |beta| and
-    representative_matching the representative's |M_max|; the
-    representative's |beta| is min_vertex_cover.
+    packed is the parent-pointer map of lc_orbit_members, rooted at the
+    input graph, and members the same map with every key unpacked to an
+    adjacency tuple (built on first use).  own_vertex_cover is the input
+    graph's |beta| and representative_matching the representative's
+    |M_max|; the representative's |beta| is min_vertex_cover.  cut_rank is
+    the GF(2) rank of the best cut of the input graph found, a lower bound
+    on |M_max| and |beta| of every member, visited or not.
     """
 
     size: int
@@ -355,19 +408,30 @@ class OrbitSummary:
     lc_path: tuple[int, ...]
     own_vertex_cover: int
     representative_matching: int
-    members: dict = field(repr=False, compare=False)
+    cut_rank: int
+    packed: dict = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def members(self) -> dict:
+        """{adjacency tuple: (parent adjacency tuple, vertex) or None}."""
+        n = self.representative.n
+        adj = {key: _unpack(n, key) for key in self.packed}
+        return {
+            adj[key]: None if link is None else (adj[link[0]], link[1])
+            for key, link in self.packed.items()
+        }
 
     def path(self, adj: tuple[int, ...]) -> tuple[int, ...]:
         """Shortest LC vertex sequence from the input graph to member adj."""
-        return _path_to(self.members, adj)
+        return _path_to(self.packed, _pack(adj))
 
 
 def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP) -> OrbitSummary:
     """Enumerate the labelled LC orbit and minimise |M_max| and |beta| over it.
 
-    The representative minimises (|beta|, |M_max|, adjacency-bytes)
-    lexicographically; when the cap truncates enumeration the minima are only
-    upper bounds and the truncated flag is set.
+    The representative minimises (|beta|, |M_max|, adjacency) lexicographically;
+    when the cap truncates enumeration the minima are only upper bounds and
+    the truncated flag is set.
 
     The input graph is solved exactly.  Every other member is solved only as
     far as it could still change a field of the summary: the GF(2) rank r of
@@ -376,7 +440,9 @@ def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP) -> OrbitSummary:
     |beta| in turn.  So a member's matching is solved only while the running
     minimum exceeds r, and its independent set only when its cover could
     still beat the best key, with the search told the size it has to beat.
-    Every field equals what solving every member would give.
+    Every field equals what solving every member would give.  Members are
+    compared as packed keys, whose order is that of their adjacency tuples,
+    and unpacked only for a solve.
     """
     members, truncated = lc_orbit_members(g, cap)
     n = g.n
@@ -384,34 +450,38 @@ def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP) -> OrbitSummary:
     root = g.adj
     min_match = bm = _matching_max_size(n, root)
     own_cover = bc = n - _mis_size(n, root)
-    badj = root
-    for adj in islice(members, 1, None):  # the root comes first
-        msize = None
+    bkey = _pack(root)
+    for key in islice(members, 1, None):  # the root comes first
+        adj = msize = None
         if min_match > r:
+            adj = _unpack(n, key)
             msize = _matching_max_size(n, adj)
             min_match = min(min_match, msize)
         mlow = r if msize is None else msize  # |beta| >= |M_max| >= mlow
-        tie = (mlow, adj) < (bm, badj)  # could a cover equal to bc still win?
+        tie = (mlow, key) < (bm, bkey)  # could a cover equal to bc still win?
         if mlow > bc or (mlow == bc and not tie):
             continue
+        if adj is None:
+            adj = _unpack(n, key)
         cover = n - _mis_size(n, adj, floor=n - bc - 1 if tie else n - bc)
         if cover > bc or (cover == bc and not tie):
             continue
         if msize is None:
             msize = r if cover == r else _matching_max_size(n, adj)  # r <= |M_max| <= |beta|
             min_match = min(min_match, msize)
-        if (cover, msize, adj) < (bc, bm, badj):
-            bc, bm, badj = cover, msize, adj
+        if (cover, msize, key) < (bc, bm, bkey):
+            bc, bm, bkey = cover, msize, key
     return OrbitSummary(
         size=len(members),
-        representative=Graph(n, badj),
+        representative=Graph(n, _unpack(n, bkey)),
         min_matching=min_match,
         min_vertex_cover=bc,
         truncated=truncated,
-        lc_path=_path_to(members, badj),
+        lc_path=_path_to(members, bkey),
         own_vertex_cover=own_cover,
         representative_matching=bm,
-        members=members,
+        cut_rank=r,
+        packed=members,
     )
 
 

@@ -26,10 +26,12 @@ from .graphs import (
     Graph,
     OrbitSummary,
     _bits,
+    _edge_key,
     _independent_mask,
+    _lc_key,
     _mask_of,
     _matching_max_size,
-    _tau,
+    _pack,
     is_bipartite,
     lc_orbit,
     local_complement,
@@ -88,8 +90,10 @@ def bounds(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP, orbit: OrbitSummary | N
 
     Bipartite inputs short-circuit to BIPARTITE_KONIG; otherwise the
     statements are evaluated on the orbit representative.  A truncated orbit
-    makes the minima upper bounds only, flagged via `truncated`.  A given
-    orbit summary may be rooted at any member of g's orbit.
+    makes the minima upper bounds only, flagged via `truncated`: the lower
+    bound is then the orbit's cut rank, which holds on every member, and the
+    bounds coincide only when it reaches the upper bound.  A given orbit
+    summary may be rooted at any member of g's orbit.
     """
     if not g.is_connected():
         raise ValueError("bounds require a connected graph")
@@ -101,10 +105,11 @@ def bounds(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP, orbit: OrbitSummary | N
     else:
         rep_alpha = rep.n - orbit.min_vertex_cover
         classification = classify(rep_alpha, rep.n, 2 * orbit.representative_matching == rep.n)
+    lower = orbit.cut_rank if orbit.truncated else orbit.min_matching
     return BoundsReport(
-        lower=orbit.min_matching,
+        lower=lower,
         upper=orbit.min_vertex_cover,
-        coincide=orbit.min_matching == orbit.min_vertex_cover,
+        coincide=lower == orbit.min_vertex_cover,
         classification=classification,
         representative=rep,
         truncated=orbit.truncated,
@@ -266,37 +271,30 @@ def _bell_moves(n: int, amask: int):
     return tuple(moves)
 
 
-def _apply_bell_move(adj, move):
+def _apply_bell_move(n: int, key: int, move) -> int:
+    """One move on a packed adjacency key (see graphs._pack)."""
     if move[0] == "cz":
-        u, v = move[1] - 1, move[2] - 1
-        out = list(adj)
-        out[u] ^= 1 << v
-        out[v] ^= 1 << u
-        return tuple(out)
-    return _tau(adj, move[1] - 1)
-
-
-def _contains_all(adj, medges) -> bool:
-    return all((adj[u - 1] >> (v - 1)) & 1 for u, v in medges)
+        return key ^ _edge_key(n, move[1] - 1, move[2] - 1)
+    return _lc_key(n, key, move[1] - 1)
 
 
 @functools.lru_cache(maxsize=64)
 def _bell_tree(n: int, medges, amask: int) -> dict:
     """Backward BFS tree over all matching-preserving states, rooted at the goal.
 
-    Every move is an involution, so the tree reaches exactly the states from
-    which the goal is reachable; shared across queries with the same matching
-    and partition.
+    States are packed adjacency keys.  Every move is an involution, so the
+    tree reaches exactly the states from which the goal is reachable; shared
+    across queries with the same matching and partition.
     """
-    goal = Graph.from_edges(n, medges).adj
+    goal = _pack(Graph.from_edges(n, medges).adj)  # exactly the matched edges
     moves = _bell_moves(n, amask)
     tree = {goal: None}
     queue = deque([goal])
     while queue:
         cur = queue.popleft()
         for move in moves:
-            nxt = _apply_bell_move(cur, move)
-            if nxt in tree or not _contains_all(nxt, medges):
+            nxt = _apply_bell_move(n, cur, move)
+            if nxt in tree or nxt & goal != goal:  # seen, or a matched edge lost
                 continue
             tree[nxt] = (move, cur)
             queue.append(nxt)
@@ -328,25 +326,26 @@ def bell_extraction(g: Graph, matching) -> BellExtraction:
         raise ValueError("matching is not maximum")
 
     goal = Graph.from_edges(g.n, medges)
+    start, want = _pack(g.adj), _pack(goal.adj)
     for sel in range(1 << len(medges)):
         amask = 0
         for i, (u, v) in enumerate(medges):
             pick = v if (sel >> i) & 1 else u
             amask |= 1 << (pick - 1)
         tree = _bell_tree(g.n, medges, amask)
-        if g.adj not in tree:
+        if start not in tree:
             continue
         seq = []
-        state = g.adj
+        state = start
         while tree[state] is not None:
             move, state = tree[state]
             seq.append(move)
-        adj = g.adj
+        key = start
         for move in seq:
-            adj = _apply_bell_move(adj, move)
-            if not _contains_all(adj, medges):
+            key = _apply_bell_move(g.n, key, move)
+            if key & want != want:
                 raise BellSearchError("matched edge deleted mid-sequence")
-        if adj != goal.adj:
+        if key != want:
             raise BellSearchError("replayed sequence missed the goal graph")
         return BellExtraction(
             moves=tuple(seq),

@@ -244,6 +244,7 @@ def test_criterion_07_koenig_duality():
 
 def test_criterion_08_bell_extraction_exhaustive():
     t0 = time.monotonic()
+    from graphent.graphs import _pack, _unpack
     from graphent.measures import _apply_bell_move
 
     attempted = extracted = infeasible = 0
@@ -259,12 +260,13 @@ def test_criterion_08_bell_extraction_exhaustive():
         if feasible:
             result = bell_extraction(g, m)
             assert result.final.edges() == sorted(m)
-            adj = g.adj
+            key = _pack(g.adj)
             for move in result.moves:  # matched edges survive every step
-                adj = _apply_bell_move(adj, move)
+                key = _apply_bell_move(6, key, move)
+                adj = _unpack(6, key)
                 for u, v in m:
                     assert (adj[u - 1] >> (v - 1)) & 1
-            assert adj == result.final.adj
+            assert key == _pack(result.final.adj)
             assert len(result.moves) <= 24
             extracted += 1
         else:

@@ -61,6 +61,18 @@ def test_analyze_non_coinciding_exits_2(capsys, c5_file):
     assert doc["bounds"]["coincide"] is False
 
 
+def test_analyze_truncated_k33_exits_2(capsys, tmp_path):
+    # at orbit cap 2 the lower bound is K_{3,3}'s cut rank 2, not the visited matching 3
+    path = tmp_path / "k33.txt"
+    path.write_text("6 9\n" + "".join(f"{u} {v}\n" for u in (1, 2, 3) for v in (4, 5, 6)))
+    code, out, _ = run(capsys, ["analyze", str(path), "--orbit-cap", "2"])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["bounds"]["truncated"] is True
+    assert (doc["bounds"]["lower"], doc["bounds"]["upper"]) == (2, 3)
+    assert doc["measures"]["schmidt"] == [2.0, 3.0]
+
+
 def test_analyze_malformed_exits_1(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2 1\n1 1\n")
@@ -243,6 +255,11 @@ def test_verify_one_vertex(capsys, monkeypatch):
     assert doc["all_passed"] is True
     cut_check = [c for c in doc["checks"] if c["name"] == "cut_rank_equals_entropy"]
     assert cut_check == [{"detail": "0 cuts", "name": "cut_rank_equals_entropy", "passed": True}]
+    # the relative entropy of the one-vertex state is 0, not the signed zero -0.0
+    ree_check = [c for c in doc["checks"] if c["name"] == "relative_entropy_equals_upper"]
+    assert ree_check == [
+        {"detail": "ree=0.000000000000 upper=0", "name": "relative_entropy_equals_upper", "passed": True}
+    ]
 
 
 def test_verify_examples(capsys, tmp_path, fig6_file):

@@ -2,10 +2,10 @@
 of the oracle commands' stdout (verify, css --method all, analyze --oracle).
 
 The digests pin the reports byte for byte, tie-breaks and float formatting
-included.  K_{3,3} at orbit cap 2 reports coinciding bounds with the value 3,
-although its full orbit gives [2, 2]: a truncated orbit's minimum matching is
-not a sound lower bound.  Its digest pins that output until the bound is made
-sound, which must change the digest on purpose.
+included.  K_{3,3} at orbit cap 2 reports the interval [2, 3]: a truncated
+orbit's lower bound is the cut rank, which holds on every member, not the
+smallest matching among the members visited (3 here, although the full orbit
+gives [2, 2]).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ GOLDEN = [
     ("ring8", ring(8), 5000, "28c64361887e53d50493224710637f6eeb6de3126b60cf8bde57de7ce99e8c6a"),
     ("ring10", ring(10), 5000, "efdf3be55b6fbf0a1f5fd6331f638160e9824cfd14de2848163a7779b26459c4"),
     ("ring12", ring(12), 5000, "a6cfcf328d49db1e6968078ff1b85ed914c4072261a96dbb125f51aa0384bc1a"),
-    ("K33-cap2", K33, 2, "a3daa02334fb4eecc3663496357389bb03a286c0a6b1d8d97eb883c05aa1140c"),
+    ("K33-cap2", K33, 2, "dbfbe84f447cf9500b465e2c63bcf2468ccd61b2a2bda27a84225d5711e47a66"),
 ]
 
 

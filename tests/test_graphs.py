@@ -31,6 +31,8 @@ from graphent.graphs import (
     _cut_rank_ceiling,
     _matching_max_size,
     _mis_size,
+    _pack,
+    _unpack,
     _vertices_of,
 )
 
@@ -136,7 +138,7 @@ def test_orbit_star4():
     assert summary.min_matching == 1 and summary.min_vertex_cover == 1
     members, truncated = lc_orbit_members(star(4))
     assert not truncated
-    assert complete(4).adj in members
+    assert _pack(complete(4).adj) in members
 
 
 def test_orbit_p2(p2):
@@ -151,8 +153,8 @@ def test_orbit_fig6(fig6):
     assert not summary.truncated
     # brute-force matching/MVC per enumerated member agrees with the minima
     members, _ = lc_orbit_members(fig6)
-    assert min(dense.brute_matching(Graph(6, adj)) for adj in members) == 2
-    assert min(6 - dense.brute_mis(Graph(6, adj)) for adj in members) == 2
+    assert min(dense.brute_matching(Graph(6, _unpack(6, key))) for key in members) == 2
+    assert min(6 - dense.brute_mis(Graph(6, _unpack(6, key))) for key in members) == 2
 
 
 def test_orbit_path_reaches_representative(fig6):
@@ -221,10 +223,10 @@ def test_orbit_closure_small(p3, triangle):
     for g in (p3, triangle, star(4)):
         members, truncated = lc_orbit_members(g)
         assert not truncated
-        for adj in members:
-            h = Graph(g.n, adj)
+        for key in members:
+            h = Graph(g.n, _unpack(g.n, key))
             for a in range(1, g.n + 1):
-                assert local_complement(h, a).adj in members
+                assert _pack(local_complement(h, a).adj) in members
 
 
 def test_orbit_truncation_flag():
@@ -242,7 +244,101 @@ def test_orbit_cap_below_1_rejected(p3, cap):
 
 
 def test_orbit_matches_brute(p3):
-    assert set(lc_orbit_members(p3)[0]) == dense.brute_orbit(p3)
+    assert {_unpack(3, key) for key in lc_orbit_members(p3)[0]} == dense.brute_orbit(p3)
+
+
+# ---------------------------------------------------------------------------
+# the packed orbit search against a plain search over adjacency tuples
+
+
+def _tuple_tau(adj: tuple[int, ...], a0: int) -> tuple[int, ...]:
+    """Local complementation on an adjacency tuple, 0-indexed vertex."""
+    nb = adj[a0]
+    out = list(adj)
+    m = nb
+    while m:
+        low = m & -m
+        out[low.bit_length() - 1] ^= nb ^ low
+        m ^= low
+    return tuple(out)
+
+
+def _tuple_orbit_members(g: Graph, cap: int) -> tuple[dict, bool]:
+    """Breadth-first orbit search over adjacency tuples, the reference the
+    packed search must reproduce: {adj: (parent_adj, vertex) or None}, truncated."""
+    start = g.adj
+    members = {start: None}
+    queue = [start]
+    truncated = False
+    for cur in queue:
+        for a0 in range(g.n):
+            nb = cur[a0]
+            if not nb & (nb - 1):
+                continue
+            nxt = _tuple_tau(cur, a0)
+            if nxt not in members:
+                if len(members) >= cap:
+                    truncated = True
+                    continue
+                members[nxt] = (cur, a0 + 1)
+                queue.append(nxt)
+    return members, truncated
+
+
+def _unpacked_items(g: Graph, cap: int) -> tuple[list, bool]:
+    members, truncated = lc_orbit_members(g, cap)
+    items = [
+        (_unpack(g.n, key), None if link is None else (_unpack(g.n, link[0]), link[1]))
+        for key, link in members.items()
+    ]
+    return items, truncated
+
+
+def _tuple_items(g: Graph, cap: int) -> tuple[list, bool]:
+    members, truncated = _tuple_orbit_members(g, cap)
+    return list(members.items()), truncated
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 20, DEFAULT_ORBIT_CAP])
+def test_packed_orbit_equals_tuple_search(cap):
+    for g in _connected_graphs(5):
+        assert _unpacked_items(g, cap) == _tuple_items(g, cap), g.edges()
+
+
+def test_packed_orbit_equals_tuple_search_random():
+    rng = random.Random(41)
+    for n in range(6, 11):
+        g = random_connected(n, rng)
+        assert _unpacked_items(g, 3000) == _tuple_items(g, 3000), g.edges()
+
+
+def test_packed_orbit_equals_tuple_search_64_vertices():
+    # 4,096-bit keys; the cap stops the search well inside the orbit
+    g = random_connected(64, random.Random(43), p=0.1)
+    items, truncated = _unpacked_items(g, 2000)
+    assert truncated and len(items) == 2000
+    assert (items, truncated) == _tuple_items(g, 2000)
+
+
+def test_pack_round_trip_and_local_complement_up_to_64():
+    rng = random.Random(47)
+    for n in [1, 2, 3, 7, 12, 13, 31, 32, 33, 63, 64]:
+        g = random_connected(n, rng, p=min(1.0, 3 / n))
+        key = _pack(g.adj)
+        assert key.bit_length() <= n * n and _unpack(n, key) == g.adj
+        for a in range(1, n + 1):
+            assert local_complement(g, a).adj == _tuple_tau(g.adj, a - 1)
+
+
+def test_packed_key_order_is_adjacency_order():
+    graphs = [Graph(5, _unpack(5, key)) for key in lc_orbit_members(ring(5))[0]]
+    assert sorted(graphs, key=lambda h: _pack(h.adj)) == sorted(graphs, key=lambda h: h.adj)
+
+
+def test_summary_members_view_is_built_on_first_read():
+    summary = lc_orbit(ring(5))
+    assert "members" not in vars(summary)
+    assert summary.members is summary.members
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +510,9 @@ def _connected_graphs(max_n: int):
 
 
 def _reference_summary(g: Graph, cap: int) -> dict:
-    """Every field of lc_orbit's summary, from a loop that solves every member."""
-    members, truncated = lc_orbit_members(g, cap)
+    """Every field of lc_orbit's summary, from a loop that solves every member
+    of the adjacency-tuple search."""
+    members, truncated = _tuple_orbit_members(g, cap)
     n = g.n
     keys = [(n - _mis_size(n, adj), _matching_max_size(n, adj), adj) for adj in members]
     cover, msize, rep = min(keys)
@@ -525,7 +622,7 @@ def test_cut_rank_bound_below_every_member_matching():
     for g in _up_to_n6(37, 40):
         r = _cut_rank_bound(g.n, g.adj)
         members, _ = lc_orbit_members(g)
-        assert all(r <= _matching_max_size(g.n, adj) for adj in members), g.edges()
+        assert all(r <= _matching_max_size(g.n, _unpack(g.n, key)) for key in members), g.edges()
 
 
 def _scanned_max_cut_rank(n: int, adj) -> int:

@@ -40,6 +40,7 @@ from graphent.measures import (
     BellSearchError,
     _transport_components,
 )
+from graphent.graphs import _pack, _unpack
 
 from conftest import complete, kernel_cases, random_connected, ring, small_graphs_with_alphas, star
 
@@ -108,6 +109,36 @@ def test_bounds_c5_do_not_coincide(c5):
 def test_bounds_requires_connected():
     with pytest.raises(ValueError):
         bounds(Graph.from_edges(4, [(1, 2), (3, 4)]))
+
+
+K33 = Graph.from_edges(6, [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)])
+
+
+def test_truncated_bounds_k33_cap2_is_an_interval():
+    # the two members visited both have a matching of 3; the full orbit gives [2, 2]
+    b = bounds(K33, orbit_cap=2)
+    assert b.truncated and (b.lower, b.upper) == (2, 3) and not b.coincide
+    assert evaluate(K33, orbit_cap=2).e_schmidt == (2.0, 3.0)
+
+
+def test_truncated_bounds_k6_cap1_lower_is_the_cut_rank():
+    # every cut of K_6 has rank 1, the true value; the visited member's matching is 3
+    b = bounds(complete(6), orbit_cap=1)
+    assert b.truncated and (b.lower, b.upper) == (1, 5) and not b.coincide
+    assert lc_orbit(complete(6), cap=1).cut_rank == 1
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 20])
+def test_truncated_lower_bound_is_sound_up_to_n5(cap):
+    for n in range(1, 6):
+        for g in dense.all_connected_graphs(n):
+            full = bounds(g)
+            b = bounds(g, orbit_cap=cap)
+            assert b.lower <= full.lower and b.upper >= full.upper, g.edges()
+            if b.coincide:
+                assert b.upper == full.upper == full.lower, g.edges()
+            if not b.truncated:
+                assert (b.lower, b.upper) == (full.lower, full.upper), g.edges()
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +320,10 @@ def test_bell_prism():
     # replay: every matched edge survives every intermediate graph
     from graphent.measures import _apply_bell_move
 
-    adj = prism.adj
+    key = _pack(prism.adj)
     for move in result.moves:
-        adj = _apply_bell_move(adj, move)
+        key = _apply_bell_move(6, key, move)
+        adj = _unpack(6, key)
         for u, v in m:
             assert (adj[u - 1] >> (v - 1)) & 1
 
@@ -433,7 +465,7 @@ def test_evaluate_c5_interval(c5):
 def test_evaluate_lc_invariance(fig6):
     for g, want in ((star(4), 1.0), (fig6, 2.0)):
         members, _ = lc_orbit_members(g)
-        values = {evaluate(Graph(g.n, adj)).e_schmidt for adj in members}
+        values = {evaluate(Graph(g.n, _unpack(g.n, key))).e_schmidt for key in members}
         assert values == {want}
 
 
