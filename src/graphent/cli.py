@@ -156,6 +156,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         "min_matching": summary.min_matching,
         "min_vertex_cover": summary.min_vertex_cover,
         "truncated": summary.truncated,
+        "cut_rank": summary.cut_rank,
         "representative": {
             "edges": [list(e) for e in summary.representative.edges()],
         },

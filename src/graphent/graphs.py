@@ -14,8 +14,12 @@ parent pointers, from which the LC path to any member is read back.  It
 solves the input graph exactly, and the other members only while a solve
 could still change its summary: the GF(2) rank of a cut is the same on
 every member and bounds every member's |M_max| and |beta| from below, so
-once the running minima reach that rank most members need no solve, and the
-summary is the one that solving every member would give.
+once the running minima reach that rank most members need no solve.  Where
+the best |beta| stays above that rank, n minus a member's greedy clique
+cover (an independent set holds one vertex per clique at most) rules out
+most of the rest before any independent-set search: on the 9-ring, 1,360
+searches instead of 8,140.  The summary is the one that solving every
+member would give.
 """
 
 from __future__ import annotations
@@ -440,12 +444,18 @@ def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP) -> OrbitSummary:
     |beta| in turn.  So a member's matching is solved only while the running
     minimum exceeds r, and its independent set only when its cover could
     still beat the best key, with the search told the size it has to beat.
+    Before that search, n minus the size of the member's greedy clique
+    cover bounds its |beta| from below (an independent set takes at most
+    one vertex of each clique), and a member this bound already rules out
+    is not searched; on the 9-ring, where the best |beta| stays one above
+    r, this leaves 1,360 of 8,140 members to search.
     Every field equals what solving every member would give.  Members are
     compared as packed keys, whose order is that of their adjacency tuples,
     and unpacked only for a solve.
     """
     members, truncated = lc_orbit_members(g, cap)
     n = g.n
+    full = (1 << n) - 1
     r = _cut_rank_bound(n, g.adj)
     root = g.adj
     min_match = bm = _matching_max_size(n, root)
@@ -463,6 +473,9 @@ def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP) -> OrbitSummary:
             continue
         if adj is None:
             adj = _unpack(n, key)
+        clow = n - _greedy_clique_cover(adj, full)  # one MIS vertex per clique
+        if clow > bc or (clow == bc and not tie):
+            continue
         cover = n - _mis_size(n, adj, floor=n - bc - 1 if tie else n - bc)
         if cover > bc or (cover == bc and not tie):
             continue

@@ -198,6 +198,17 @@ def test_orbit_star4(capsys, tmp_path):
     assert doc["size"] == 5 and doc["truncated"] is False
 
 
+def test_orbit_truncated_k33_prints_cut_rank(capsys, tmp_path):
+    # the visited minimum matching 3 bounds nothing; the cut rank 2 is the sound lower bound
+    path = tmp_path / "k33.txt"
+    path.write_text("6 9\n" + "".join(f"{u} {v}\n" for u in (1, 2, 3) for v in (4, 5, 6)))
+    code, out, _ = run(capsys, ["orbit", str(path), "--orbit-cap", "2"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["truncated"] is True
+    assert (doc["cut_rank"], doc["min_matching"]) == (2, 3)
+
+
 def test_orbit_cap_flag(capsys, fig6_file):
     code, out, _ = run(capsys, ["orbit", fig6_file, "--orbit-cap", "3"])
     assert code == 0

@@ -29,6 +29,7 @@ from graphent.graphs import (
     _cut_rank,
     _cut_rank_bound,
     _cut_rank_ceiling,
+    _greedy_clique_cover,
     _matching_max_size,
     _mis_size,
     _pack,
@@ -565,9 +566,28 @@ MATCHING_ABOVE_BOUND = Graph.from_edges(10, [
 
 def test_orbit_summary_equals_solving_every_member_random():
     rng = random.Random(23)
-    graphs = [random_connected(n, rng) for n in (6, 7, 8, 9, 10) for _ in range(2)]
-    for g in graphs + [MATCHING_ABOVE_BOUND]:
-        assert _summary_fields(g, 3000) == _reference_summary(g, 3000), g.edges()
+    cases = [(random_connected(n, rng), 3000) for n in (6, 7, 8, 9, 10) for _ in range(2)]
+    cases.append((MATCHING_ABOVE_BOUND, 3000))
+    # 8,140 members, cut rank 4, best cover 5: an untruncated orbit whose
+    # members mostly cannot be ruled out by the cut rank, only by their
+    # clique covers or an independent-set search
+    cases.append((ring(9), DEFAULT_ORBIT_CAP))
+    for g, cap in cases:
+        assert _summary_fields(g, cap) == _reference_summary(g, cap), g.edges()
+
+
+def test_greedy_clique_cover_bounds_every_independent_set():
+    # lc_orbit skips a member whose n - cover count cannot beat the best |beta|
+    for g in _connected_graphs(5):
+        independent = [
+            not any(g.adj[v] & sub for v in range(g.n) if (sub >> v) & 1)
+            for sub in range(1 << g.n)
+        ]
+        for cand in range(1 << g.n):
+            best = max(
+                sub.bit_count() for sub in range(1 << g.n) if independent[sub] and not sub & ~cand
+            )
+            assert _greedy_clique_cover(g.adj, cand) >= best, (g.edges(), cand)
 
 
 def test_mis_floor_is_exact_above_floor():
