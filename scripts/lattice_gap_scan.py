@@ -31,19 +31,16 @@ def sizes_within(kind: str, max_n: int) -> list[int]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=36, help="largest vertex count to solve")
-    parser.add_argument("--timeout", type=float, default=120.0, help="per-size solver budget (s)")
     args = parser.parse_args()
 
     print("kind,size,n,matching,vertex_cover,gap_exact,gap_formula")
     trends = {}
     for kind in KINDS:
         points = []
-        for row in gap_scan(kind, sizes_within(kind, args.max_n), exact=True, timeout=args.timeout):
+        for row in gap_scan(kind, sizes_within(kind, args.max_n), exact=True):
             formula = "" if row.gap_formula is None else f"{row.gap_formula:.4f}"
-            exact = "TIMEOUT" if row.timed_out else row.gap_exact
-            print(f"{row.kind},{row.size},{row.n},{row.matching},{row.vertex_cover},{exact},{formula}")
-            if not row.timed_out and row.gap_exact is not None:
-                points.append((row.n, row.gap_exact))
+            print(f"{row.kind},{row.size},{row.n},{row.matching},{row.vertex_cover},{row.gap_exact},{formula}")
+            points.append((row.n, row.gap_exact))
         if len(points) >= 2:
             ns, gaps = zip(*points)
             slope = np.polyfit(ns, gaps, 1)[0]

@@ -8,7 +8,6 @@ from .graphs import (
     Graph,
     GraphFormatError,
     OrbitSummary,
-    SolverTimeout,
     cut_rank,
     is_bipartite,
     lc_orbit,

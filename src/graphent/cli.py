@@ -168,23 +168,18 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 
 def cmd_lattice(args: argparse.Namespace) -> int:
     sizes = _parse_sizes(args.sizes)
-    if args.timeout is not None and args.timeout < 0:
-        raise ValueError(f"--timeout {args.timeout} must be at least 0")
     if args.kind == "triangular" and not args.exact and any(s <= 3 for s in sizes):
         # formula-only triangular runs need L > 3
         raise GraphFormatError("triangular gap formula is valid for L > 3 only")
-    rows = gap_scan(args.kind, sizes, exact=args.exact, timeout=args.timeout)
+    rows = gap_scan(args.kind, sizes, exact=args.exact)
     lines = ["kind,size,n,matching,vertex_cover,gap_exact,gap_formula,difference"]
     for r in rows:
-        if r.timed_out:
-            matching = cover = exact_gap = diff = "TIMEOUT"
-        else:
-            matching = "" if r.matching is None else str(r.matching)
-            cover = "" if r.vertex_cover is None else str(r.vertex_cover)
-            exact_gap = "" if r.gap_exact is None else str(r.gap_exact)
-            diff = ""
-            if r.gap_exact is not None and r.gap_formula is not None:
-                diff = repr(r.gap_exact - r.gap_formula)
+        matching = "" if r.matching is None else str(r.matching)
+        cover = "" if r.vertex_cover is None else str(r.vertex_cover)
+        exact_gap = "" if r.gap_exact is None else str(r.gap_exact)
+        diff = ""
+        if r.gap_exact is not None and r.gap_formula is not None:
+            diff = repr(r.gap_exact - r.gap_formula)
         formula = "" if r.gap_formula is None else repr(r.gap_formula)
         lines.append(
             f"{r.kind},{r.size},{r.n},{matching},{cover},{exact_gap},{formula},{diff}"
@@ -337,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=list(KINDS))
     p.add_argument("sizes", help="e.g. '1..4' or '2,4,6'")
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--timeout", type=float, default=None, help="per-size solver budget (s)")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_lattice)
 

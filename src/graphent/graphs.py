@@ -25,7 +25,6 @@ member would give.
 from __future__ import annotations
 
 import functools
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
@@ -41,10 +40,6 @@ class GraphFormatError(ValueError):
 
 class DisconnectedGraphError(GraphFormatError):
     """Raised when a connected graph is required but the input is not."""
-
-
-class SolverTimeout(RuntimeError):
-    """Raised when an exact solver exceeds its optional deadline."""
 
 
 def _bits(mask: int):
@@ -146,8 +141,6 @@ class Graph:
         return sum(row.bit_count() for row in self.adj) // 2
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
         seen = 1
         frontier = 1
         while frontier:
@@ -262,9 +255,9 @@ def _parse_graph6(text: str) -> Graph:
 def parse_graph(text: str, fmt: str = "edgelist", require_connected: bool = True) -> Graph:
     """Parse edge-list or graph6 text into a Graph.
 
-    Analysis entry points require connectivity; library callers that build
-    disconnected intermediates (e.g. Bell-extraction results) pass
-    require_connected=False.
+    Analysis entry points require connectivity, so by default a disconnected
+    graph raises DisconnectedGraphError; require_connected=False parses any
+    graph, e.g. to read a disconnected edge list or graph6 string back.
     """
     if fmt == "edgelist":
         g = _parse_edgelist(text)
@@ -634,9 +627,7 @@ def _greedy_clique_cover(adj, cand: int) -> int:
     return count
 
 
-def _mis_size(
-    n: int, adj, cand: int | None = None, deadline: float | None = None, floor: int = 0
-) -> int:
+def _mis_size(n: int, adj, cand: int | None = None, floor: int = 0) -> int:
     """Exact maximum independent set size on the subgraph induced by cand.
 
     Branch and bound over bitmasks: vertices of degree <= 1 inside the
@@ -665,16 +656,9 @@ def _mis_size(
         size += 1
         work &= ~(adj[pick] | (1 << pick))
     best = max(size, floor)
-    nodes = 0
-
-    if deadline is not None and time.monotonic() > deadline:
-        raise SolverTimeout("independent-set search exceeded its deadline")
 
     def expand(cand: int, size: int):
-        nonlocal best, nodes
-        nodes += 1
-        if deadline is not None and nodes % 2048 == 0 and time.monotonic() > deadline:
-            raise SolverTimeout("independent-set search exceeded its deadline")
+        nonlocal best
         while True:
             if cand == 0:
                 if size > best:

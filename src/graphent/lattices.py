@@ -10,10 +10,9 @@ tuned away.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
-from .graphs import Graph, SolverTimeout, _matching_max_size, _mis_size
+from .graphs import Graph, _matching_max_size, _mis_size
 
 KINDS = ("triangular", "kagome", "hexa-triangular", "hexagonal")
 
@@ -136,18 +135,26 @@ _BUILDERS = {
 }
 
 
+_VERTEX_COUNTS = {
+    "triangular": lambda L: L * L,
+    "kagome": lambda cells: 3 * cells * cells + 3 * cells - 1,
+    "hexa-triangular": lambda radius: 3 * radius * (radius + 1),
+    "hexagonal": lambda cells: 2 * (2 * cells + 1),
+}
+
+
 def lattice_vertex_count(kind: str, size: int) -> int:
-    """Vertex count of the generated patch, without the 64-vertex Graph cap."""
-    n, _ = _BUILDERS[LatticeSpec(kind, size).kind](size)
-    return n
+    """Vertex count of the patch in closed form: nothing is built, so any size works."""
+    spec = LatticeSpec(kind, size)
+    return _VERTEX_COUNTS[spec.kind](spec.size)
 
 
 def generate_lattice(spec: LatticeSpec) -> Graph:
     """Build the open-boundary patch as a Graph (row-major vertex numbering)."""
-    n, edges = _BUILDERS[spec.kind](spec.size)
+    n = _VERTEX_COUNTS[spec.kind](spec.size)
     if n > 64:
         raise ValueError(f"{spec.kind} size {spec.size} yields {n} > 64 vertices")
-    g = Graph.from_edges(n, edges)
+    g = Graph.from_edges(*_BUILDERS[spec.kind](spec.size))
     if not g.is_connected():
         raise ValueError(f"{spec.kind} size {spec.size} patch is not connected")
     return g
@@ -158,6 +165,7 @@ def gap_formula(kind: str, n: int) -> float:
 
     Triangular sum terms are clamped at max(sqrt(N) - 3j, 0): the printed
     upper limit floor((N-1)/3) would otherwise drive later terms negative.
+    The J = floor((L-1)/3) positive terms sum to J*L - 3J(J+1)/2.
     Valid for L > 3 only; hexagonal is identically zero (bipartite).
     """
     if kind == "hexagonal":
@@ -168,9 +176,8 @@ def gap_formula(kind: str, n: int) -> float:
             raise ValueError(f"triangular formula needs a square vertex count, got {n}")
         if L <= 3:
             raise ValueError("triangular gap formula is valid for L > 3 only")
-        total = math.ceil(n / 2) - L
-        for j in range(1, (n - 1) // 3 + 1):
-            total -= 2 * max(L - 3 * j, 0)
+        J = (L - 1) // 3
+        total = math.ceil(n / 2) - L - 2 * (J * L - 3 * J * (J + 1) // 2)
         return float(total)
     if kind == "hexa-triangular":
         return (12 * n - 3 * math.sqrt(9 + 12 * n) + 9) / 18 - (n // 2)
@@ -179,18 +186,16 @@ def gap_formula(kind: str, n: int) -> float:
     raise ValueError(f"unknown lattice kind {kind!r}")
 
 
-def _solve_gap(g: Graph, timeout: float | None) -> tuple[int, int, int]:
-    """(|M_max|, |beta|, |beta| - |M_max|) of g; the independent-set solve has
-    the time budget and raises SolverTimeout past it."""
-    deadline = None if timeout is None else time.monotonic() + timeout
-    cover = g.n - _mis_size(g.n, g.adj, deadline=deadline)
+def _solve_gap(g: Graph) -> tuple[int, int, int]:
+    """(|M_max|, |beta|, |beta| - |M_max|) of g."""
+    cover = g.n - _mis_size(g.n, g.adj)
     matching = _matching_max_size(g.n, g.adj)
     return matching, cover, cover - matching
 
 
-def gap_exact(g: Graph, timeout: float | None = None) -> int:
+def gap_exact(g: Graph) -> int:
     """Exact |beta| - |M_max| on the given lattice graph (no orbit minimisation)."""
-    return _solve_gap(g, timeout)[2]
+    return _solve_gap(g)[2]
 
 
 @dataclass(frozen=True)
@@ -203,30 +208,25 @@ class GapRow:
     gap_exact: int | None
     gap_formula: float | None
     timed_out: bool = False
+    """Always False, as the solver has no deadline; kept because perfbench's gap check reads it."""
 
 
-def gap_scan(kind: str, sizes, exact: bool = True, timeout: float | None = None):
-    """Per-size gap table rows; solver timeouts are flagged, not fatal.
+def gap_scan(kind: str, sizes, exact: bool = True):
+    """Per-size gap table rows.
 
     Only exact rows build the patch, so formula-only rows have no vertex cap.
+    Every patch within the cap solves in milliseconds.
     """
     rows = []
     for size in sizes:
+        n = lattice_vertex_count(kind, size)
         matching = cover = exact_gap = None
-        timed_out = False
         if exact:
-            g = generate_lattice(LatticeSpec(kind, size))
-            n = g.n
-            try:
-                matching, cover, exact_gap = _solve_gap(g, timeout)
-            except SolverTimeout:
-                timed_out = True
-        else:
-            n = lattice_vertex_count(kind, size)
+            matching, cover, exact_gap = _solve_gap(generate_lattice(LatticeSpec(kind, size)))
         formula: float | None
         try:
             formula = gap_formula(kind, n)
         except ValueError:
             formula = None
-        rows.append(GapRow(kind, size, n, matching, cover, exact_gap, formula, timed_out))
+        rows.append(GapRow(kind, size, n, matching, cover, exact_gap, formula))
     return rows

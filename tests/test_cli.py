@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 
 import pytest
 
@@ -251,11 +252,23 @@ def test_lattice_formula_only_past_64_vertices(capsys):
 
 
 def test_lattice_negative_timeout_exits_1(capsys):
-    code, out, err = run(capsys, ["lattice", "hexagonal", "1", "--exact", "--timeout", "-1"])
-    assert code == 1 and out == ""
-    assert "--timeout" in err
-    code, out, _ = run(capsys, ["lattice", "hexagonal", "1", "--exact", "--timeout", "0"])
-    assert code == 0
+    # every patch within the 64-vertex cap solves in milliseconds, so there is no
+    # --timeout budget at all: any value is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["lattice", "hexagonal", "1", "--exact", "--timeout", "-1"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --timeout" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["triangular", "kagome", "hexa-triangular", "hexagonal"])
+def test_lattice_huge_size_returns_at_once(capsys, kind):
+    # the vertex count is a closed form, so no patch is built for a formula row
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["lattice", kind, "100000000000"])
+    assert code == 0 and out.splitlines()[1].startswith(f"{kind},100000000000,")
+    code, out, err = run(capsys, ["lattice", kind, "100000000000", "--exact"])
+    assert code == 1 and out == "" and "> 64" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_verify_one_vertex(capsys, monkeypatch):

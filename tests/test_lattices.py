@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from graphent import LatticeSpec, gap_exact, gap_formula, gap_scan, generate_lattice, lattices
-from graphent.graphs import SolverTimeout, _matching_max_size
-from graphent.lattices import lattice_vertex_count
+from graphent.graphs import _matching_max_size
+from graphent.lattices import _BUILDERS, KINDS, lattice_vertex_count
 
 
 def test_spec_validation():
@@ -83,6 +83,11 @@ def test_formula_triangular_clamped():
     assert gap_formula("triangular", 16) == 2.0
     assert gap_formula("triangular", 25) == 4.0
     assert gap_formula("triangular", 36) == 6.0
+    # the closed-form sum equals the printed sum with every term clamped at 0
+    for L in range(4, 121):
+        n = L * L
+        clamped = sum(max(L - 3 * j, 0) for j in range(1, (n - 1) // 3 + 1))
+        assert gap_formula("triangular", n) == float(-(-n // 2) - L - 2 * clamped), L
 
 
 def test_formula_triangular_validity():
@@ -117,12 +122,6 @@ def test_exact_matches_clamped_formula_on_triangular():
         assert gap_exact(g) == gap_formula("triangular", g.n)
 
 
-def test_gap_exact_timeout():
-    g = generate_lattice(LatticeSpec("triangular", 6))
-    with pytest.raises(SolverTimeout):
-        gap_exact(g, timeout=0.0)
-
-
 def test_gap_scan_rows():
     rows = gap_scan("hexagonal", [1, 2], exact=True)
     assert [r.n for r in rows] == [6, 10]
@@ -145,6 +144,27 @@ def test_gap_scan_builds_only_exact_patches(monkeypatch):
     assert all(r.gap_exact is None for r in rows)
     gap_scan("hexagonal", [1, 2, 3], exact=True)
     assert built == [LatticeSpec("hexagonal", s) for s in (1, 2, 3)]
+
+
+def test_vertex_counts_match_the_builders():
+    for kind, build in _BUILDERS.items():
+        for size in range(1, 41):
+            assert lattice_vertex_count(kind, size) == build(size)[0], (kind, size)
+
+
+def test_gap_scan_solves_every_patch_within_the_cap():
+    # the 31 patches with n <= 64 all solve in milliseconds, so no row is left open
+    total = 0
+    for kind in KINDS:
+        sizes = []
+        while lattice_vertex_count(kind, len(sizes) + 1) <= 64:
+            sizes.append(len(sizes) + 1)
+        for row in gap_scan(kind, sizes, exact=True):
+            assert None not in (row.matching, row.vertex_cover, row.gap_exact), row
+            assert not row.timed_out
+            assert row.vertex_cover - row.matching == row.gap_exact, row
+        total += len(sizes)
+    assert total == 31
 
 
 def test_generate_over_64_rejected():

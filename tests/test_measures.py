@@ -8,6 +8,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphent import (
     Graph,
@@ -139,6 +141,30 @@ def test_truncated_lower_bound_is_sound_up_to_n5(cap):
                 assert b.upper == full.upper == full.lower, g.edges()
             if not b.truncated:
                 assert (b.lower, b.upper) == (full.lower, full.upper), g.edges()
+
+
+@st.composite
+def connected_graphs(draw):
+    """2 to 7 vertices: a random spanning tree (each vertex after the first hangs
+    off an earlier one) plus any subset of the other pairs, so every draw is connected."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    edges = {(draw(st.integers(min_value=1, max_value=v - 1)), v) for v in range(2, n + 1)}
+    rest = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if (u, v) not in edges]
+    mask = draw(st.integers(min_value=0, max_value=(1 << len(rest)) - 1))
+    edges.update(e for i, e in enumerate(rest) if (mask >> i) & 1)
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(connected_graphs(), st.integers(min_value=1, max_value=60))
+def test_capped_bounds_are_sound_and_consistent(g, cap):
+    b = bounds(g, orbit_cap=cap)
+    full = bounds(g)
+    assert b.lower <= b.upper
+    assert b.coincide == (b.lower == b.upper)
+    assert b.lower <= full.lower and b.upper >= full.upper
+    if b.truncated:
+        assert b.lower == lc_orbit(g, cap).cut_rank
 
 
 # ---------------------------------------------------------------------------
