@@ -2,10 +2,12 @@
 """Survey random graph states: how often do the bounds coincide, and what does
 the product-overlap search say when they do not?
 
-For every sampled graph the orbit minima give [lower, upper].  When they
-differ, an alternating-optimisation search over product states probes whether
-the true geometric measure sits strictly below the upper bound (it cannot
-certify optimality, only witness overlaps above the certificate).
+For every sampled graph `measures.bounds` gives [lower, upper]: the orbit
+minima, or the cut rank as the lower end when the orbit cap truncates the
+enumeration.  When they differ, an alternating-optimisation search over
+product states probes whether the true geometric measure sits strictly below
+the upper bound (it cannot certify optimality, only witness overlaps above
+the certificate).
 
     python scripts/random_graph_survey.py --n 7 --samples 200 --seed 1
 """
@@ -17,7 +19,7 @@ import itertools
 import math
 import random
 
-from graphent import Graph, dense, lc_orbit
+from graphent import Graph, dense, lc_orbit, measures
 
 
 def sample_connected(n: int, rng: random.Random, p: float) -> Graph:
@@ -38,16 +40,17 @@ def main() -> int:
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
-    coincide = 0
+    coincide = truncated = 0
     gaps: dict[int, int] = {}
     below_upper = 0
     open_cases = 0
     for i in range(args.samples):
         g = sample_connected(args.n, rng, args.edge_prob)
-        orbit = lc_orbit(g)
-        lower, upper = orbit.min_matching, orbit.min_vertex_cover
+        report = measures.bounds(g, orbit=lc_orbit(g))
+        lower, upper = report.lower, report.upper
+        truncated += report.truncated
         gaps[upper - lower] = gaps.get(upper - lower, 0) + 1
-        if lower == upper:
+        if report.coincide:
             coincide += 1
             continue
         open_cases += 1
@@ -63,7 +66,7 @@ def main() -> int:
                 f"search overlap={found:.6f} => E_G <= {geometric_at_most:.3f}"
             )
     print()
-    print(f"samples={args.samples} n={args.n} coincide={coincide} open={open_cases}")
+    print(f"samples={args.samples} n={args.n} coincide={coincide} open={open_cases} truncated={truncated}")
     print(f"gap histogram: {dict(sorted(gaps.items()))}")
     if open_cases:
         print(

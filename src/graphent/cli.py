@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -27,7 +28,7 @@ from .graphs import (
     max_independent_set,
     parse_graph,
 )
-from .lattices import KINDS, gap_scan
+from .lattices import KINDS, LatticeSpec, gap_scan, generate_lattice, lattice_vertex_count
 from .pauli import generators_from_graph, group_elements
 
 EXIT_OK = 0
@@ -167,11 +168,15 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 
 
 def cmd_lattice(args: argparse.Namespace) -> int:
-    sizes = _parse_sizes(args.sizes)
-    if args.kind == "triangular" and not args.exact and any(s <= 3 for s in sizes):
+    ranges = _parse_sizes(args.sizes)
+    if args.kind == "triangular" and not args.exact and any(r.start <= 3 for r in ranges):
         # formula-only triangular runs need L > 3
         raise GraphFormatError("triangular gap formula is valid for L > 3 only")
-    rows = gap_scan(args.kind, sizes, exact=args.exact)
+    if args.exact:  # a patch has at least `size` vertices: at most 65 steps per range
+        for size in itertools.chain.from_iterable(ranges):
+            if lattice_vertex_count(args.kind, size) > 64:
+                generate_lattice(LatticeSpec(args.kind, size))  # raises its ValueError
+    rows = gap_scan(args.kind, itertools.chain.from_iterable(ranges), exact=args.exact)
     lines = ["kind,size,n,matching,vertex_cover,gap_exact,gap_formula,difference"]
     for r in rows:
         matching = "" if r.matching is None else str(r.matching)
@@ -261,7 +266,7 @@ def run_verification(g: Graph, report, seed: int = 0):
             cuts.append(sorted(rng.sample(range(1, g.n + 1), size)))
     for cut in cuts:
         want = cut_rank(g, cut)
-        got = dense.reduced_entropy(psi, cut, g.n)
+        got = dense.reduced_entropy(psi, cut)
         if abs(got - want) > REE_TOL:
             cut_ok = False
             detail = f"cut={cut} rank={want} entropy={got:.9f}"
@@ -277,18 +282,16 @@ def run_verification(g: Graph, report, seed: int = 0):
     return checks
 
 
-def _parse_sizes(spec: str) -> tuple[int, ...]:
-    out: list[int] = []
+def _parse_sizes(spec: str) -> tuple[range, ...]:
+    """One unexpanded range per comma-separated part; empty ones are dropped."""
+    ranges = []
     for part in spec.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
-    if not out or any(s < 1 for s in out):
+        lo, dots, hi = part.strip().partition("..")
+        ranges.append(range(int(lo), int(hi if dots else lo) + 1))
+    ranges = [r for r in ranges if r]
+    if not ranges or any(r.start < 1 for r in ranges):
         raise ValueError(f"bad size specification {spec!r}")
-    return tuple(out)
+    return tuple(ranges)
 
 
 class _Parser(argparse.ArgumentParser):

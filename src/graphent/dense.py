@@ -129,7 +129,7 @@ def pauli_dense(p) -> np.ndarray:
     return mat
 
 
-def _mixture_factor(components, weights) -> np.ndarray:
+def _mixture_factor(components, weights=None) -> np.ndarray:
     """dim x K factor A = V^T sqrt(w) of the mixture A A^dagger; V's rows are
     the components' vectors, and equal weights are the default."""
     vecs = _product_vectors(components)
@@ -156,15 +156,15 @@ def relative_entropy_pure(psi: np.ndarray, omega: np.ndarray) -> float:
     return float(-(weights[keep] * np.log2(evals[keep])).sum())
 
 
-def mixture_relative_entropy(psi: np.ndarray, components, weights=None) -> float:
-    """relative_entropy_pure(psi, mixture_density(components, weights)) from the
-    thin factor of the mixture, without forming or diagonalising omega.
+def mixture_relative_entropy(psi: np.ndarray, components) -> float:
+    """relative_entropy_pure(psi, mixture_density(components)), the uniform
+    mixture, from its thin factor without forming or diagonalising omega.
 
     omega = A A^dagger for the dim x K factor A, so the SVD A = U S W^dagger
     gives omega's nonzero eigenpairs (S^2, U) at O(dim K^2) cost; every other
     eigenvector is orthogonal to U, with eigenvalue 0.
     """
-    u, s, _ = np.linalg.svd(_mixture_factor(components, weights), full_matrices=False)
+    u, s, _ = np.linalg.svd(_mixture_factor(components), full_matrices=False)
     evals = s**2
     weights_psi = np.abs(u.conj().T @ psi) ** 2
     keep = evals > _EIG_FLOOR
@@ -240,10 +240,9 @@ def _overlap_sweep(psi: np.ndarray, locs: np.ndarray) -> np.ndarray:
     return np.abs(left[:, 0]) ** 2
 
 
-def reduced_entropy(psi: np.ndarray, a, n: int | None = None) -> float:
-    """Entanglement entropy (bits) across the cut (a, complement)."""
-    if n is None:
-        n = int(round(math.log2(psi.size)))
+def reduced_entropy(psi: np.ndarray, a) -> float:
+    """Entanglement entropy (bits) across the cut (a, complement) of an n-qubit psi."""
+    n = int(round(math.log2(psi.size)))
     part = sorted(set(a))
     if not part or len(part) >= n:
         raise ValueError("cut requires a proper nonempty vertex subset")

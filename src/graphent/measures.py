@@ -37,7 +37,8 @@ from .graphs import (
     local_complement,
     max_independent_set,
 )
-from .pauli import _decode_states, _encode_states, _transport_step, stabilized_product_basis
+from .pauli import _basis_codes, _decode_states, _transport_step, stabilized_product_basis
+from .pauli import generators_from_graph, group_elements, restricted_subgroup
 
 # Classification labels for the bound-equality statements.
 ALPHA_LT_HALF = "ALPHA_LT_HALF"
@@ -140,25 +141,17 @@ def _edge_parity(g: Graph, kmask: int) -> int:
     return sum((g.adj[v] & kmask).bit_count() for v in _bits(kmask)) // 2 % 2
 
 
-def _sign_bits(g: Graph, amask: int) -> np.ndarray:
-    """q(k) = _edge_parity of k for every k over beta = V \\ amask, in basis order.
+def _sign_bits(g: Graph, amask: int, codes: np.ndarray) -> np.ndarray:
+    """q(k) = _edge_parity of k for every row of the basis code array of amask.
 
-    Built by the basis order's doubling, last beta vertex b first:
-    q(k + e_b) = q(k) + |N(b) & k| mod 2 over the k of the vertices placed so far.
+    k is the set of beta vertices labelled "1", and of the two beta labels
+    only "1" has its low bit set, so an edge counts where both ends' codes do.
     """
-    beta = [v for v in range(g.n) if not (amask >> v) & 1]
-    m = len(beta)
-    q = np.zeros(1 << m, np.uint8)
-    kbits = np.zeros((1 << m, m), np.uint8)  # column j: k's bit on beta[j]
-    for t, j in enumerate(reversed(range(m))):  # beta[j] is bit t of k
-        old, new = slice(0, 1 << t), slice(1 << t, 2 << t)
-        kbits[new] = kbits[old]
-        kbits[new, j] = 1
-        q[new] = q[old]
-        for i in range(j + 1, m):  # the beta vertices placed so far
-            if (g.adj[beta[j]] >> beta[i]) & 1:
-                q[new] ^= kbits[old, i]
-    return q
+    q = np.zeros(len(codes), np.uint8)
+    for v in _bits(~amask & ((1 << g.n) - 1)):
+        for u in _bits(g.adj[v] & ~amask & ((1 << v) - 1)):
+            q ^= codes[:, u] & codes[:, v]
+    return q & 1
 
 
 @dataclass(frozen=True)
@@ -199,9 +192,10 @@ def minimal_decomposition(g: Graph, alpha=None) -> Decomposition:
     and its sign is sign_function of that k.  Reconstructs the statevector
     exactly (an oracle-checked invariant).
     """
-    alpha = _alpha_or_default(g, alpha)
-    basis = stabilized_product_basis(g, alpha)
-    signs = (1 - 2 * _sign_bits(g, _mask_of(alpha, g.n)).astype(np.int8)).tolist()
+    amask = _independent_mask(g, _alpha_or_default(g, alpha))
+    codes = _basis_codes(g, amask)
+    signs = (1 - 2 * _sign_bits(g, amask, codes).astype(np.int8)).tolist()
+    basis = _decode_states(codes)
     return Decomposition(tuple(zip(signs, basis)), 1.0 / math.sqrt(len(basis)))
 
 
@@ -213,8 +207,6 @@ def closest_separable_state(g: Graph, alpha=None) -> SeparableStateDescription:
 
 def css_stabilizer_form(g: Graph, alpha=None) -> CssStabilizerSum:
     """The same CSS as the normalized sum over the alpha-subgroup elements."""
-    from .pauli import generators_from_graph, group_elements, restricted_subgroup
-
     sub = restricted_subgroup(generators_from_graph(g), _alpha_or_default(g, alpha))
     return CssStabilizerSum(tuple(group_elements(sub)), 1.0 / (1 << g.n))
 
@@ -226,21 +218,20 @@ def closest_product_state(g: Graph, alpha=None) -> str:
     return "".join("+" if (amask >> v) & 1 else "0" for v in range(g.n))
 
 
-def _transport_components(g: Graph, lc_sequence, components):
-    """Apply the LC Cliffords for lc_sequence to each component label string."""
+def _transport_components(g: Graph, lc_sequence, codes: np.ndarray) -> Graph:
+    """Apply the LC Cliffords for lc_sequence to a label code array in place; returns the graph reached."""
     h = g
-    codes = _encode_states(tuple(components), g.n)
     for a in lc_sequence:
         _transport_step(h, a, codes)
         h = local_complement(h, a)
-    return h, _decode_states(codes)
+    return h
 
 
 def transport_css(g: Graph, lc_sequence, alpha=None) -> SeparableStateDescription:
     """CSS of the graph state reached from g by the given local complementations."""
-    css = closest_separable_state(g, alpha)
-    _, comps = _transport_components(g, tuple(lc_sequence), css.components)
-    return SeparableStateDescription(comps, css.weight)
+    codes = _basis_codes(g, _independent_mask(g, _alpha_or_default(g, alpha)))
+    _transport_components(g, tuple(lc_sequence), codes)
+    return SeparableStateDescription(_decode_states(codes), 1.0 / len(codes))
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +413,15 @@ def evaluate(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> EntanglementReport
         base, path = g, ()
     else:
         base, path = rep_bounds.representative, rep_bounds.lc_path
-    decomp = minimal_decomposition(base)
-    basis = tuple(state for _, state in decomp.terms)  # the CSS mixes the same basis
-    if path:
-        back, basis = _transport_components(base, tuple(reversed(path)), basis)
-        if back.adj != g.adj:
+    alpha = max_independent_set(base)
+    decomp = minimal_decomposition(base, alpha)
+    if path:  # the CSS mixes the same basis, carried back to g
+        codes = _basis_codes(base, _independent_mask(base, alpha))
+        if _transport_components(base, tuple(reversed(path)), codes).adj != g.adj:
             raise RuntimeError("LC path replay failed to return to the input graph")
+        basis = _decode_states(codes)
+    else:
+        basis = tuple(state for _, state in decomp.terms)
     css = SeparableStateDescription(basis, 1.0 / len(basis))
     cps = css.components[0]
     if rep_bounds.coincide:

@@ -5,10 +5,10 @@ qubit and the phase tracked as an exponent of i mod 4.  Product stabilizer
 states are plain strings over the alphabet {0,1,+,-,i,j} where i/j denote the
 Y+ / Y- eigenstates; qubit a is character a-1.
 
-Whole bases are built as arrays: a (states, n) uint8 array of the labels'
-ASCII codes, decoded to strings once.  The stabilized basis is the GF(2) span
-of one row per beta vertex, and the LC transport maps whole columns through
-256-entry byte tables.
+Whole bases are built as (states, n) uint8 arrays of the labels' ASCII codes,
+decoded to strings once; only lc_clifford_transport encodes a string.  The
+stabilized basis is the GF(2) span of one row per beta vertex, and the LC
+transport maps whole columns through 256-entry byte tables.
 """
 
 from __future__ import annotations
@@ -55,19 +55,15 @@ def _unknown_label(label: str) -> ValueError:
     return ValueError(f"unknown state label {label!r}; labels are {STATE_ALPHABET!r}")
 
 
-def _encode_states(states, n: int) -> np.ndarray:
-    """The (len(states), n) uint8 array of the labels' ASCII codes, writable.
-
-    ValueError for a state whose length is not n or a label outside
-    STATE_ALPHABET.
-    """
-    if set(map(len, states)) - {n}:
+def _encode_state(state: str, n: int) -> np.ndarray:
+    """The writable (1, n) code array of one state; ValueError for a wrong length or an unknown label."""
+    if len(state) != n:
         raise ValueError("state length does not match graph size")
     # a non-ASCII character becomes "?", which is not a label either
-    data = "".join(states).encode("ascii", "replace")
+    data = state.encode("ascii", "replace")
     if data.translate(None, _LABEL_BYTES):
-        raise _unknown_label(next(c for s in states for c in s if c not in STATE_ALPHABET))
-    return np.frombuffer(bytearray(data), np.uint8).reshape(len(states), n)
+        raise _unknown_label(next(c for c in state if c not in STATE_ALPHABET))
+    return np.frombuffer(bytearray(data), np.uint8).reshape(1, n)
 
 
 def _decode_states(codes: np.ndarray) -> tuple[str, ...]:
@@ -208,19 +204,14 @@ def entangles_check(s: StabilizerGroup) -> bool:
     return False
 
 
-def stabilized_product_basis(g: Graph, alpha) -> tuple[str, ...]:
-    """Product states stabilized by the alpha-restricted graph stabilizer.
-
-    One state per bit-string k over beta = V \\ alpha (k ascending as a binary
-    integer, first beta vertex most significant): beta vertex b carries Z+/Z-
-    per k_b, alpha vertex a carries X+/X- per the parity of k over N_a.
+def _basis_codes(g: Graph, amask: int) -> np.ndarray:
+    """stabilized_product_basis of the independent set amask, as its (2^|beta|, n) code array.
 
     Each state's bits are a GF(2)-linear function of k, so the basis is built
     by doubling, last beta vertex b first: the rows for k + e_b are the rows
     so far XOR b's row, which flips "0"/"1" on b and "+"/"-" on its alpha
     neighbours.
     """
-    amask = _independent_mask(g, alpha)
     n = g.n
     beta = [v for v in range(n) if not (amask >> v) & 1]
     codes = np.empty((1 << len(beta), n), np.uint8)
@@ -230,7 +221,17 @@ def stabilized_product_basis(g: Graph, alpha) -> tuple[str, ...]:
         flip[b] = ord("0") ^ ord("1")
         flip[list(_bits(g.adj[b] & amask))] = ord("+") ^ ord("-")
         np.bitwise_xor(codes[:1 << t], flip, out=codes[1 << t:2 << t])
-    return _decode_states(codes)
+    return codes
+
+
+def stabilized_product_basis(g: Graph, alpha) -> tuple[str, ...]:
+    """Product states stabilized by the alpha-restricted graph stabilizer.
+
+    One state per bit-string k over beta = V \\ alpha (k ascending as a binary
+    integer, first beta vertex most significant): beta vertex b carries Z+/Z-
+    per k_b, alpha vertex a carries X+/X- per the parity of k over N_a.
+    """
+    return _decode_states(_basis_codes(g, _independent_mask(g, alpha)))
 
 
 def apply_pauli(p: PauliOperator, state: str) -> tuple[int, str]:
@@ -269,7 +270,7 @@ def _transport_step(g: Graph, a: int, codes: np.ndarray) -> None:
 
 def lc_clifford_transport(g: Graph, a: int, state: str) -> str:
     """Relabel a product state under U_a^tau for graph g (global phase dropped)."""
-    codes = _encode_states((state,), g.n)
+    codes = _encode_state(state, g.n)
     _transport_step(g, a, codes)
     return _decode_states(codes)[0]
 

@@ -271,6 +271,17 @@ def test_lattice_huge_size_returns_at_once(capsys, kind):
     assert time.perf_counter() - start < 1.0
 
 
+def test_lattice_huge_range_checked_unexpanded(capsys):
+    # the range is checked before any row or size list is built, so the first
+    # size past the 64-vertex cap is reported at once however far the range goes
+    code, out, small_err = run(capsys, ["lattice", "triangular", "1..20", "--exact"])
+    assert code == 1 and out == "" and "size 9 yields 81 > 64" in small_err
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["lattice", "triangular", "1..99999999999", "--exact"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (1, "", small_err)
+
+
 def test_verify_one_vertex(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("1 0\n"))
     code, out, _ = run(capsys, ["verify", "-"])

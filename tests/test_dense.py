@@ -144,7 +144,7 @@ def test_reduced_entropy_equals_cut_rank():
         psi = dense.statevector(g)
         size = rng.randrange(1, g.n)
         cut = sorted(rng.sample(range(1, g.n + 1), size))
-        assert abs(dense.reduced_entropy(psi, cut, g.n) - cut_rank(g, cut)) < 1e-9
+        assert abs(dense.reduced_entropy(psi, cut) - cut_rank(g, cut)) < 1e-9
 
 
 def test_brute_solvers(fig6):

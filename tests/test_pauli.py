@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -15,17 +16,24 @@ from graphent import (
     apply_pauli,
     dense,
     entangles_check,
+    evaluate,
     generators_from_graph,
+    lattices,
     lc_clifford_transport,
     local_complement,
+    max_independent_set,
     multiply,
+    pauli,
     restricted_subgroup,
     stabilized_product_basis,
+    transport_css,
 )
+from graphent.cli import _json
 from graphent.measures import _transport_components
 from graphent.pauli import commutes, group_elements, identity, states_orthogonal
 
 from conftest import kernel_cases, random_connected
+from test_golden import GOLDEN
 
 
 def test_generators_p3(p3):
@@ -278,19 +286,15 @@ def test_transport_rejects_unknown_labels(p3):
             lc_clifford_transport(p3, 1, bad)
         with pytest.raises(ValueError, match=repr(label)):
             apply_pauli(identity(3), bad)
-        # also on a qubit that no step touches, and with no step at all
+        # also on a qubit that the step does not touch (U_3 acts on qubits 2 and 3)
         with pytest.raises(ValueError, match=repr(label)):
-            _transport_components(p3, (1,), ("+0+", bad[::-1]))
-        with pytest.raises(ValueError, match=repr(label)):
-            _transport_components(p3, (), (bad,))
+            lc_clifford_transport(p3, 3, label + "++")
 
 
 def test_transport_rejects_bad_lengths(p3):
-    with pytest.raises(ValueError, match="state length does not match graph size"):
-        lc_clifford_transport(p3, 1, "+0")
-    # the lengths are checked per string, not only in total
-    with pytest.raises(ValueError, match="state length does not match graph size"):
-        _transport_components(p3, (2,), ("+0+0", "+0"))
+    for bad in ("+0", "+0+0"):
+        with pytest.raises(ValueError, match="state length does not match graph size"):
+            lc_clifford_transport(p3, 1, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +335,15 @@ def loop_lc_transport(g: Graph, a: int, state: str) -> str:
     return "".join(out)
 
 
+def codes_of(states, n: int) -> np.ndarray:
+    """The writable (len(states), n) ASCII code array of label strings."""
+    return np.frombuffer(bytearray("".join(states).encode("ascii")), np.uint8).reshape(len(states), n)
+
+
+def states_of(codes: np.ndarray) -> tuple[str, ...]:
+    return tuple(bytes(row).decode("ascii") for row in codes)
+
+
 def loop_transport(g: Graph, lc_sequence, states):
     h, out = g, list(states)
     for a in lc_sequence:
@@ -348,7 +361,9 @@ def test_transport_is_the_dict_loop():
     complex_labels = repeats = 0
     for g, alpha, seq in kernel_cases():
         basis = loop_basis(g, alpha)
-        final, comps = _transport_components(g, seq, basis)
+        codes = codes_of(basis, g.n)
+        final = _transport_components(g, seq, codes)
+        comps = states_of(codes)
         want_final, want = loop_transport(g, seq, basis)
         assert final.adj == want_final.adj and comps == want, (g.adj, alpha, seq)
         for state in basis[:4]:
@@ -364,4 +379,26 @@ def test_transport_is_the_dict_loop_on_every_label():
         g = random_connected(n, rng)
         states = ["".join(rng.choice("01+-ij") for _ in range(n)) for _ in range(50)]
         seq = [rng.randrange(1, n + 1) for _ in range(4)] * 2
-        assert _transport_components(g, seq, states)[1] == loop_transport(g, seq, states)[1]
+        codes = codes_of(states, n)
+        _transport_components(g, seq, codes)
+        assert states_of(codes) == loop_transport(g, seq, states)[1]
+
+
+def test_certificates_encode_no_string(monkeypatch):
+    # the basis stays one code array through signs and transport: only a
+    # string handed to lc_clifford_transport is ever encoded
+    def refuse(state, n):
+        raise AssertionError("a certificate string was encoded")
+
+    monkeypatch.setattr(pauli, "_encode_state", refuse)
+    _, g, cap, digest = next(case for case in GOLDEN if case[0] == "K4")
+    report = evaluate(g, orbit_cap=cap)
+    assert report.lc_path  # the CSS is transported back to K4
+    assert hashlib.sha256(_json(report.to_dict()).encode("utf-8")).hexdigest() == digest
+    rng = random.Random(4)
+    for kind, size in (("hexagonal", 4), ("triangular", 4)):
+        g = lattices.generate_lattice(lattices.LatticeSpec(kind, size))
+        alpha = max_independent_set(g)
+        seq = [rng.randrange(1, g.n + 1) for _ in range(3)]
+        css = transport_css(g, seq, alpha)
+        assert css.components == loop_transport(g, seq, loop_basis(g, alpha))[1], (kind, size)
