@@ -68,7 +68,9 @@ def main() -> int:
     print()
     print(f"samples={args.samples} n={args.n} coincide={coincide} open={open_cases} truncated={truncated}")
     print(f"gap histogram: {dict(sorted(gaps.items()))}")
-    if open_cases:
+    if open_cases and args.n > 8:
+        print(f"no product-overlap search ran on the {open_cases} open cases: it runs only for n <= 8")
+    elif open_cases:
         print(
             f"search found overlaps beating the upper-bound certificate on "
             f"{below_upper}/{open_cases} open cases (witnesses only, not resolutions)"

@@ -129,18 +129,16 @@ def pauli_dense(p) -> np.ndarray:
     return mat
 
 
-def _mixture_factor(components, weights=None) -> np.ndarray:
-    """dim x K factor A = V^T sqrt(w) of the mixture A A^dagger; V's rows are
-    the components' vectors, and equal weights are the default."""
+def _mixture_factor(components) -> np.ndarray:
+    """dim x K factor A = V^T sqrt(1/K) of the mixture A A^dagger; V's rows
+    are the components' vectors."""
     vecs = _product_vectors(components)
-    if weights is None:
-        weights = [1.0 / len(vecs)] * len(vecs)
-    return vecs.T * np.sqrt(np.asarray(weights, dtype=float))
+    return vecs.T * np.sqrt(1.0 / len(vecs))
 
 
-def mixture_density(components, weights=None) -> np.ndarray:
-    """Density matrix of a classical mixture of product state strings."""
-    factor = _mixture_factor(components, weights)
+def mixture_density(components) -> np.ndarray:
+    """Density matrix of the uniform classical mixture of product state strings."""
+    factor = _mixture_factor(components)
     return factor @ factor.conj().T
 
 

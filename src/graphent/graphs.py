@@ -338,17 +338,17 @@ def local_complement(g: Graph, a: int) -> Graph:
 
 def lc_orbit_members(
     g: Graph, cap: int = DEFAULT_ORBIT_CAP
-) -> tuple[dict[int, tuple[int, int] | None], bool]:
+) -> tuple[dict[int, int | None], bool]:
     """Breadth-first closure of g under all single local complementations.
 
     Returns (members, truncated).  members maps each member's packed key
-    (see _pack; _unpack(g.n, key) is its adjacency tuple) to (parent_key,
-    vertex): parent_key is the member the search first reached it from, by
-    local complementation at vertex (1-indexed).  g's own key maps to None,
-    so following the links from any member back to g retraces a shortest LC
-    path (see OrbitSummary.path).  cap, at least 1, bounds the number of
-    members kept; truncated is set once a further member was found, and the
-    search stops there.
+    (see _pack; _unpack(g.n, key) is its adjacency tuple) to the vertex
+    (1-indexed) whose local complementation first reached it, and g's own
+    key to None.  Local complementation is an involution, so a member's
+    parent is its own local complement at that vertex, and following the
+    parents back to g retraces a shortest LC path (see OrbitSummary.path).
+    cap, at least 1, bounds the number of members kept; truncated is set
+    once a further member was found, and the search stops there.
     """
     if cap < 1:
         raise ValueError(f"orbit cap {cap} must be at least 1")
@@ -357,7 +357,7 @@ def lc_orbit_members(
     lows, keep = _lc_masks(n)
     rows = [(a0, (n - 1 - a0) * n) for a0 in range(n)]
     start = _pack(g.adj)
-    members: dict[int, tuple[int, int] | None] = {start: None}
+    members: dict[int, int | None] = {start: None}
     order = [start]  # the breadth-first queue; the loop reads it as it grows
     for cur in order:
         for a0, shift in rows:
@@ -368,19 +368,19 @@ def lc_orbit_members(
             if nxt not in members:
                 if len(members) >= cap:
                     return members, True
-                members[nxt] = (cur, a0 + 1)
+                members[nxt] = a0 + 1
                 order.append(nxt)
     return members, False
 
 
-def _path_to(members, key: int) -> tuple[int, ...]:
-    """Walk lc_orbit_members' parent links from key back to the root."""
+def _path_to(n: int, members, key: int) -> tuple[int, ...]:
+    """Walk lc_orbit_members' parents from key back to the root."""
     path = []
-    link = members[key]
-    while link is not None:
-        key, a = link
+    a = members[key]
+    while a is not None:
         path.append(a)
-        link = members[key]
+        key = _lc_key(n, key, a - 1)  # the involution undoes the step
+        a = members[key]
     return tuple(reversed(path))
 
 
@@ -388,13 +388,12 @@ def _path_to(members, key: int) -> tuple[int, ...]:
 class OrbitSummary:
     """LC-orbit census: minima of matching/vertex-cover size over the orbit.
 
-    packed is the parent-pointer map of lc_orbit_members, rooted at the
-    input graph, and members the same map with every key unpacked to an
-    adjacency tuple (built on first use).  own_vertex_cover is the input
-    graph's |beta| and representative_matching the representative's
-    |M_max|; the representative's |beta| is min_vertex_cover.  cut_rank is
-    the GF(2) rank of the best cut of the input graph found, a lower bound
-    on |M_max| and |beta| of every member, visited or not.
+    packed is the map of lc_orbit_members, rooted at the input graph.
+    own_vertex_cover is the input graph's |beta| and representative_matching
+    the representative's |M_max|; the representative's |beta| is
+    min_vertex_cover.  cut_rank is the GF(2) rank of the best cut of the
+    input graph found, a lower bound on |M_max| and |beta| of every member,
+    visited or not.
     """
 
     size: int
@@ -408,19 +407,9 @@ class OrbitSummary:
     cut_rank: int
     packed: dict = field(repr=False, compare=False)
 
-    @functools.cached_property
-    def members(self) -> dict:
-        """{adjacency tuple: (parent adjacency tuple, vertex) or None}."""
-        n = self.representative.n
-        adj = {key: _unpack(n, key) for key in self.packed}
-        return {
-            adj[key]: None if link is None else (adj[link[0]], link[1])
-            for key, link in self.packed.items()
-        }
-
     def path(self, adj: tuple[int, ...]) -> tuple[int, ...]:
         """Shortest LC vertex sequence from the input graph to member adj."""
-        return _path_to(self.packed, _pack(adj))
+        return _path_to(len(adj), self.packed, _pack(adj))
 
 
 def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP) -> OrbitSummary:
@@ -483,7 +472,7 @@ def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP) -> OrbitSummary:
         min_matching=min_match,
         min_vertex_cover=bc,
         truncated=truncated,
-        lc_path=_path_to(members, bkey),
+        lc_path=_path_to(n, members, bkey),
         own_vertex_cover=own_cover,
         representative_matching=bm,
         cut_rank=r,

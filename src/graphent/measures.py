@@ -81,9 +81,7 @@ class BoundsReport:
     upper: int
     coincide: bool
     classification: str
-    representative: Graph
     truncated: bool
-    lc_path: tuple[int, ...]
 
 
 def bounds(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP, orbit: OrbitSummary | None = None) -> BoundsReport:
@@ -100,21 +98,18 @@ def bounds(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP, orbit: OrbitSummary | N
         raise ValueError("bounds require a connected graph")
     if orbit is None:
         orbit = lc_orbit(g, orbit_cap)
-    rep = orbit.representative
+    n = g.n
     if is_bipartite(g) is not None:
         classification = BIPARTITE_KONIG
     else:
-        rep_alpha = rep.n - orbit.min_vertex_cover
-        classification = classify(rep_alpha, rep.n, 2 * orbit.representative_matching == rep.n)
+        classification = classify(n - orbit.min_vertex_cover, n, 2 * orbit.representative_matching == n)
     lower = orbit.cut_rank if orbit.truncated else orbit.min_matching
     return BoundsReport(
         lower=lower,
         upper=orbit.min_vertex_cover,
         coincide=lower == orbit.min_vertex_cover,
         classification=classification,
-        representative=rep,
         truncated=orbit.truncated,
-        lc_path=orbit.lc_path,
     )
 
 
@@ -412,7 +407,7 @@ def evaluate(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> EntanglementReport
     if orbit.own_vertex_cover == rep_bounds.upper:
         base, path = g, ()
     else:
-        base, path = rep_bounds.representative, rep_bounds.lc_path
+        base, path = orbit.representative, orbit.lc_path
     alpha = max_independent_set(base)
     decomp = minimal_decomposition(base, alpha)
     if path:  # the CSS mixes the same basis, carried back to g

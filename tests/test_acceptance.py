@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printed in the run summary.
 
 The exhaustive small-graph criteria share the library's orbit summaries: one
-is computed per orbit class and looked up by any member's adjacency, so every
+is computed per orbit class and looked up by any member's packed key, so every
 labelled instance is still checked individually within the budgets.
 """
 
@@ -32,7 +32,7 @@ from graphent import (
     stabilized_product_basis,
     transport_css,
 )
-from graphent.graphs import _matching_max_size, _mis_size
+from graphent.graphs import _matching_max_size, _mis_size, _pack
 from graphent.lattices import LatticeSpec
 from graphent.measures import BellSearchError, css_stabilizer_form, predicts_equal
 from graphent.pauli import entangles_check, generators_from_graph
@@ -59,16 +59,17 @@ def connected_graphs(n: int) -> list[Graph]:
     return _CONNECTED[n]
 
 
-_ORBITS: dict[tuple, OrbitSummary] = {}
+_ORBITS: dict[int, OrbitSummary] = {}
 
 
 def orbit_of(g: Graph) -> OrbitSummary:
     """The library's orbit summary, computed once per orbit class, for any member."""
-    if g.adj not in _ORBITS:
+    key = _pack(g.adj)
+    if key not in _ORBITS:
         summary = lc_orbit(g, cap=500_000)
         assert not summary.truncated
-        _ORBITS.update(dict.fromkeys(summary.members, summary))
-    return _ORBITS[g.adj]
+        _ORBITS.update(dict.fromkeys(summary.packed, summary))
+    return _ORBITS[key]
 
 
 def certificate_css(g: Graph):
@@ -84,7 +85,7 @@ def certificate_css(g: Graph):
 
 
 def css_density(css):
-    return dense.mixture_density(css.components, [css.weight] * len(css.components))
+    return dense.mixture_density(css.components)
 
 
 # ---------------------------------------------------------------------------

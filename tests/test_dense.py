@@ -194,12 +194,11 @@ def _kron_pauli(p) -> np.ndarray:
     return (1j ** (p.phase % 4)) * mat
 
 
-def _outer_mixture(components, weights=None) -> np.ndarray:
+def _outer_mixture(components) -> np.ndarray:
     vecs = [dense.product_state_vector(s) for s in components]
-    if weights is None:
-        weights = [1.0 / len(vecs)] * len(vecs)
+    w = 1.0 / len(vecs)
     rho = np.zeros((len(vecs[0]), len(vecs[0])), dtype=complex)
-    for w, v in zip(weights, vecs):
+    for v in vecs:
         rho += w * np.outer(v, v.conj())
     return rho
 
@@ -265,13 +264,8 @@ def test_pauli_dense_is_the_kronecker_build():
 
 
 def test_mixture_density_is_the_outer_product_sum():
-    rng = random.Random(3)
     for components in (["+0"], ["0+-", "1i-", "j++"], ["01+-i", "10-+j", "++++0", "ij01-"]):
         assert np.allclose(dense.mixture_density(components), _outer_mixture(components), atol=1e-14)
-        weights = [rng.random() for _ in components]
-        assert np.allclose(
-            dense.mixture_density(components, weights), _outer_mixture(components, weights), atol=1e-14
-        )
 
 
 def test_noise_css_is_the_subset_loop():

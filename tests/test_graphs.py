@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -13,6 +14,7 @@ from graphent import (
     DisconnectedGraphError,
     Graph,
     GraphFormatError,
+    OrbitSummary,
     cut_rank,
     dense,
     is_bipartite,
@@ -30,6 +32,7 @@ from graphent.graphs import (
     _cut_rank_bound,
     _cut_rank_ceiling,
     _greedy_clique_cover,
+    _lc_key,
     _matching_max_size,
     _mis_size,
     _pack,
@@ -189,18 +192,20 @@ def test_orbit_pinned_tie_breaks(name):
     assert summary.representative_matching == _matching_max_size(rep.n, rep.adj)
 
 
-def _bfs_depths(g: Graph) -> dict:
+def _bfs_depths(g: Graph, count: float = float("inf")) -> dict:
+    """Breadth-first depth of the members of g's orbit, found level by level
+    over adjacency tuples until the levels hold at least count of them."""
     depth = {g.adj: 0}
-    frontier = [g]
-    while frontier:
+    level = [g.adj]
+    while level and len(depth) < count:
         nxt = []
-        for h in frontier:
-            for a in range(1, g.n + 1):
-                k = local_complement(h, a)
-                if k.adj not in depth:
-                    depth[k.adj] = depth[h.adj] + 1
-                    nxt.append(k)
-        frontier = nxt
+        for adj in level:
+            for a0 in range(g.n):
+                h = _tuple_tau(adj, a0)
+                if h not in depth:
+                    depth[h] = depth[adj] + 1
+                    nxt.append(h)
+        level = nxt
     return depth
 
 
@@ -208,8 +213,9 @@ def _bfs_depths(g: Graph) -> dict:
 def test_orbit_parent_pointers_replay(g):
     summary = lc_orbit(g)
     depths = _bfs_depths(g)
-    assert set(summary.members) == set(depths)
-    for adj in summary.members:
+    members = [_unpack(g.n, key) for key in summary.packed]
+    assert set(members) == set(depths)
+    for adj in members:
         path = summary.path(adj)
         h = g
         for a in path:
@@ -218,6 +224,45 @@ def test_orbit_parent_pointers_replay(g):
         assert len(path) == depths[adj]
     assert summary.path(g.adj) == ()
     assert summary.path(summary.representative.adj) == summary.lc_path
+
+
+def _assert_parents_replay(g: Graph, cap: int) -> None:
+    """The root maps to None; every other member maps to a vertex whose local
+    complement takes it to a member found earlier; path() replays from g to
+    each member in exactly its breadth-first depth."""
+    summary = lc_orbit(g, cap)
+    members = summary.packed
+    depths = _bfs_depths(g, len(members))
+    order = {key: i for i, key in enumerate(members)}
+    root = _pack(g.adj)
+    assert order[root] == 0 and members[root] is None
+    for key, a in members.items():
+        adj = _unpack(g.n, key)
+        if key != root:
+            assert a in range(1, g.n + 1), (g.edges(), adj)
+            assert order.get(_lc_key(g.n, key, a - 1), len(order)) < order[key], (g.edges(), adj)
+        path = summary.path(adj)
+        h = g.adj
+        for v in path:
+            h = _tuple_tau(h, v - 1)
+        assert h == adj and len(path) == depths[adj], (g.edges(), adj)
+
+
+@pytest.mark.parametrize("cap", [1, 3, DEFAULT_ORBIT_CAP])
+def test_orbit_parent_vertices_replay_up_to_n5(cap):
+    for g in _connected_graphs(5):
+        _assert_parents_replay(g, cap)
+
+
+def test_orbit_parent_vertices_replay_random():
+    rng = random.Random(53)
+    for n in range(6, 11):
+        _assert_parents_replay(random_connected(n, rng), 3000)
+
+
+def test_orbit_summary_has_no_members_view():
+    assert "members" not in {f.name for f in dataclasses.fields(OrbitSummary)}
+    assert not hasattr(lc_orbit(ring(5)), "members")
 
 
 def test_orbit_closure_small(p3, triangle):
@@ -286,13 +331,18 @@ def _tuple_orbit_members(g: Graph, cap: int) -> tuple[dict, bool]:
     return members, truncated
 
 
+def _parent_items(n: int, members: dict) -> list:
+    """lc_orbit_members' map as [(adj, (parent_adj, vertex) or None)], each
+    parent being the member's own local complement at its vertex."""
+    return [
+        (_unpack(n, key), None if a is None else (_unpack(n, _lc_key(n, key, a - 1)), a))
+        for key, a in members.items()
+    ]
+
+
 def _unpacked_items(g: Graph, cap: int) -> tuple[list, bool]:
     members, truncated = lc_orbit_members(g, cap)
-    items = [
-        (_unpack(g.n, key), None if link is None else (_unpack(g.n, link[0]), link[1]))
-        for key, link in members.items()
-    ]
-    return items, truncated
+    return _parent_items(g.n, members), truncated
 
 
 def _tuple_items(g: Graph, cap: int) -> tuple[list, bool]:
@@ -334,12 +384,6 @@ def test_pack_round_trip_and_local_complement_up_to_64():
 def test_packed_key_order_is_adjacency_order():
     graphs = [Graph(5, _unpack(5, key)) for key in lc_orbit_members(ring(5))[0]]
     assert sorted(graphs, key=lambda h: _pack(h.adj)) == sorted(graphs, key=lambda h: h.adj)
-
-
-def test_summary_members_view_is_built_on_first_read():
-    summary = lc_orbit(ring(5))
-    assert "members" not in vars(summary)
-    assert summary.members is summary.members
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +590,7 @@ def _summary_fields(g: Graph, cap: int) -> dict:
         "lc_path": s.lc_path,
         "own_vertex_cover": s.own_vertex_cover,
         "representative_matching": s.representative_matching,
-        "members": list(s.members.items()),
+        "members": _parent_items(g.n, s.packed),
     }
 
 

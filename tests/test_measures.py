@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import random
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphent import (
+    BoundsReport,
     Graph,
     bell_extraction,
     bounds,
@@ -57,7 +59,7 @@ def reconstruct(decomposition):
 
 
 def css_density(css):
-    return dense.mixture_density(css.components, [css.weight] * len(css.components))
+    return dense.mixture_density(css.components)
 
 
 # ---------------------------------------------------------------------------
@@ -130,17 +132,30 @@ def test_truncated_bounds_k6_cap1_lower_is_the_cut_rank():
     assert lc_orbit(complete(6), cap=1).cut_rank == 1
 
 
+@pytest.fixture(scope="module")
+def full_bounds_corpus() -> list:
+    """(graph, full-orbit bounds) for every connected graph with n <= 5 and
+    every 25th with n = 6, computed once for all caps."""
+    graphs = [g for n in range(1, 6) for g in dense.all_connected_graphs(n)]
+    graphs += itertools.islice(dense.all_connected_graphs(6), 0, None, 25)
+    return [(g, bounds(g)) for g in graphs]
+
+
 @pytest.mark.parametrize("cap", [1, 2, 5, 20])
-def test_truncated_lower_bound_is_sound_up_to_n5(cap):
-    for n in range(1, 6):
-        for g in dense.all_connected_graphs(n):
-            full = bounds(g)
-            b = bounds(g, orbit_cap=cap)
-            assert b.lower <= full.lower and b.upper >= full.upper, g.edges()
-            if b.coincide:
-                assert b.upper == full.upper == full.lower, g.edges()
-            if not b.truncated:
-                assert (b.lower, b.upper) == (full.lower, full.upper), g.edges()
+def test_truncated_lower_bound_is_sound_up_to_n5(cap, full_bounds_corpus):
+    # n <= 5 in full, and every 25th connected graph with n = 6
+    for g, full in full_bounds_corpus:
+        b = bounds(g, orbit_cap=cap)
+        assert b.lower <= full.lower and b.upper >= full.upper, g.edges()
+        if b.coincide:
+            assert b.upper == full.upper == full.lower, g.edges()
+        if not b.truncated:
+            assert (b.lower, b.upper) == (full.lower, full.upper), g.edges()
+
+
+def test_bounds_report_holds_only_the_bounds():
+    names = [f.name for f in dataclasses.fields(BoundsReport)]
+    assert names == ["lower", "upper", "coincide", "classification", "truncated"]
 
 
 @st.composite
