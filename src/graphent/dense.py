@@ -1,19 +1,19 @@
-"""Dense linear-algebra reference implementations (the desk-scale ground truth).
+"""Dense linear algebra: the desk-scale oracle and the product-overlap search.
 
-Every structural claim made by the fast modules is checkable here against
-explicit statevectors and density matrices.  Qubit 1 is the most significant
-bit of the computational-basis index, so state strings read left to right.
+Explicit statevectors, Pauli matrices and density matrices, against which
+`verify`, `css` and `analyze --oracle` check the fast modules' claims, plus
+the heuristic search for the best product-state overlap.  Qubit 1 is the
+most significant bit of the computational-basis index, so state strings read
+left to right.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import deque
 
 import numpy as np
 
-from .graphs import Graph, _bits, local_complement
+from .graphs import Graph
 
 STATEVECTOR_CAP = 14
 DENSE_OP_CAP = 10
@@ -31,9 +31,6 @@ QUBIT_STATES = {
 }
 _LABEL_INDEX = {label: i for i, label in enumerate(QUBIT_STATES)}
 _QUBIT_TABLE = np.array(list(QUBIT_STATES.values()))
-
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 _EIG_FLOOR = 1e-14
 
@@ -56,28 +53,6 @@ def statevector(g: Graph) -> np.ndarray:
         both = ((idx >> bu) & 1) & ((idx >> bv) & 1)
         amp[both == 1] *= -1.0
     return amp
-
-
-def graph_basis_state(g: Graph, k) -> np.ndarray:
-    """Z^k applied to the graph state; k is a bit-string over vertices 1..n."""
-    bits = _as_bits(k, g.n)
-    amp = statevector(g).copy()
-    idx = np.arange(1 << g.n)
-    for a, bit in enumerate(bits, start=1):
-        if bit:
-            amp[((idx >> (g.n - a)) & 1) == 1] *= -1.0
-    return amp
-
-
-def _as_bits(k, n: int) -> tuple[int, ...]:
-    if isinstance(k, str):
-        if len(k) != n or set(k) - {"0", "1"}:
-            raise ValueError(f"bad bit-string {k!r} for n = {n}")
-        return tuple(int(c) for c in k)
-    bits = tuple(int(b) for b in k)
-    if len(bits) != n or set(bits) - {0, 1}:
-        raise ValueError(f"bad bit sequence for n = {n}")
-    return bits
 
 
 def product_state_vector(state: str) -> np.ndarray:
@@ -253,100 +228,3 @@ def reduced_entropy(psi: np.ndarray, a) -> float:
     probs = probs[probs > 1e-14]
     return float(-(probs * np.log2(probs)).sum())
 
-
-# ---------------------------------------------------------------------------
-# Brute-force combinatorial references
-
-
-def brute_mis(g: Graph) -> int:
-    """Maximum independent set size by exhaustive subset enumeration."""
-    if g.n > 16:
-        raise ValueError("brute MIS limited to n <= 16")
-    best = 0
-    for mask in range(1 << g.n):
-        ok = True
-        for v in _bits(mask):
-            if g.adj[v] & mask:
-                ok = False
-                break
-        if ok:
-            best = max(best, mask.bit_count())
-    return best
-
-
-def brute_matching(g: Graph) -> int:
-    """Maximum matching size by exhaustive search over matchings."""
-    edges = g.edges()
-
-    def grow(start: int, used_mask: int) -> int:
-        best = 0
-        for idx in range(start, len(edges)):
-            u, v = edges[idx]
-            pair = (1 << (u - 1)) | (1 << (v - 1))
-            if used_mask & pair:
-                continue
-            best = max(best, 1 + grow(idx + 1, used_mask | pair))
-        return best
-
-    return grow(0, 0)
-
-
-def brute_orbit(g: Graph, cap: int = 10_000) -> set[tuple[int, ...]]:
-    """Labelled LC orbit by plain BFS; independent of graphs.lc_orbit internals."""
-    if g.n > 8:
-        raise ValueError("brute orbit limited to n <= 8")
-    seen = {g.adj}
-    queue = deque([g])
-    while queue:
-        cur = queue.popleft()
-        for a in range(1, cur.n + 1):
-            nxt = local_complement(cur, a)
-            if nxt.adj not in seen:
-                if len(seen) >= cap:
-                    raise RuntimeError("brute orbit cap exceeded")
-                seen.add(nxt.adj)
-                queue.append(nxt)
-    return seen
-
-
-def lc_unitary_dense(g: Graph, a: int) -> np.ndarray:
-    """Dense local Clifford relating |g> to |local_complement(g, a)>.
-
-    Convention: sqrt(-iX) = (I - iX)/sqrt(2) on a, sqrt(iZ) = (I + iZ)/sqrt(2)
-    on each neighbour of a; locked by unit tests against the statevectors.
-    """
-    _check_cap(g.n, DENSE_OP_CAP, "dense LC unitary")
-    sx = (np.eye(2) - 1j * _X) / math.sqrt(2)
-    sz = (np.eye(2) + 1j * _Z) / math.sqrt(2)
-    nb = g.neighbors(a)
-    mat = np.array([[1.0 + 0.0j]])
-    for v in range(1, g.n + 1):
-        if v == a:
-            local = sx
-        elif v in nb:
-            local = sz
-        else:
-            local = np.eye(2, dtype=complex)
-        mat = np.kron(mat, local)
-    return mat
-
-
-def equal_up_to_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> bool:
-    """True when two state vectors differ only by a global phase."""
-    k = int(np.argmax(np.abs(u)))
-    if abs(u[k]) < tol or abs(v[k]) < tol:
-        return bool(np.allclose(u, v, atol=tol))
-    phase = v[k] / u[k]
-    return bool(abs(abs(phase) - 1.0) < tol and np.allclose(u * phase, v, atol=tol))
-
-
-def all_connected_graphs(n: int):
-    """Yield every connected labelled graph on n vertices (small n only)."""
-    if n > 6:
-        raise ValueError("exhaustive enumeration limited to n <= 6")
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
-        g = Graph.from_edges(n, edges)
-        if g.is_connected():
-            yield g

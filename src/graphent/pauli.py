@@ -45,7 +45,7 @@ def _label_table(images: str) -> np.ndarray:
 
 # Projective action of the local Cliffords in U_a^tau = sqrt(-iX)_a sqrt(iZ)_{N_a},
 # as byte tables over the labels 0 1 + - i j.  Global phases are deliberately
-# dropped; the conventions match dense.lc_unitary_dense and are locked by unit tests.
+# dropped; unit tests lock the conventions to the dense unitary in tests/oracles.py.
 _SQRT_MINUS_IX = _label_table("ji+-01")
 _SQRT_PLUS_IZ = _label_table("01ji+-")
 _LABEL_BYTES = STATE_ALPHABET.encode("ascii")
@@ -275,12 +275,6 @@ def lc_clifford_transport(g: Graph, a: int, state: str) -> str:
     return _decode_states(codes)[0]
 
 
-def states_orthogonal(s1: str, s2: str) -> bool:
-    """Product states are orthogonal iff some qubit pair is an opposite pair."""
-    opposite = {("0", "1"), ("1", "0"), ("+", "-"), ("-", "+"), ("i", "j"), ("j", "i")}
-    return any((c1, c2) in opposite for c1, c2 in zip(s1, s2))
-
-
 __all__ = [
     "PauliOperator",
     "StabilizerGroup",
@@ -296,5 +290,4 @@ __all__ = [
     "apply_pauli",
     "apply_generator",
     "lc_clifford_transport",
-    "states_orthogonal",
 ]

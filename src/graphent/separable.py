@@ -175,36 +175,8 @@ def noise_css(g: Graph, beta=None) -> CssConstruction:
     return CssConstruction(rho, css.components, css.weight)
 
 
-def noise_css_quadrature(g: Graph, beta=None, points: int = 64) -> np.ndarray:
-    """Continuous-phase version on a uniform grid, for validating the 2-point average."""
-    if beta is None:
-        beta = frozenset(range(1, g.n + 1)) - max_independent_set(g)
-    _mask_of(beta, g.n)
-    beta_sorted = sorted(beta)
-    m = len(beta_sorted)
-    if g.n > 6 or points**m > 1 << 20:
-        raise ValueError("quadrature check limited to small graphs")
-    psi = dense.statevector(g)
-    dim = psi.size
-    idx = np.arange(dim)
-    bit_of = [((idx >> (g.n - b)) & 1).astype(float) for b in beta_sorted]
-    grid = 2.0 * math.pi * np.arange(points) / points
-    rho = np.zeros((dim, dim), dtype=complex)
-    total = points**m
-    for flat in range(total):
-        rem = flat
-        phase = np.zeros(dim, dtype=float)
-        for pos in range(m):
-            phase += grid[rem % points] * bit_of[pos]
-            rem //= points
-        vec = psi * np.exp(1j * phase)
-        rho += np.outer(vec, vec.conj())
-    return rho / total
-
-
 __all__ = [
     "CssConstruction",
     "peps_css",
     "noise_css",
-    "noise_css_quadrature",
 ]

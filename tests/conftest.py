@@ -7,7 +7,9 @@ import random
 
 import pytest
 
-from graphent import Graph, dense, lattices, max_independent_set, parse_graph
+from graphent import Graph, lattices, max_independent_set, parse_graph
+
+from oracles import all_connected_graphs
 
 FIG6_TEXT = "6 5\n1 6\n2 6\n3 5\n4 5\n5 6\n"
 FIG6 = parse_graph(FIG6_TEXT)
@@ -80,7 +82,7 @@ def maximal_independent_sets(g: Graph):
 def small_graphs_with_alphas():
     """(g, alpha) for every connected graph with n <= 5 and each of its maximal independent sets."""
     for n in range(1, 6):
-        for g in dense.all_connected_graphs(n):
+        for g in all_connected_graphs(n):
             for alpha in maximal_independent_sets(g):
                 yield g, alpha
 

@@ -1,0 +1,113 @@
+"""Brute-force references that the tests compare the library against.
+
+None of these is part of the pipeline: each is the plainest way to get a
+value the library computes faster, kept small enough to read at a glance.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+from graphent import dense
+from graphent.dense import DENSE_OP_CAP, _check_cap
+from graphent.graphs import Graph, _bits, _mask_of, max_independent_set
+
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def brute_mis(g: Graph) -> int:
+    """Maximum independent set size by exhaustive subset enumeration."""
+    if g.n > 16:
+        raise ValueError("brute MIS limited to n <= 16")
+    best = 0
+    for mask in range(1 << g.n):
+        ok = True
+        for v in _bits(mask):
+            if g.adj[v] & mask:
+                ok = False
+                break
+        if ok:
+            best = max(best, mask.bit_count())
+    return best
+
+
+def brute_matching(g: Graph) -> int:
+    """Maximum matching size by exhaustive search over matchings."""
+    edges = g.edges()
+
+    def grow(start: int, used_mask: int) -> int:
+        best = 0
+        for idx in range(start, len(edges)):
+            u, v = edges[idx]
+            pair = (1 << (u - 1)) | (1 << (v - 1))
+            if used_mask & pair:
+                continue
+            best = max(best, 1 + grow(idx + 1, used_mask | pair))
+        return best
+
+    return grow(0, 0)
+
+
+def lc_unitary_dense(g: Graph, a: int) -> np.ndarray:
+    """Dense local Clifford relating |g> to |local_complement(g, a)>.
+
+    Convention: sqrt(-iX) = (I - iX)/sqrt(2) on a, sqrt(iZ) = (I + iZ)/sqrt(2)
+    on each neighbour of a; locked by unit tests against the statevectors.
+    """
+    _check_cap(g.n, DENSE_OP_CAP, "dense LC unitary")
+    sx = (np.eye(2) - 1j * _X) / math.sqrt(2)
+    sz = (np.eye(2) + 1j * _Z) / math.sqrt(2)
+    nb = g.neighbors(a)
+    mat = np.array([[1.0 + 0.0j]])
+    for v in range(1, g.n + 1):
+        if v == a:
+            local = sx
+        elif v in nb:
+            local = sz
+        else:
+            local = np.eye(2, dtype=complex)
+        mat = np.kron(mat, local)
+    return mat
+
+
+def all_connected_graphs(n: int):
+    """Yield every connected labelled graph on n vertices (small n only)."""
+    if n > 6:
+        raise ValueError("exhaustive enumeration limited to n <= 6")
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    for mask in range(1 << len(pairs)):
+        edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
+        g = Graph.from_edges(n, edges)
+        if g.is_connected():
+            yield g
+
+
+def noise_css_quadrature(g: Graph, beta=None, points: int = 64) -> np.ndarray:
+    """Continuous-phase version on a uniform grid, for validating the 2-point average."""
+    if beta is None:
+        beta = frozenset(range(1, g.n + 1)) - max_independent_set(g)
+    _mask_of(beta, g.n)
+    beta_sorted = sorted(beta)
+    m = len(beta_sorted)
+    if g.n > 6 or points**m > 1 << 20:
+        raise ValueError("quadrature check limited to small graphs")
+    psi = dense.statevector(g)
+    dim = psi.size
+    idx = np.arange(dim)
+    bit_of = [((idx >> (g.n - b)) & 1).astype(float) for b in beta_sorted]
+    grid = 2.0 * math.pi * np.arange(points) / points
+    rho = np.zeros((dim, dim), dtype=complex)
+    total = points**m
+    for flat in range(total):
+        rem = flat
+        phase = np.zeros(dim, dtype=float)
+        for pos in range(m):
+            phase += grid[rem % points] * bit_of[pos]
+            rem //= points
+        vec = psi * np.exp(1j * phase)
+        rho += np.outer(vec, vec.conj())
+    return rho / total

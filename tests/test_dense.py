@@ -14,6 +14,7 @@ from graphent.pauli import PauliOperator, generators_from_graph, group_elements
 from graphent.separable import noise_css
 
 from conftest import FIG6, complete, random_connected, ring, star
+from oracles import all_connected_graphs, brute_matching, brute_mis
 
 
 def test_statevector_p2(p2):
@@ -45,8 +46,13 @@ def test_statevector_cap():
         dense.statevector(star(15))
 
 
+def _graph_basis_state(g: Graph, zmask: int) -> np.ndarray:
+    """Z^k|G>, k the vertex bit mask zmask (bit a-1 for vertex a)."""
+    return dense.pauli_dense(PauliOperator(g.n, 0, zmask)) @ dense.statevector(g)
+
+
 def test_graph_basis_orthonormal(p3):
-    vecs = [dense.graph_basis_state(p3, f"{k:03b}") for k in range(8)]
+    vecs = [_graph_basis_state(p3, k) for k in range(8)]
     gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
     assert np.allclose(gram, np.eye(8), atol=1e-12)
 
@@ -54,9 +60,9 @@ def test_graph_basis_orthonormal(p3):
 def test_graph_basis_eigenvalues(p3):
     gens = generators_from_graph(p3).generators
     for k in range(8):
-        vec = dense.graph_basis_state(p3, f"{k:03b}")
+        vec = _graph_basis_state(p3, k)
         for i, gen in enumerate(gens):
-            sign = -1.0 if (k >> (2 - i)) & 1 else 1.0
+            sign = -1.0 if (k >> i) & 1 else 1.0
             assert np.allclose(dense.pauli_dense(gen) @ vec, sign * vec, atol=1e-12)
 
 
@@ -148,10 +154,10 @@ def test_reduced_entropy_equals_cut_rank():
 
 
 def test_brute_solvers(fig6):
-    assert dense.brute_mis(fig6) == 4
-    assert dense.brute_matching(fig6) == 2
-    assert dense.brute_mis(complete(5)) == 1
-    assert dense.brute_matching(complete(5)) == 2
+    assert brute_mis(fig6) == 4
+    assert brute_matching(fig6) == 2
+    assert brute_mis(complete(5)) == 1
+    assert brute_matching(complete(5)) == 2
 
 
 def test_best_product_overlap_product_input():
@@ -299,7 +305,7 @@ def test_best_product_overlap_short_runs():
 
 def test_mixture_relative_entropy_is_the_eigensolve():
     for n in range(1, 6):
-        for g in dense.all_connected_graphs(n):
+        for g in all_connected_graphs(n):
             psi = dense.statevector(g)
             components = closest_separable_state(g, max_independent_set(g)).components
             want = dense.relative_entropy_pure(psi, dense.mixture_density(components))

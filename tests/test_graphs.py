@@ -16,7 +16,6 @@ from graphent import (
     GraphFormatError,
     OrbitSummary,
     cut_rank,
-    dense,
     is_bipartite,
     lc_orbit,
     lc_orbit_members,
@@ -41,6 +40,7 @@ from graphent.graphs import (
 )
 
 from conftest import FIG6, complete, random_connected, ring, star
+from oracles import all_connected_graphs, brute_matching, brute_mis
 
 
 def graphs_strategy(max_n=7):
@@ -53,6 +53,9 @@ def graphs_strategy(max_n=7):
         return Graph.from_edges(n, edges)
 
     return build()
+
+
+_CONNECTED_UP_TO_5 = [g for n in range(1, 6) for g in all_connected_graphs(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +160,8 @@ def test_orbit_fig6(fig6):
     assert not summary.truncated
     # brute-force matching/MVC per enumerated member agrees with the minima
     members, _ = lc_orbit_members(fig6)
-    assert min(dense.brute_matching(Graph(6, _unpack(6, key))) for key in members) == 2
-    assert min(6 - dense.brute_mis(Graph(6, _unpack(6, key))) for key in members) == 2
+    assert min(brute_matching(Graph(6, _unpack(6, key))) for key in members) == 2
+    assert min(6 - brute_mis(Graph(6, _unpack(6, key))) for key in members) == 2
 
 
 def test_orbit_path_reaches_representative(fig6):
@@ -250,7 +253,7 @@ def _assert_parents_replay(g: Graph, cap: int) -> None:
 
 @pytest.mark.parametrize("cap", [1, 3, DEFAULT_ORBIT_CAP])
 def test_orbit_parent_vertices_replay_up_to_n5(cap):
-    for g in _connected_graphs(5):
+    for g in _CONNECTED_UP_TO_5:
         _assert_parents_replay(g, cap)
 
 
@@ -287,10 +290,6 @@ def test_orbit_cap_below_1_rejected(p3, cap):
         lc_orbit_members(p3, cap)
     with pytest.raises(ValueError):
         lc_orbit(p3, cap)
-
-
-def test_orbit_matches_brute(p3):
-    assert {_unpack(3, key) for key in lc_orbit_members(p3)[0]} == dense.brute_orbit(p3)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +351,7 @@ def _tuple_items(g: Graph, cap: int) -> tuple[list, bool]:
 
 @pytest.mark.parametrize("cap", [1, 2, 5, 20, DEFAULT_ORBIT_CAP])
 def test_packed_orbit_equals_tuple_search(cap):
-    for g in _connected_graphs(5):
+    for g in _CONNECTED_UP_TO_5:
         assert _unpacked_items(g, cap) == _tuple_items(g, cap), g.edges()
 
 
@@ -420,13 +419,13 @@ def test_matching_exhaustive_n5_vs_brute():
         for mask in range(1 << len(pairs)):
             edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
             g = Graph.from_edges(n, edges)
-            assert _matching_max_size(n, g.adj) == dense.brute_matching(g)
+            assert _matching_max_size(n, g.adj) == brute_matching(g)
 
 
 @settings(max_examples=40, deadline=None)
 @given(graphs_strategy(max_n=8))
 def test_matching_vs_brute_random(g):
-    assert _matching_max_size(g.n, g.adj) == dense.brute_matching(g)
+    assert _matching_max_size(g.n, g.adj) == brute_matching(g)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +458,7 @@ def test_mis_exhaustive_n5_vs_brute():
         for mask in range(1 << len(pairs)):
             edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
             g = Graph.from_edges(n, edges)
-            assert _mis_size(n, g.adj) == dense.brute_mis(g)
+            assert _mis_size(n, g.adj) == brute_mis(g)
 
 
 @settings(max_examples=40, deadline=None)
@@ -472,7 +471,7 @@ def test_mis_properties(g):
         assert not (alpha & g.neighbors(a))
     for u, v in g.edges():
         assert u in beta or v in beta
-    assert _mis_size(g.n, g.adj) == dense.brute_mis(g)
+    assert _mis_size(g.n, g.adj) == brute_mis(g)
 
 
 @settings(max_examples=60, deadline=None)
@@ -545,15 +544,6 @@ def test_cut_rank_invariant_under_lc():
 # lc_orbit's solve pruning against solving every member
 
 
-def _connected_graphs(max_n: int):
-    for n in range(1, max_n + 1):
-        pairs = list(itertools.combinations(range(1, n + 1), 2))
-        for mask in range(1 << len(pairs)):
-            g = Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1])
-            if g.is_connected():
-                yield g
-
-
 def _reference_summary(g: Graph, cap: int) -> dict:
     """Every field of lc_orbit's summary, from a loop that solves every member
     of the adjacency-tuple search."""
@@ -596,7 +586,7 @@ def _summary_fields(g: Graph, cap: int) -> dict:
 
 @pytest.mark.parametrize("cap", [1, 2, 5, 20, DEFAULT_ORBIT_CAP])
 def test_orbit_summary_equals_solving_every_member(cap):
-    for g in _connected_graphs(5):
+    for g in _CONNECTED_UP_TO_5:
         assert _summary_fields(g, cap) == _reference_summary(g, cap), g.edges()
 
 
@@ -622,7 +612,7 @@ def test_orbit_summary_equals_solving_every_member_random():
 
 def test_greedy_clique_cover_bounds_every_independent_set():
     # lc_orbit skips a member whose n - cover count cannot beat the best |beta|
-    for g in _connected_graphs(5):
+    for g in _CONNECTED_UP_TO_5:
         independent = [
             not any(g.adj[v] & sub for v in range(g.n) if (sub >> v) & 1)
             for sub in range(1 << g.n)
@@ -670,7 +660,7 @@ def _brute_max_cut_rank(g: Graph) -> int:
 
 def _up_to_n6(seed: int, count: int):
     """Every connected graph with n <= 5, then count seeded ones with n = 6."""
-    yield from _connected_graphs(5)
+    yield from _CONNECTED_UP_TO_5
     rng = random.Random(seed)
     for _ in range(count):
         yield random_connected(6, rng)
@@ -697,7 +687,7 @@ def _scanned_max_cut_rank(n: int, adj) -> int:
 
 def test_cut_rank_bound_ceiling_keeps_the_full_scan_value():
     # the ceiling only stops the scan early; it never changes the rank found
-    graphs = list(_connected_graphs(6))
+    graphs = _CONNECTED_UP_TO_5 + list(all_connected_graphs(6))
     graphs += [star(n) for n in range(2, 13)] + [complete(n) for n in range(2, 13)]
     for g in graphs:
         top = _scanned_max_cut_rank(g.n, g.adj)

@@ -47,6 +47,7 @@ from graphent.measures import (
 from graphent.graphs import _pack, _unpack
 
 from conftest import complete, kernel_cases, random_connected, ring, small_graphs_with_alphas, star
+from oracles import all_connected_graphs
 
 FIG4 = Graph.from_edges(7, [(1, 7), (2, 7), (3, 6), (4, 5), (5, 6), (5, 7), (6, 7)])
 
@@ -136,8 +137,8 @@ def test_truncated_bounds_k6_cap1_lower_is_the_cut_rank():
 def full_bounds_corpus() -> list:
     """(graph, full-orbit bounds) for every connected graph with n <= 5 and
     every 25th with n = 6, computed once for all caps."""
-    graphs = [g for n in range(1, 6) for g in dense.all_connected_graphs(n)]
-    graphs += itertools.islice(dense.all_connected_graphs(6), 0, None, 25)
+    graphs = [g for n in range(1, 6) for g in all_connected_graphs(n)]
+    graphs += itertools.islice(all_connected_graphs(6), 0, None, 25)
     return [(g, bounds(g)) for g in graphs]
 
 
@@ -388,7 +389,7 @@ def test_bell_refusals_are_exact_up_to_n5():
     # |M|, on every connected graph with 2 <= n <= 5
     graphs = refused = 0
     for n in range(2, 6):
-        for g in dense.all_connected_graphs(n):
+        for g in all_connected_graphs(n):
             m = max_matching(g)
             feasible = any(
                 cut_rank(g, [(v if (sel >> i) & 1 else u) for i, (u, v) in enumerate(m)]) == len(m)

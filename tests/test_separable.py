@@ -17,9 +17,9 @@ from graphent import (
     noise_css,
     peps_css,
 )
-from graphent.separable import noise_css_quadrature
 
 from conftest import complete, random_connected, small_graphs_with_alphas
+from oracles import noise_css_quadrature
 
 
 def stab_density(g, alpha=None):
