@@ -5,21 +5,23 @@ one integer bitmask (bit a-1) holding its neighbourhood, which keeps the
 branch-and-bound solvers and orbit enumeration fast up to the 64-vertex cap.
 All functions are pure and deterministic: ties are broken lexicographically.
 
-Local complementation has one primitive, _lc on packed adjacency keys: the
-rows of the adjacency in one integer, row 0 in the highest bits, so that
-the toggle is a shift, a multiply, two masks and an XOR, and integer order
-is the order of adjacency tuples.  lc_orbit is the one orbit engine: it
-enumerates the orbit breadth-first over packed keys and keeps the search's
-parent pointers, from which the LC path to any member is read back.  It
-solves the input graph exactly, and the other members only while a solve
-could still change its summary: the GF(2) rank of a cut is the same on
-every member and bounds every member's |M_max| and |beta| from below, so
-once the running minima reach that rank most members need no solve.  Where
-the best |beta| stays above that rank, n minus a member's greedy clique
-cover (an independent set holds one vertex per clique at most) rules out
-most of the rest before any independent-set search: on the 9-ring, 1,360
-searches instead of 8,140.  The summary is the one that solving every
-member would give.
+Local complementation has one primitive, _toggle on packed adjacency keys:
+the rows of the adjacency in one integer, row 0 in the highest bits and one
+row every stride bits (see _layout), so that integer order is the order of
+adjacency tuples and the bits a local complementation flips are a shift, a
+multiply and two masks away; they depend only on the vertex and its row,
+and the orbit search keeps them in a table per vertex.  lc_orbit is the
+one orbit engine: it enumerates the orbit breadth-first over packed keys
+and keeps the search's parent pointers, from which the LC path to any
+member is read back.  It solves the input graph exactly, and the other
+members only while a solve could still change its summary: the GF(2) rank
+of a cut is the same on every member and bounds every member's |M_max| and
+|beta| from below, so once the running minima reach that rank most members
+need no solve.  Where the best |beta| stays above that rank, n minus a
+member's greedy clique cover (an independent set holds one vertex per
+clique at most) rules out most of the rest before any independent-set
+search: on the 9-ring, 1,360 searches instead of 8,140.  The summary is the
+one that solving every member would give.
 """
 
 from __future__ import annotations
@@ -274,60 +276,75 @@ def parse_graph(text: str, fmt: str = "edgelist", require_connected: bool = True
 # Local complementation and orbits
 #
 # An orbit member is one integer key: row a of the adjacency (0-based) sits at
-# shift (n-1-a)*n, so row 0 holds the highest bits and comparing two keys as
-# integers compares their adjacency tuples lexicographically.
+# shift (n-1-a)*stride, with stride from _layout(n), so row 0 holds the
+# highest bits and comparing two keys as integers compares their adjacency
+# tuples lexicographically.
+
+
+@functools.lru_cache(maxsize=MAX_VERTICES)
+def _layout(n: int) -> tuple[int, int, int]:
+    """(stride, lows, keep) of the packed keys of n-vertex graphs.
+
+    stride is the bit distance between rows: n, but 64 for n >= 60.  Python
+    hashes an int modulo the prime 2^61 - 1, and with stride 60, 61 or 62
+    (2^stride is 2^-1, 1 or 2 modulo it) a key's hash depends only on the
+    sums, degrees or differences of its edges' endpoints, so a whole orbit
+    shares a few hashes and the search's dict turns quadratic.  lows has the
+    bottom bit of every row, keep every bit of the key but the diagonal.
+    """
+    stride = 64 if n >= 60 else n
+    lows = diag = 0
+    for a0 in range(n):
+        shift = (n - 1 - a0) * stride
+        lows |= 1 << shift
+        diag |= 1 << (shift + a0)
+    return stride, lows, ((1 << n * stride) - 1) ^ diag
 
 
 def _pack(adj) -> int:
     """The packed key of an adjacency tuple."""
-    n = len(adj)
+    stride = _layout(len(adj))[0]
     key = 0
     for row in adj:
-        key = (key << n) | row
+        key = (key << stride) | row
     return key
 
 
 def _unpack(n: int, key: int) -> tuple[int, ...]:
     """The adjacency tuple of a packed key."""
+    stride = _layout(n)[0]
     full = (1 << n) - 1
     rows = []
     for _ in range(n):  # last row first, from the bottom of the shrinking key
         rows.append(key & full)
-        key >>= n
+        key >>= stride
     return tuple(reversed(rows))
 
 
-@functools.lru_cache(maxsize=MAX_VERTICES)
-def _lc_masks(n: int) -> tuple[int, int]:
-    """(lows, keep) for _lc: the bottom bit of every row, and every bit of
-    the n*n square but the diagonal."""
-    lows = diag = 0
-    for a0 in range(n):
-        shift = (n - 1 - a0) * n
-        lows |= 1 << shift
-        diag |= 1 << (shift + a0)
-    return lows, ((1 << n * n) - 1) ^ diag
-
-
-def _lc(key: int, a0: int, row: int, lows: int, keep: int) -> int:
-    """Local complementation of a packed key at 0-based vertex a0, whose
-    neighbourhood mask is row; lows and keep come from _lc_masks(n).
+def _toggle(key: int, a0: int, row: int, lows: int, keep: int) -> int:
+    """The bits of packed key that local complementation at 0-based vertex
+    a0 flips, where row is a0's neighbourhood mask; lows and keep come from
+    _layout(n).  Zero when a0 has degree <= 1.
 
     Column a0 marks the rows to toggle (the adjacency is symmetric): shifted
     to the bottom of each row and multiplied by row, it writes N(a0) into
-    each of them, and keep clears each row's own bit.
+    each of them, and keep clears each row's own bit.  Column a0 is row, so
+    the result depends on a0 and row alone.
     """
-    return key ^ ((((key >> a0) & lows) * row) & keep)
+    return (((key >> a0) & lows) * row) & keep
 
 
 def _lc_key(n: int, key: int, a0: int) -> int:
-    """_lc with the row and masks worked out from key and n."""
-    return _lc(key, a0, (key >> (n - 1 - a0) * n) & ((1 << n) - 1), *_lc_masks(n))
+    """Local complementation of a packed key at 0-based vertex a0."""
+    stride, lows, keep = _layout(n)
+    row = (key >> (n - 1 - a0) * stride) & ((1 << n) - 1)
+    return key ^ _toggle(key, a0, row, lows, keep)
 
 
 def _edge_key(n: int, u0: int, v0: int) -> int:
     """The two bits of the packed key that hold edge {u0, v0} (0-based)."""
-    return (1 << ((n - 1 - u0) * n + v0)) | (1 << ((n - 1 - v0) * n + u0))
+    stride = _layout(n)[0]
+    return (1 << ((n - 1 - u0) * stride + v0)) | (1 << ((n - 1 - v0) * stride + u0))
 
 
 def local_complement(g: Graph, a: int) -> Graph:
@@ -349,22 +366,29 @@ def lc_orbit_members(
     parents back to g retraces a shortest LC path (see OrbitSummary.path).
     cap, at least 1, bounds the number of members kept; truncated is set
     once a further member was found, and the search stops there.
+
+    The bits a local complementation flips depend only on the vertex and
+    its row (see _toggle), so each vertex keeps a table from the rows seen
+    so far to their toggles, and a step is a row extraction, a lookup and
+    an XOR.  A vertex of degree <= 1 toggles nothing and leads back to the
+    member itself.
     """
     if cap < 1:
         raise ValueError(f"orbit cap {cap} must be at least 1")
     n = g.n
     full = (1 << n) - 1
-    lows, keep = _lc_masks(n)
-    rows = [(a0, (n - 1 - a0) * n) for a0 in range(n)]
+    stride, lows, keep = _layout(n)
+    rows = [(a0, (n - 1 - a0) * stride, {}) for a0 in range(n)]
     start = _pack(g.adj)
     members: dict[int, int | None] = {start: None}
     order = [start]  # the breadth-first queue; the loop reads it as it grows
     for cur in order:
-        for a0, shift in rows:
+        for a0, shift, toggles in rows:
             row = (cur >> shift) & full
-            if not row & (row - 1):
-                continue  # degree <= 1: local complementation changes nothing
-            nxt = _lc(cur, a0, row, lows, keep)
+            t = toggles.get(row)
+            if t is None:
+                t = toggles[row] = _toggle(cur, a0, row, lows, keep)
+            nxt = cur ^ t
             if nxt not in members:
                 if len(members) >= cap:
                     return members, True

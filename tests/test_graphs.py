@@ -30,7 +30,9 @@ from graphent.graphs import (
     _cut_rank,
     _cut_rank_bound,
     _cut_rank_ceiling,
+    _edge_key,
     _greedy_clique_cover,
+    _layout,
     _lc_key,
     _matching_max_size,
     _mis_size,
@@ -38,6 +40,7 @@ from graphent.graphs import (
     _unpack,
     _vertices_of,
 )
+from graphent.lattices import LatticeSpec, generate_lattice
 
 from conftest import FIG6, complete, random_connected, ring, star
 from oracles import all_connected_graphs, brute_matching, brute_mis
@@ -356,33 +359,49 @@ def test_packed_orbit_equals_tuple_search(cap):
 
 
 def test_packed_orbit_equals_tuple_search_random():
-    rng = random.Random(41)
-    for n in range(6, 11):
-        g = random_connected(n, rng)
-        assert _unpacked_items(g, 3000) == _tuple_items(g, 3000), g.edges()
+    # caps that cut a breadth-first level in the middle, and one past most orbits
+    for cap in (1, 7, 97, 3000):
+        rng = random.Random(41)
+        for n in range(6, 11):
+            g = random_connected(n, rng)
+            assert _unpacked_items(g, cap) == _tuple_items(g, cap), (cap, g.edges())
 
 
 def test_packed_orbit_equals_tuple_search_64_vertices():
-    # 4,096-bit keys; the cap stops the search well inside the orbit
-    g = random_connected(64, random.Random(43), p=0.1)
-    items, truncated = _unpacked_items(g, 2000)
-    assert truncated and len(items) == 2000
-    assert (items, truncated) == _tuple_items(g, 2000)
+    # keys of up to 64 rows of 64 bits; the cap stops the search well inside each orbit
+    graphs = [random_connected(n, random.Random(43), p=0.1) for n in (60, 61, 62, 64)]
+    for g in graphs + [generate_lattice(LatticeSpec("hexagonal", 15))]:
+        items, truncated = _unpacked_items(g, 2000)
+        assert truncated and len(items) == 2000
+        assert (items, truncated) == _tuple_items(g, 2000), g.n
+
+
+@pytest.mark.parametrize("g", [ring(62), generate_lattice(LatticeSpec("hexagonal", 15))])
+def test_packed_keys_hash_apart_at_62_vertices(g):
+    # Python hashes ints modulo 2^61 - 1; a row stride of 62 would give these
+    # keys a hash that depends only on their edges' differences
+    members = lc_orbit_members(g, 3000)[0]
+    assert len({hash(key) for key in members}) == len(members) == 3000
 
 
 def test_pack_round_trip_and_local_complement_up_to_64():
     rng = random.Random(47)
-    for n in [1, 2, 3, 7, 12, 13, 31, 32, 33, 63, 64]:
+    for n in [1, 2, 3, 7, 12, 13, 31, 32, 33, 59, 60, 61, 62, 63, 64]:
+        stride = _layout(n)[0]
+        assert n <= stride <= 64
         g = random_connected(n, rng, p=min(1.0, 3 / n))
         key = _pack(g.adj)
-        assert key.bit_length() <= n * n and _unpack(n, key) == g.adj
+        assert key.bit_length() <= n * stride and _unpack(n, key) == g.adj
+        for u, v in g.edges()[:5]:
+            assert _edge_key(n, u - 1, v - 1) == _pack(Graph.from_edges(n, [(u, v)]).adj)
         for a in range(1, n + 1):
             assert local_complement(g, a).adj == _tuple_tau(g.adj, a - 1)
 
 
 def test_packed_key_order_is_adjacency_order():
-    graphs = [Graph(5, _unpack(5, key)) for key in lc_orbit_members(ring(5))[0]]
-    assert sorted(graphs, key=lambda h: _pack(h.adj)) == sorted(graphs, key=lambda h: h.adj)
+    for g, cap in [(ring(5), DEFAULT_ORBIT_CAP), (ring(62), 500)]:
+        graphs = [Graph(g.n, _unpack(g.n, key)) for key in lc_orbit_members(g, cap)[0]]
+        assert sorted(graphs, key=lambda h: _pack(h.adj)) == sorted(graphs, key=lambda h: h.adj)
 
 
 # ---------------------------------------------------------------------------
