@@ -19,9 +19,9 @@ of a cut is the same on every member and bounds every member's |M_max| and
 |beta| from below, so once the running minima reach that rank most members
 need no solve.  Where the best |beta| stays above that rank, n minus a
 member's greedy clique cover (an independent set holds one vertex per
-clique at most) rules out most of the rest before any independent-set
-search: on the 9-ring, 1,360 searches instead of 8,140.  The summary is the
-one that solving every member would give.
+clique at most), taken in two orders, rules out most of the rest before any
+independent-set search: on the 9-ring, 556 searches instead of 8,140.  The
+summary is the one that solving every member would give.
 """
 
 from __future__ import annotations
@@ -453,8 +453,10 @@ def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP) -> OrbitSummary:
     Before that search, n minus the size of the member's greedy clique
     cover bounds its |beta| from below (an independent set takes at most
     one vertex of each clique), and a member this bound already rules out
-    is not searched; on the 9-ring, where the best |beta| stays one above
-    r, this leaves 1,360 of 8,140 members to search.
+    is not searched; a cover built lowest vertex first is tried, then, if
+    it rules nothing out, one built highest vertex first.  On the 9-ring,
+    where the best |beta| stays one above r, this leaves 556 of 8,140
+    members to search (1,360 with the first cover alone).
     Every field equals what solving every member would give.  Members are
     compared as packed keys, whose order is that of their adjacency tuples,
     and unpacked only for a solve.
@@ -480,6 +482,8 @@ def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP) -> OrbitSummary:
         if adj is None:
             adj = _unpack(n, key)
         clow = n - _greedy_clique_cover(adj, full)  # one MIS vertex per clique
+        if clow < bc or (clow == bc and tie):  # not ruled out: try the other order
+            clow = n - _greedy_clique_cover_high(adj, full)
         if clow > bc or (clow == bc and not tie):
             continue
         cover = n - _mis_size(n, adj, floor=n - bc - 1 if tie else n - bc)
@@ -633,6 +637,24 @@ def _greedy_clique_cover(adj, cand: int) -> int:
         clique = 1 << v
         while avail:
             u = (avail & -avail).bit_length() - 1
+            clique |= 1 << u
+            avail &= adj[u]
+        rem &= ~clique
+        count += 1
+    return count
+
+
+def _greedy_clique_cover_high(adj, cand: int) -> int:
+    """_greedy_clique_cover taking the highest vertex first, at both levels:
+    another partition into cliques, so another upper bound on the MIS size."""
+    count = 0
+    rem = cand
+    while rem:
+        v = rem.bit_length() - 1
+        avail = rem & adj[v]
+        clique = 1 << v
+        while avail:
+            u = avail.bit_length() - 1
             clique |= 1 << u
             avail &= adj[u]
         rem &= ~clique

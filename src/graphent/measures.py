@@ -6,6 +6,12 @@ number of terms in the minimal product decomposition, and the closest
 separable state / closest product state certificates are built from the
 product basis stabilized by the maximum-independent-set subgroup.
 
+The GF(2) rank r of any cut is a lower bound on both minima, so an input
+whose own vertex cover is r is proved exact as it stands: evaluate and
+bounds then solve no orbit member, and enumerate the orbit only to tell
+whether the cap truncates it, which an orbit of at most 3^n members cannot
+when the cap is at least 3^n.
+
 evaluate solves each sub-problem once: the orbit enumeration solves the
 members whose solve could still change its summary, and that summary carries
 the values bounds needs; then one maximum independent set gives one
@@ -26,14 +32,17 @@ from .graphs import (
     Graph,
     OrbitSummary,
     _bits,
+    _cut_rank_bound,
     _edge_key,
     _independent_mask,
     _lc_key,
     _mask_of,
     _matching_max_size,
+    _mis_size,
     _pack,
     is_bipartite,
     lc_orbit,
+    lc_orbit_members,
     local_complement,
     max_independent_set,
 )
@@ -92,11 +101,16 @@ def bounds(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP, orbit: OrbitSummary | N
     makes the minima upper bounds only, flagged via `truncated`: the lower
     bound is then the orbit's cut rank, which holds on every member, and the
     bounds coincide only when it reaches the upper bound.  A given orbit
-    summary may be rooted at any member of g's orbit.
+    summary may be rooted at any member of g's orbit.  With none given, an
+    input whose own vertex cover meets its cut rank is settled without
+    solving its orbit (see _settled_by_input).
     """
     if not g.is_connected():
         raise ValueError("bounds require a connected graph")
     if orbit is None:
+        settled = _settled_by_input(g, orbit_cap)
+        if settled is not None:
+            return settled
         orbit = lc_orbit(g, orbit_cap)
     n = g.n
     if is_bipartite(g) is not None:
@@ -111,6 +125,32 @@ def bounds(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP, orbit: OrbitSummary | N
         classification=classification,
         truncated=orbit.truncated,
     )
+
+
+def _settled_by_input(g: Graph, orbit_cap: int) -> BoundsReport | None:
+    """The bounds of connected g when its own |beta| equals its cut rank r, else None.
+
+    r bounds |M_max| and |beta| of every orbit member from below, and g's
+    own |M_max| <= |beta| = r, so both orbit minima are r, the bounds
+    coincide at r, and every member with |beta| = r has |M_max| = r, which
+    fixes the classification.  Only truncated depends on the orbit.  An LC
+    orbit on n vertices has at most 3^n members: a graph H of the orbit is
+    determined by which Pauli of each qubit the local Clifford taking |g> to
+    |H> maps to Z (two graphs with the same choice would give a Z-only
+    element of one graph state's stabilizer other than the identity;
+    Bouchet's count by Eulerian vectors).  So the orbit is enumerated, and
+    nothing solved on it, only when orbit_cap < 3^n.
+    """
+    n = g.n
+    r = _cut_rank_bound(n, g.adj)
+    if n - _mis_size(n, g.adj) != r:
+        return None
+    if is_bipartite(g) is not None:
+        classification = BIPARTITE_KONIG
+    else:
+        classification = classify(n - r, n, 2 * r == n)
+    truncated = orbit_cap < 3**n and lc_orbit_members(g, orbit_cap)[1]
+    return BoundsReport(lower=r, upper=r, coincide=True, classification=classification, truncated=truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -397,17 +437,23 @@ class EntanglementReport:
 def evaluate(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> EntanglementReport:
     """Evaluate all three measures with certificates for a connected graph state.
 
-    The decomposition is built on g itself whenever its own vertex cover
-    already attains the orbit minimum; otherwise on the orbit representative,
-    with the CSS/CPS transported back to g's labelling along the LC path.
+    An input whose own vertex cover equals its cut rank is proved exact
+    without solving its orbit (see _settled_by_input), and the decomposition
+    is built on it.  Otherwise the orbit is solved, and the decomposition is
+    built on g itself whenever its own vertex cover attains the orbit
+    minimum, or else on the orbit representative, with the CSS/CPS
+    transported back to g's labelling along the LC path.
     """
-    orbit = lc_orbit(g, orbit_cap)
-    rep_bounds = bounds(g, orbit=orbit)
+    if not g.is_connected():
+        raise ValueError("bounds require a connected graph")
     n = g.n
-    if orbit.own_vertex_cover == rep_bounds.upper:
-        base, path = g, ()
-    else:
-        base, path = orbit.representative, orbit.lc_path
+    base, path = g, ()
+    rep_bounds = _settled_by_input(g, orbit_cap)
+    if rep_bounds is None:
+        orbit = lc_orbit(g, orbit_cap)
+        rep_bounds = bounds(g, orbit=orbit)
+        if orbit.own_vertex_cover != rep_bounds.upper:
+            base, path = orbit.representative, orbit.lc_path
     alpha = max_independent_set(base)
     decomp = minimal_decomposition(base, alpha)
     if path:  # the CSS mixes the same basis, carried back to g

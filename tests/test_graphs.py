@@ -32,6 +32,7 @@ from graphent.graphs import (
     _cut_rank_ceiling,
     _edge_key,
     _greedy_clique_cover,
+    _greedy_clique_cover_high,
     _layout,
     _lc_key,
     _matching_max_size,
@@ -279,6 +280,21 @@ def test_orbit_closure_small(p3, triangle):
             h = Graph(g.n, _unpack(g.n, key))
             for a in range(1, g.n + 1):
                 assert _pack(local_complement(h, a).adj) in members
+
+
+def test_orbit_has_at_most_3_to_the_n_members():
+    # the bound that lets evaluate skip enumeration when the cap is at least 3^n;
+    # every connected graph with n <= 6 lies in one of the orbits enumerated
+    seen = set()
+    for g in (g for n in range(1, 7) for g in all_connected_graphs(n)):
+        if (g.n, _pack(g.adj)) not in seen:
+            members, truncated = lc_orbit_members(g, 3**g.n + 1)
+            assert len(members) <= 3**g.n and not truncated, g.edges()
+            seen.update((g.n, key) for key in members)
+    rng = random.Random(41)
+    for g in [ring(n) for n in range(7, 11)] + [random_connected(n, rng) for n in range(7, 11)]:
+        members, truncated = lc_orbit_members(g, 3**g.n + 1)
+        assert len(members) <= 3**g.n and not truncated, g.edges()
 
 
 def test_orbit_truncation_flag():
@@ -630,7 +646,8 @@ def test_orbit_summary_equals_solving_every_member_random():
 
 
 def test_greedy_clique_cover_bounds_every_independent_set():
-    # lc_orbit skips a member whose n - cover count cannot beat the best |beta|
+    # lc_orbit skips a member whose n - cover count, in either greedy order,
+    # cannot beat the best |beta|
     for g in _CONNECTED_UP_TO_5:
         independent = [
             not any(g.adj[v] & sub for v in range(g.n) if (sub >> v) & 1)
@@ -641,6 +658,7 @@ def test_greedy_clique_cover_bounds_every_independent_set():
                 sub.bit_count() for sub in range(1 << g.n) if independent[sub] and not sub & ~cand
             )
             assert _greedy_clique_cover(g.adj, cand) >= best, (g.edges(), cand)
+            assert _greedy_clique_cover_high(g.adj, cand) >= best, (g.edges(), cand)
 
 
 def test_mis_floor_is_exact_above_floor():

@@ -522,6 +522,48 @@ def test_evaluate_report_dict(fig6):
     assert doc["graph"]["edges"][0] == [1, 6]
 
 
+def test_evaluate_requires_connected():
+    # two disjoint edges: the own cover 2 meets the rank of the cut {1, 3} | {2, 4}
+    with pytest.raises(ValueError):
+        evaluate(Graph.from_edges(4, [(1, 2), (3, 4)]))
+
+
+def test_evaluate_settles_own_cover_at_cut_rank_without_the_orbit(monkeypatch):
+    # the 10-ring's own cover 5 is its cut rank, and 3^10 is below the default cap
+    def refuse(*args, **kwargs):
+        raise AssertionError("orbit enumerated")
+
+    monkeypatch.setattr(measures, "lc_orbit", refuse)
+    monkeypatch.setattr(measures, "lc_orbit_members", refuse)
+    report = evaluate(ring(10))
+    assert report.e_schmidt == 5.0 and report.lc_path == () and not report.bounds.truncated
+    assert bounds(ring(10)) == report.bounds
+
+
+def test_evaluate_ring12_at_the_default_cap_is_truncated_and_proved():
+    # 3^12 exceeds the cap, so the orbit is enumerated only for the truncated flag
+    b = evaluate(ring(12)).bounds
+    assert b.truncated and (b.lower, b.upper) == (6, 6) and b.coincide
+
+
+@pytest.fixture(scope="module")
+def settle_corpus() -> list:
+    """Every connected graph with n <= 5 and every 7th with n = 6."""
+    graphs = [g for n in range(1, 6) for g in all_connected_graphs(n)]
+    return graphs + list(itertools.islice(all_connected_graphs(6), 0, None, 7))
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 20, 100_000])
+def test_evaluate_and_bounds_equal_the_orbit_path(cap, settle_corpus):
+    for g in settle_corpus:
+        orbit = lc_orbit(g, cap)
+        want = bounds(g, orbit=orbit)
+        report = evaluate(g, cap)
+        assert report.bounds == want == bounds(g, cap), g.edges()
+        path = () if orbit.own_vertex_cover == want.upper else orbit.lc_path
+        assert report.lc_path == path, g.edges()
+
+
 def test_lower_bound_equals_max_cut_rank(fig6, p3, c5):
     # orbit-min matching vs the maximal bipartite entanglement, tested not assumed
     for g in (fig6, p3, c5, star(5), complete(4)):
