@@ -17,11 +17,30 @@ member is read back.  It solves the input graph exactly, and the other
 members only while a solve could still change its summary: the GF(2) rank
 of a cut is the same on every member and bounds every member's |M_max| and
 |beta| from below, so once the running minima reach that rank most members
-need no solve.  Where the best |beta| stays above that rank, n minus a
-member's greedy clique cover (an independent set holds one vertex per
-clique at most), taken in two orders, rules out most of the rest before any
-independent-set search: on the 9-ring, 556 searches instead of 8,140.  The
-summary is the one that solving every member would give.
+need no solve.  Every member's |beta| is also at least the least GF(2)
+rank of a Pauli choice of the input (_min_pauli_rank, a depth-first search
+that enumerates no member), so once the best |beta| reaches that rank only
+the tie-break on the adjacency is left to decide.  Where the best |beta|
+stays above both, n minus a member's greedy clique cover (an independent set
+holds one vertex per clique at most), taken in two orders, rules out most
+of the rest before any independent-set search.  The summary is the one that
+solving every member would give.
+
+The Pauli-rank lemma.  For P in {X, Y, Z}^n let M_P be the n x n GF(2)
+matrix whose row v is e_v (Z), A_v (X) or e_v + A_v (Y).  The stabilizer
+element of g for a vertex set s is X^s Z^(A s) up to sign; it acts on qubit
+v as I or P_v exactly when M_P s has a 0 at v, so those elements form a
+subgroup T_P of dimension n - rank M_P.  (<=) An orbit member H = U g, for
+a local Clifford U, with independent set alpha and cover beta has the
+|alpha| independent generators X_a Z_N(a), a in alpha, which act as X or I
+on alpha and as Z or I on beta.  U pulls them back to elements of g's
+stabilizer that act on each qubit as I or as one fixed Pauli, since a
+one-qubit Clifford maps a Pauli to a Pauli up to sign: so for that P,
+dim T_P >= |alpha| and rank M_P <= |beta|.  The least rank over P is thus
+at most every member's |beta|, which is all the orbit solve relies on.  The
+converse (>=), by the reduction of Van den Nest, Dehaene and De Moor
+(PRA 69, 022316 (2004)), makes it the orbit minimum; the tests check that
+on every connected graph with n <= 6 and on seeded ones up to n = 10.
 """
 
 from __future__ import annotations
@@ -436,27 +455,58 @@ class OrbitSummary:
         return _path_to(len(adj), self.packed, _pack(adj))
 
 
-def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP) -> OrbitSummary:
+@dataclass(frozen=True)
+class _RootFacts:
+    """What the orbit solve needs to know of the input graph g, worked out once.
+
+    cut_rank is r (see _cut_rank_bound), own_cover and own_matching are g's
+    own |beta| and |M_max|, and pauli_rank is the least Pauli rank m (see
+    _min_pauli_rank), which is at most every member's |beta|, or None when
+    the search ran out of nodes.
+    """
+
+    cut_rank: int
+    own_cover: int
+    own_matching: int
+    pauli_rank: int | None
+
+
+def _root_facts(g: Graph) -> _RootFacts:
+    n, adj = g.n, g.adj
+    r = _cut_rank_bound(n, adj)
+    cover = n - _mis_size(n, adj)
+    if cover == r:  # r <= |M_max| <= |beta|, and no member's |beta| is below r
+        return _RootFacts(r, cover, r, r)
+    return _RootFacts(r, cover, _matching_max_size(n, adj), _min_pauli_rank(n, adj, r, cover))
+
+
+def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP, *, _root: _RootFacts | None = None) -> OrbitSummary:
     """Enumerate the labelled LC orbit and minimise |M_max| and |beta| over it.
 
     The representative minimises (|beta|, |M_max|, adjacency) lexicographically;
     when the cap truncates enumeration the minima are only upper bounds and
-    the truncated flag is set.
+    the truncated flag is set.  _root is _root_facts(g), for a caller that
+    has already worked it out.
 
     The input graph is solved exactly.  Every other member is solved only as
     far as it could still change a field of the summary: the GF(2) rank r of
     a cut of g is the same on every member (local complementation keeps cut
     ranks) and bounds each member's |M_max| from below, which bounds its
     |beta| in turn.  So a member's matching is solved only while the running
-    minimum exceeds r, and its independent set only when its cover could
-    still beat the best key, with the search told the size it has to beat.
+    minimum exceeds r.  Its |beta| is also at least m, the least GF(2) rank
+    over the Pauli choices of g (see _min_pauli_rank), when the search
+    proved it; so once the best |beta| reaches m, only a member that could
+    win the tie-break on (|M_max|, adjacency) is looked at further.  A
+    member's independent set is solved only when its cover could still beat
+    the best key, with the search told the size it has to beat.
     Before that search, n minus the size of the member's greedy clique
     cover bounds its |beta| from below (an independent set takes at most
     one vertex of each clique), and a member this bound already rules out
     is not searched; a cover built lowest vertex first is tried, then, if
     it rules nothing out, one built highest vertex first.  On the 9-ring,
-    where the best |beta| stays one above r, this leaves 556 of 8,140
-    members to search (1,360 with the first cover alone).
+    whose own |beta| 5 is m but one above r = 4, 17 of the 8,140 members
+    besides g are searched (555 without m, and 1,359 with neither m nor
+    the second cover).
     Every field equals what solving every member would give.  Members are
     compared as packed keys, whose order is that of their adjacency tuples,
     and unpacked only for a solve.
@@ -464,11 +514,12 @@ def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP) -> OrbitSummary:
     members, truncated = lc_orbit_members(g, cap)
     n = g.n
     full = (1 << n) - 1
-    r = _cut_rank_bound(n, g.adj)
-    root = g.adj
-    min_match = bm = _matching_max_size(n, root)
-    own_cover = bc = n - _mis_size(n, root)
-    bkey = _pack(root)
+    facts = _root_facts(g) if _root is None else _root
+    r = facts.cut_rank
+    lowest = r if facts.pauli_rank is None else facts.pauli_rank  # no member's |beta| is below it
+    min_match = bm = facts.own_matching
+    bc = facts.own_cover
+    bkey = _pack(g.adj)
     for key in islice(members, 1, None):  # the root comes first
         adj = msize = None
         if min_match > r:
@@ -477,7 +528,8 @@ def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP) -> OrbitSummary:
             min_match = min(min_match, msize)
         mlow = r if msize is None else msize  # |beta| >= |M_max| >= mlow
         tie = (mlow, key) < (bm, bkey)  # could a cover equal to bc still win?
-        if mlow > bc or (mlow == bc and not tie):
+        low = max(mlow, lowest)
+        if low > bc or (low == bc and not tie):
             continue
         if adj is None:
             adj = _unpack(n, key)
@@ -501,7 +553,7 @@ def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP) -> OrbitSummary:
         min_vertex_cover=bc,
         truncated=truncated,
         lc_path=_path_to(n, members, bkey),
-        own_vertex_cover=own_cover,
+        own_vertex_cover=facts.own_cover,
         representative_matching=bm,
         cut_rank=r,
         packed=members,
@@ -874,6 +926,78 @@ def _cut_rank_ceiling(n: int, adj) -> int:
     open_nbhds = len(set(adj))
     closed_nbhds = len({a | (1 << v) for v, a in enumerate(adj)})
     return min(n // 2, n - independent, open_nbhds, closed_nbhds)
+
+
+# Nodes the Pauli-rank search may visit before it gives up, 0.15-0.2 s of
+# CPython on a 2-core x86 VM: the benchmark's inputs, n <= 14, need at most
+# about 10,000, and seeded G(16, 1/2) 30,000-70,000.
+_PAULI_RANK_NODES = 100_000
+
+
+def _min_pauli_rank(n: int, adj, floor: int, best: int) -> int | None:
+    """The least GF(2) rank m of M_P over P in {X, Y, Z}^n (see the module
+    docstring), proved: at most every orbit member's |beta|.
+
+    best must be the rank of some choice: g's own cover, X on a maximum
+    independent set and Z elsewhere, has rank |beta|, and the search only
+    looks for a smaller one, returning best if there is none.  It stops
+    once the rank reaches floor, which must be a lower bound on every
+    member's |beta| such as the cut rank, and then returns floor: like m,
+    it is at most every member's |beta|, which is all that callers use.
+    After _PAULI_RANK_NODES nodes it gives up and returns None: it proves
+    nothing then, and callers solve the orbit as they would without it.
+
+    Depth first over the vertices, with the chosen rows kept as an echelon
+    basis keyed by leading bit.  A candidate row already in the span is the
+    only child taken: whatever the later rows, the span without the
+    candidate's alternatives is contained in the span with them.  Otherwise
+    all three rows add rank, and a child is taken only while it stays below
+    best.
+    """
+    if best <= floor:
+        return best
+    pivots = [0] * n  # pivots[b]: the basis row whose leading bit is b, or 0
+    nodes = 0
+
+    def residue(row: int) -> int:
+        """row minus basis rows until its leading bit has no pivot; 0 if in the span."""
+        while row:
+            p = pivots[row.bit_length() - 1]
+            if not p:
+                return row
+            row ^= p
+        return 0
+
+    def search(v: int, rank: int) -> bool:
+        """Assign vertices v..n-1 at the given rank; True once the search should stop."""
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > _PAULI_RANK_NODES:
+            return True
+        while v < n:  # rows already in the span add nothing: one child, walk on
+            z = 1 << v
+            rz = residue(z)
+            rx = residue(adj[v]) if rz else 0
+            ry = residue(z ^ adj[v]) if rx else 0
+            if ry:
+                break
+            v += 1
+        else:
+            best = rank
+            return best <= floor
+        if rank + 1 >= best:
+            return False
+        for row in (rz, rx, ry):
+            lead = row.bit_length() - 1
+            pivots[lead] = row
+            stop = search(v + 1, rank + 1)
+            pivots[lead] = 0
+            if stop or rank + 1 >= best:
+                return stop
+        return False
+
+    search(0, 0)
+    return None if nodes > _PAULI_RANK_NODES else best
 
 
 def _cut_moves(n: int, amask: int, full: int):

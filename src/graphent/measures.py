@@ -6,16 +6,21 @@ number of terms in the minimal product decomposition, and the closest
 separable state / closest product state certificates are built from the
 product basis stabilized by the maximum-independent-set subgroup.
 
-The GF(2) rank r of any cut is a lower bound on both minima, so an input
-whose own vertex cover is r is proved exact as it stands: evaluate and
-bounds then solve no orbit member, and enumerate the orbit only to tell
-whether the cap truncates it, which an orbit of at most 3^n members cannot
-when the cap is at least 3^n.
+The GF(2) rank r of any cut is a lower bound on min |M_max|, and the least
+GF(2) rank m over the Pauli choices of g (graphs._min_pauli_rank) one on
+min |beta|.  So an input whose own |beta| is m and whose own |M_max| is r
+has both minima as it stands (an own |beta| of r is the case m = r):
+evaluate and bounds then solve no orbit member, and enumerate the orbit
+only to tell whether the cap truncates it, which an orbit of at most 3^n
+members cannot when the cap is at least 3^n.  The reports are the ones that
+solving the orbit gives.
 
-evaluate solves each sub-problem once: the orbit enumeration solves the
-members whose solve could still change its summary, and that summary carries
-the values bounds needs; then one maximum independent set gives one
-stabilized basis, of which the decomposition, the CSS and the CPS are views.
+evaluate solves each sub-problem once: r, g's own |beta| and |M_max| and m
+are worked out once (graphs._root_facts) and handed to the orbit solve,
+which solves the members whose solve could still change its summary; that
+summary carries the values bounds needs; then one maximum independent set
+gives one stabilized basis, of which the decomposition, the CSS and the CPS
+are views.
 """
 
 from __future__ import annotations
@@ -31,15 +36,15 @@ from .graphs import (
     DEFAULT_ORBIT_CAP,
     Graph,
     OrbitSummary,
+    _RootFacts,
     _bits,
-    _cut_rank_bound,
     _edge_key,
     _independent_mask,
     _lc_key,
     _mask_of,
     _matching_max_size,
-    _mis_size,
     _pack,
+    _root_facts,
     is_bipartite,
     lc_orbit,
     lc_orbit_members,
@@ -102,16 +107,17 @@ def bounds(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP, orbit: OrbitSummary | N
     bound is then the orbit's cut rank, which holds on every member, and the
     bounds coincide only when it reaches the upper bound.  A given orbit
     summary may be rooted at any member of g's orbit.  With none given, an
-    input whose own vertex cover meets its cut rank is settled without
-    solving its orbit (see _settled_by_input).
+    input that attains both orbit minima itself is settled without solving
+    its orbit (see _settled_by_input).
     """
     if not g.is_connected():
         raise ValueError("bounds require a connected graph")
     if orbit is None:
-        settled = _settled_by_input(g, orbit_cap)
+        root = _root_facts(g)
+        settled = _settled_by_input(g, orbit_cap, root)
         if settled is not None:
             return settled
-        orbit = lc_orbit(g, orbit_cap)
+        orbit = lc_orbit(g, orbit_cap, _root=root)
     n = g.n
     if is_bipartite(g) is not None:
         classification = BIPARTITE_KONIG
@@ -127,30 +133,34 @@ def bounds(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP, orbit: OrbitSummary | N
     )
 
 
-def _settled_by_input(g: Graph, orbit_cap: int) -> BoundsReport | None:
-    """The bounds of connected g when its own |beta| equals its cut rank r, else None.
+def _settled_by_input(g: Graph, orbit_cap: int, root: _RootFacts) -> BoundsReport | None:
+    """The bounds of connected g when g itself attains both orbit minima, else None.
 
-    r bounds |M_max| and |beta| of every orbit member from below, and g's
-    own |M_max| <= |beta| = r, so both orbit minima are r, the bounds
-    coincide at r, and every member with |beta| = r has |M_max| = r, which
-    fixes the classification.  Only truncated depends on the orbit.  An LC
-    orbit on n vertices has at most 3^n members: a graph H of the orbit is
-    determined by which Pauli of each qubit the local Clifford taking |g> to
-    |H> maps to Z (two graphs with the same choice would give a Z-only
-    element of one graph state's stabilizer other than the identity;
-    Bouchet's count by Eulerian vectors).  So the orbit is enumerated, and
-    nothing solved on it, only when orbit_cap < 3^n.
+    root is _root_facts(g): the cut rank r, g's own |beta| and |M_max|, and
+    the proved least Pauli rank m.  r bounds |M_max| of every orbit member
+    from below, and m bounds every member's |beta| from below (see
+    _min_pauli_rank), so when g's own |beta| is m and its own |M_max| is r,
+    g has the least (|beta|, |M_max|) pair of the orbit: the bounds are
+    [r, m], whether or not the cap truncates the orbit, and the
+    classification is that of g.  An own |beta| equal to r is the case
+    m = r.  Only truncated depends on the orbit.  An LC orbit on n vertices
+    has at most 3^n members: a graph H of the orbit is determined by which
+    Pauli of each qubit the local Clifford taking |g> to |H> maps to Z (two
+    graphs with the same choice would give a Z-only element of one graph
+    state's stabilizer other than the identity; Bouchet's count by Eulerian
+    vectors).  So the orbit is enumerated, and nothing solved on it, only
+    when orbit_cap < 3^n.
     """
-    n = g.n
-    r = _cut_rank_bound(n, g.adj)
-    if n - _mis_size(n, g.adj) != r:
+    r, cover = root.cut_rank, root.own_cover
+    if cover != root.pauli_rank or root.own_matching != r:
         return None
+    n = g.n
     if is_bipartite(g) is not None:
         classification = BIPARTITE_KONIG
     else:
-        classification = classify(n - r, n, 2 * r == n)
+        classification = classify(n - cover, n, 2 * r == n)
     truncated = orbit_cap < 3**n and lc_orbit_members(g, orbit_cap)[1]
-    return BoundsReport(lower=r, upper=r, coincide=True, classification=classification, truncated=truncated)
+    return BoundsReport(lower=r, upper=cover, coincide=r == cover, classification=classification, truncated=truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -437,20 +447,27 @@ class EntanglementReport:
 def evaluate(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> EntanglementReport:
     """Evaluate all three measures with certificates for a connected graph state.
 
-    An input whose own vertex cover equals its cut rank is proved exact
-    without solving its orbit (see _settled_by_input), and the decomposition
-    is built on it.  Otherwise the orbit is solved, and the decomposition is
+    The facts of g itself (graphs._root_facts: the cut rank r, g's own
+    |beta| and |M_max|, and the least Pauli rank m when its search proves
+    it) are worked out once.  An input whose own |beta| is m and whose own
+    |M_max| is r attains both orbit minima, so its bounds [r, |beta|] are
+    settled without solving its orbit (see _settled_by_input), and the
+    decomposition is built on it.  Otherwise the orbit is solved, with m
+    bounding every member's |beta| from below, and the decomposition is
     built on g itself whenever its own vertex cover attains the orbit
     minimum, or else on the orbit representative, with the CSS/CPS
-    transported back to g's labelling along the LC path.
+    transported back to g's labelling along the LC path.  A search that
+    runs out of nodes proves no m and only leaves more members to solve:
+    the report is the same either way.
     """
     if not g.is_connected():
         raise ValueError("bounds require a connected graph")
     n = g.n
     base, path = g, ()
-    rep_bounds = _settled_by_input(g, orbit_cap)
+    root = _root_facts(g)
+    rep_bounds = _settled_by_input(g, orbit_cap, root)
     if rep_bounds is None:
-        orbit = lc_orbit(g, orbit_cap)
+        orbit = lc_orbit(g, orbit_cap, _root=root)
         rep_bounds = bounds(g, orbit=orbit)
         if orbit.own_vertex_cover != rep_bounds.upper:
             base, path = orbit.representative, orbit.lc_path

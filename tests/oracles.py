@@ -86,6 +86,25 @@ def all_connected_graphs(n: int):
             yield g
 
 
+def brute_min_pauli_rank(g: Graph) -> int:
+    """Least GF(2) rank of M_P over all 3^n choices P in {X, Y, Z}^n, where
+    row v of M_P is e_v (Z), A_v (X) or e_v + A_v (Y)."""
+    if g.n > 8:
+        raise ValueError("brute Pauli-rank minimum limited to n <= 8")
+    best = g.n
+    for choice in itertools.product((0, 1, 2), repeat=g.n):
+        rows = [((1 << v) if c != 1 else 0) ^ (g.adj[v] if c != 0 else 0) for v, c in enumerate(choice)]
+        rank = 0
+        while rows:  # eliminate on the lowest set bit of the last row
+            pivot = rows.pop()
+            if pivot:
+                rank += 1
+                low = pivot & -pivot
+                rows = [r ^ pivot if r & low else r for r in rows]
+        best = min(best, rank)
+    return best
+
+
 def noise_css_quadrature(g: Graph, beta=None, points: int = 64) -> np.ndarray:
     """Continuous-phase version on a uniform grid, for validating the 2-point average."""
     if beta is None:

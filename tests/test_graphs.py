@@ -36,6 +36,7 @@ from graphent.graphs import (
     _layout,
     _lc_key,
     _matching_max_size,
+    _min_pauli_rank,
     _mis_size,
     _pack,
     _unpack,
@@ -44,7 +45,7 @@ from graphent.graphs import (
 from graphent.lattices import LatticeSpec, generate_lattice
 
 from conftest import FIG6, complete, random_connected, ring, star
-from oracles import all_connected_graphs, brute_matching, brute_mis
+from oracles import all_connected_graphs, brute_matching, brute_min_pauli_rank, brute_mis
 
 
 def graphs_strategy(max_n=7):
@@ -744,3 +745,43 @@ def test_cut_rank_bound_by_ascent_is_sound(n):
         full = (1 << n) - 1
         assert 1 <= r <= max(cut_rank(g, _vertices_of(a)) for a in range(1, full))
         assert r <= _matching_max_size(n, g.adj)
+
+
+def _pauli_rank(g: Graph, floor: int | None = None) -> int | None:
+    """_min_pauli_rank as the orbit solve calls it: seeded with g's own cover
+    and stopping at the cut rank, unless another floor is given."""
+    n = g.n
+    if floor is None:
+        floor = _cut_rank_bound(n, g.adj)
+    return _min_pauli_rank(n, g.adj, floor, n - _mis_size(n, g.adj))
+
+
+def test_min_pauli_rank_equals_the_brute_force_minimum():
+    rng = random.Random(43)
+    graphs = _CONNECTED_UP_TO_5 + [random_connected(n, rng) for n in (6, 6, 6, 7, 7)]
+    for g in graphs:
+        want = brute_min_pauli_rank(g)
+        assert _pauli_rank(g, floor=0) == want == _pauli_rank(g), g.edges()
+
+
+def test_min_pauli_rank_equals_the_orbit_minimum_cover():
+    # one orbit per LC class covers every connected graph with n <= 6
+    minimum = {}
+    for g in (g for n in range(1, 7) for g in all_connected_graphs(n)):
+        key = (g.n, _pack(g.adj))
+        if key not in minimum:
+            summary = lc_orbit(g)
+            minimum.update(((g.n, k), summary.min_vertex_cover) for k in summary.packed)
+        assert _pauli_rank(g) == minimum[key], g.edges()
+    rng = random.Random(47)
+    graphs = [ring(n) for n in range(7, 11)] + [random_connected(n, rng) for n in (7, 7, 8, 8, 9, 9)]
+    for g in graphs:
+        assert _pauli_rank(g) == lc_orbit(g).min_vertex_cover, g.edges()
+
+
+def test_min_pauli_rank_returns_the_incumbent_at_the_floor(monkeypatch):
+    # no node is visited: with a budget of none, an unfinished search would give None
+    monkeypatch.setattr("graphent.graphs._PAULI_RANK_NODES", 0)
+    assert _min_pauli_rank(10, ring(10).adj, 5, 5) == 5
+    assert _min_pauli_rank(4, complete(4).adj, 1, 1) == 1
+    assert _min_pauli_rank(4, complete(4).adj, 1, 3) is None

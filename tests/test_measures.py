@@ -24,6 +24,7 @@ from graphent import (
     cut_rank,
     dense,
     evaluate,
+    graphs,
     lc_orbit,
     lc_orbit_members,
     max_independent_set,
@@ -546,11 +547,57 @@ def test_evaluate_ring12_at_the_default_cap_is_truncated_and_proved():
     assert b.truncated and (b.lower, b.upper) == (6, 6) and b.coincide
 
 
+def test_evaluate_settles_own_cover_at_the_pauli_rank_without_the_orbit(monkeypatch):
+    # the 9-ring: own cover 5 is the least Pauli rank, own |M_max| 4 the cut rank
+    def refuse(*args, **kwargs):
+        raise AssertionError("orbit enumerated")
+
+    monkeypatch.setattr(measures, "lc_orbit", refuse)
+    monkeypatch.setattr(measures, "lc_orbit_members", refuse)
+    report = evaluate(ring(9))
+    assert (report.bounds.lower, report.bounds.upper) == (4, 5) and not report.bounds.coincide
+    assert report.lc_path == () and not report.bounds.truncated
+    assert bounds(ring(9)) == report.bounds
+
+
+def test_evaluate_works_out_the_input_facts_once(monkeypatch):
+    # K4 is not settled (own cover 3, orbit minimum 1), so its orbit is solved
+    calls = {"_cut_rank_bound": 0, "_min_pauli_rank": 0, "lc_orbit": 0}
+    for module, name in ((graphs, "_cut_rank_bound"), (graphs, "_min_pauli_rank"), (measures, "lc_orbit")):
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    evaluate(complete(4))
+    assert calls == {"_cut_rank_bound": 1, "_min_pauli_rank": 1, "lc_orbit": 1}
+
+
+# own cover 5, least Pauli rank 4, cut rank 3: an interval whose orbit is solved
+OWN_COVER_ABOVE_MINIMUM = Graph.from_edges(7, [
+    (1, 2), (1, 4), (1, 5), (1, 7), (2, 4), (2, 5), (2, 6), (3, 5), (3, 6), (3, 7), (4, 6), (4, 7), (6, 7),
+])
+
+
+def test_evaluate_unchanged_when_the_pauli_rank_search_runs_out(monkeypatch):
+    cases = (ring(9), complete(4), OWN_COVER_ABOVE_MINIMUM)
+    want = [evaluate(g).to_dict() for g in cases]
+    assert graphs._root_facts(OWN_COVER_ABOVE_MINIMUM).pauli_rank == 4
+    monkeypatch.setattr(graphs, "_PAULI_RANK_NODES", 1)
+    assert all(graphs._root_facts(g).pauli_rank is None for g in cases)
+    assert [evaluate(g).to_dict() for g in cases] == want
+
+
 @pytest.fixture(scope="module")
 def settle_corpus() -> list:
-    """Every connected graph with n <= 5 and every 7th with n = 6."""
-    graphs = [g for n in range(1, 6) for g in all_connected_graphs(n)]
-    return graphs + list(itertools.islice(all_connected_graphs(6), 0, None, 7))
+    """Every connected graph with n <= 5 and every 7th with n = 6, then the
+    7- to 9-rings and seeded G(n, 1/2) with n = 7-9."""
+    corpus = [g for n in range(1, 6) for g in all_connected_graphs(n)]
+    corpus += itertools.islice(all_connected_graphs(6), 0, None, 7)
+    rng = random.Random(53)
+    return corpus + [ring(n) for n in (7, 8, 9)] + [random_connected(n, rng) for n in (7, 7, 8, 8, 9, 9)]
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 20, 100_000])
