@@ -22,9 +22,9 @@ rank of a Pauli choice of the input (_min_pauli_rank, a depth-first search
 that enumerates no member), so once the best |beta| reaches that rank only
 the tie-break on the adjacency is left to decide.  Where the best |beta|
 stays above both, n minus a member's greedy clique cover (an independent set
-holds one vertex per clique at most), taken in two orders, rules out most
-of the rest before any independent-set search.  The summary is the one that
-solving every member would give.
+holds one vertex per clique at most) rules out most of the rest before any
+independent-set search.  The summary is the one that solving every member
+would give.
 
 The Pauli-rank lemma.  For P in {X, Y, Z}^n let M_P be the n x n GF(2)
 matrix whose row v is e_v (Z), A_v (X) or e_v + A_v (Y).  The stabilizer
@@ -502,11 +502,8 @@ def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP, *, _root: _RootFacts | None
     Before that search, n minus the size of the member's greedy clique
     cover bounds its |beta| from below (an independent set takes at most
     one vertex of each clique), and a member this bound already rules out
-    is not searched; a cover built lowest vertex first is tried, then, if
-    it rules nothing out, one built highest vertex first.  On the 9-ring,
-    whose own |beta| 5 is m but one above r = 4, 17 of the 8,140 members
-    besides g are searched (555 without m, and 1,359 with neither m nor
-    the second cover).
+    is not searched.  On the 9-ring, whose own |beta| 5 is m but one above
+    r = 4, 17 of the 8,140 members besides g are searched.
     Every field equals what solving every member would give.  Members are
     compared as packed keys, whose order is that of their adjacency tuples,
     and unpacked only for a solve.
@@ -534,8 +531,6 @@ def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP, *, _root: _RootFacts | None
         if adj is None:
             adj = _unpack(n, key)
         clow = n - _greedy_clique_cover(adj, full)  # one MIS vertex per clique
-        if clow < bc or (clow == bc and tie):  # not ruled out: try the other order
-            clow = n - _greedy_clique_cover_high(adj, full)
         if clow > bc or (clow == bc and not tie):
             continue
         cover = n - _mis_size(n, adj, floor=n - bc - 1 if tie else n - bc)
@@ -689,24 +684,6 @@ def _greedy_clique_cover(adj, cand: int) -> int:
         clique = 1 << v
         while avail:
             u = (avail & -avail).bit_length() - 1
-            clique |= 1 << u
-            avail &= adj[u]
-        rem &= ~clique
-        count += 1
-    return count
-
-
-def _greedy_clique_cover_high(adj, cand: int) -> int:
-    """_greedy_clique_cover taking the highest vertex first, at both levels:
-    another partition into cliques, so another upper bound on the MIS size."""
-    count = 0
-    rem = cand
-    while rem:
-        v = rem.bit_length() - 1
-        avail = rem & adj[v]
-        clique = 1 << v
-        while avail:
-            u = avail.bit_length() - 1
             clique |= 1 << u
             avail &= adj[u]
         rem &= ~clique

@@ -6,14 +6,14 @@ number of terms in the minimal product decomposition, and the closest
 separable state / closest product state certificates are built from the
 product basis stabilized by the maximum-independent-set subgroup.
 
-The GF(2) rank r of any cut is a lower bound on min |M_max|, and the least
-GF(2) rank m over the Pauli choices of g (graphs._min_pauli_rank) one on
-min |beta|.  So an input whose own |beta| is m and whose own |M_max| is r
-has both minima as it stands (an own |beta| of r is the case m = r):
-evaluate and bounds then solve no orbit member, and enumerate the orbit
-only to tell whether the cap truncates it, which an orbit of at most 3^n
-members cannot when the cap is at least 3^n.  The reports are the ones that
-solving the orbit gives.
+bounds and evaluate share one solve, _solve.  The GF(2) rank r of any cut
+is a lower bound on min |M_max|, and the least GF(2) rank m over the Pauli
+choices of g (graphs._min_pauli_rank) one on min |beta|.  So an input whose
+own |beta| is m and whose own |M_max| is r has both minima as it stands (an
+own |beta| of r is the case m = r): _solve then solves no orbit member, and
+enumerates the orbit only to tell whether the cap truncates it, which an
+orbit of at most 3^n members cannot when the cap is at least 3^n.  The
+reports are the ones that solving the orbit gives.
 
 evaluate solves each sub-problem once: r, g's own |beta| and |M_max| and m
 are worked out once (graphs._root_facts) and handed to the orbit solve,
@@ -36,7 +36,6 @@ from .graphs import (
     DEFAULT_ORBIT_CAP,
     Graph,
     OrbitSummary,
-    _RootFacts,
     _bits,
     _edge_key,
     _independent_mask,
@@ -105,36 +104,32 @@ def bounds(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP, orbit: OrbitSummary | N
     statements are evaluated on the orbit representative.  A truncated orbit
     makes the minima upper bounds only, flagged via `truncated`: the lower
     bound is then the orbit's cut rank, which holds on every member, and the
-    bounds coincide only when it reaches the upper bound.  A given orbit
-    summary may be rooted at any member of g's orbit.  With none given, an
-    input that attains both orbit minima itself is settled without solving
-    its orbit (see _settled_by_input).
+    bounds coincide only when it reaches the upper bound.  With no orbit
+    summary given, the bounds are those of _solve, which evaluate shares; a
+    given summary may be rooted at any member of g's orbit.
     """
+    if orbit is None:
+        return _solve(g, orbit_cap)[0]
     if not g.is_connected():
         raise ValueError("bounds require a connected graph")
-    if orbit is None:
-        root = _root_facts(g)
-        settled = _settled_by_input(g, orbit_cap, root)
-        if settled is not None:
-            return settled
-        orbit = lc_orbit(g, orbit_cap, _root=root)
+    lower = orbit.cut_rank if orbit.truncated else orbit.min_matching
+    return _report(g, lower, orbit.min_vertex_cover, orbit.representative_matching, orbit.truncated)
+
+
+def _report(g: Graph, lower: int, upper: int, rep_matching: int, truncated: bool) -> BoundsReport:
+    """The bounds [lower, upper] of g, classified on a representative of
+    cover upper and maximum matching rep_matching."""
     n = g.n
     if is_bipartite(g) is not None:
         classification = BIPARTITE_KONIG
     else:
-        classification = classify(n - orbit.min_vertex_cover, n, 2 * orbit.representative_matching == n)
-    lower = orbit.cut_rank if orbit.truncated else orbit.min_matching
-    return BoundsReport(
-        lower=lower,
-        upper=orbit.min_vertex_cover,
-        coincide=lower == orbit.min_vertex_cover,
-        classification=classification,
-        truncated=orbit.truncated,
-    )
+        classification = classify(n - upper, n, 2 * rep_matching == n)
+    return BoundsReport(lower, upper, lower == upper, classification, truncated)
 
 
-def _settled_by_input(g: Graph, orbit_cap: int, root: _RootFacts) -> BoundsReport | None:
-    """The bounds of connected g when g itself attains both orbit minima, else None.
+def _solve(g: Graph, orbit_cap: int) -> tuple[BoundsReport, Graph, tuple[int, ...]]:
+    """(bounds, base, path) of g, which must be connected: base is the graph
+    to build the certificates on and path the LC vertex sequence from g to it.
 
     root is _root_facts(g): the cut rank r, g's own |beta| and |M_max|, and
     the proved least Pauli rank m.  r bounds |M_max| of every orbit member
@@ -149,18 +144,22 @@ def _settled_by_input(g: Graph, orbit_cap: int, root: _RootFacts) -> BoundsRepor
     graphs with the same choice would give a Z-only element of one graph
     state's stabilizer other than the identity; Bouchet's count by Eulerian
     vectors).  So the orbit is enumerated, and nothing solved on it, only
-    when orbit_cap < 3^n.
+    when orbit_cap < 3^n.  An input not settled so has its orbit solved
+    with root, and base is g whenever its own cover attains the upper
+    bound, else the orbit representative.
     """
+    if not g.is_connected():
+        raise ValueError("bounds require a connected graph")
+    root = _root_facts(g)
     r, cover = root.cut_rank, root.own_cover
-    if cover != root.pauli_rank or root.own_matching != r:
-        return None
-    n = g.n
-    if is_bipartite(g) is not None:
-        classification = BIPARTITE_KONIG
-    else:
-        classification = classify(n - cover, n, 2 * r == n)
-    truncated = orbit_cap < 3**n and lc_orbit_members(g, orbit_cap)[1]
-    return BoundsReport(lower=r, upper=cover, coincide=r == cover, classification=classification, truncated=truncated)
+    if cover == root.pauli_rank and root.own_matching == r:
+        truncated = orbit_cap < 3**g.n and lc_orbit_members(g, orbit_cap)[1]
+        return _report(g, r, cover, r, truncated), g, ()
+    orbit = lc_orbit(g, orbit_cap, _root=root)
+    report = bounds(g, orbit=orbit)
+    if cover == report.upper:
+        return report, g, ()
+    return report, orbit.representative, orbit.lc_path
 
 
 # ---------------------------------------------------------------------------
@@ -447,30 +446,17 @@ class EntanglementReport:
 def evaluate(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> EntanglementReport:
     """Evaluate all three measures with certificates for a connected graph state.
 
-    The facts of g itself (graphs._root_facts: the cut rank r, g's own
-    |beta| and |M_max|, and the least Pauli rank m when its search proves
-    it) are worked out once.  An input whose own |beta| is m and whose own
-    |M_max| is r attains both orbit minima, so its bounds [r, |beta|] are
-    settled without solving its orbit (see _settled_by_input), and the
-    decomposition is built on it.  Otherwise the orbit is solved, with m
-    bounding every member's |beta| from below, and the decomposition is
-    built on g itself whenever its own vertex cover attains the orbit
-    minimum, or else on the orbit representative, with the CSS/CPS
-    transported back to g's labelling along the LC path.  A search that
-    runs out of nodes proves no m and only leaves more members to solve:
-    the report is the same either way.
+    The bounds, and the graph base to build the decomposition on, come from
+    _solve, which bounds shares: g itself whenever its own vertex cover
+    attains the orbit minimum (an input whose own |beta| is the least Pauli
+    rank m and whose own |M_max| is the cut rank r is settled without
+    solving its orbit), or else the orbit representative, with the CSS/CPS
+    transported back to g's labelling along the LC path.  A Pauli-rank
+    search that runs out of nodes proves no m and only leaves more members
+    to solve: the report is the same either way.
     """
-    if not g.is_connected():
-        raise ValueError("bounds require a connected graph")
     n = g.n
-    base, path = g, ()
-    root = _root_facts(g)
-    rep_bounds = _settled_by_input(g, orbit_cap, root)
-    if rep_bounds is None:
-        orbit = lc_orbit(g, orbit_cap, _root=root)
-        rep_bounds = bounds(g, orbit=orbit)
-        if orbit.own_vertex_cover != rep_bounds.upper:
-            base, path = orbit.representative, orbit.lc_path
+    rep_bounds, base, path = _solve(g, orbit_cap)
     alpha = max_independent_set(base)
     decomp = minimal_decomposition(base, alpha)
     if path:  # the CSS mixes the same basis, carried back to g

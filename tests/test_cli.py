@@ -123,6 +123,16 @@ def test_analyze_disconnected_exits_1(capsys, tmp_path):
     assert code == 1
 
 
+def test_analyze_refuses_a_decomposition_too_large_to_list(capsys, tmp_path):
+    # the 64-ring's decomposition would list 2^32 terms
+    path = tmp_path / "ring64.txt"
+    path.write_text("64 64\n" + "".join(f"{v} {v % 64 + 1}\n" for v in range(1, 65)))
+    code, out, err = run(capsys, ["analyze", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "2^32" in err
+    assert "Traceback" not in err
+
+
 def test_analyze_oracle_block(capsys, fig6_file):
     code, out, _ = run(capsys, ["analyze", fig6_file, "--oracle"])
     assert code == 0

@@ -32,7 +32,6 @@ from graphent.graphs import (
     _cut_rank_ceiling,
     _edge_key,
     _greedy_clique_cover,
-    _greedy_clique_cover_high,
     _layout,
     _lc_key,
     _matching_max_size,
@@ -647,8 +646,7 @@ def test_orbit_summary_equals_solving_every_member_random():
 
 
 def test_greedy_clique_cover_bounds_every_independent_set():
-    # lc_orbit skips a member whose n - cover count, in either greedy order,
-    # cannot beat the best |beta|
+    # lc_orbit skips a member whose n - cover count cannot beat the best |beta|
     for g in _CONNECTED_UP_TO_5:
         independent = [
             not any(g.adj[v] & sub for v in range(g.n) if (sub >> v) & 1)
@@ -659,7 +657,6 @@ def test_greedy_clique_cover_bounds_every_independent_set():
                 sub.bit_count() for sub in range(1 << g.n) if independent[sub] and not sub & ~cand
             )
             assert _greedy_clique_cover(g.adj, cand) >= best, (g.edges(), cand)
-            assert _greedy_clique_cover_high(g.adj, cand) >= best, (g.edges(), cand)
 
 
 def test_mis_floor_is_exact_above_floor():

@@ -562,7 +562,7 @@ def test_evaluate_settles_own_cover_at_the_pauli_rank_without_the_orbit(monkeypa
 
 def test_evaluate_works_out_the_input_facts_once(monkeypatch):
     # K4 is not settled (own cover 3, orbit minimum 1), so its orbit is solved
-    calls = {"_cut_rank_bound": 0, "_min_pauli_rank": 0, "lc_orbit": 0}
+    calls = {}
     for module, name in ((graphs, "_cut_rank_bound"), (graphs, "_min_pauli_rank"), (measures, "lc_orbit")):
         real = getattr(module, name)
 
@@ -571,8 +571,10 @@ def test_evaluate_works_out_the_input_facts_once(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
-    evaluate(complete(4))
-    assert calls == {"_cut_rank_bound": 1, "_min_pauli_rank": 1, "lc_orbit": 1}
+    for solve in (evaluate, bounds):
+        calls.update(_cut_rank_bound=0, _min_pauli_rank=0, lc_orbit=0)
+        solve(complete(4))
+        assert calls == {"_cut_rank_bound": 1, "_min_pauli_rank": 1, "lc_orbit": 1}, solve
 
 
 # own cover 5, least Pauli rank 4, cut rank 3: an interval whose orbit is solved

@@ -167,6 +167,16 @@ def test_basis_requires_independent_alpha(fig6):
         stabilized_product_basis(fig6, [5, 6])
 
 
+def test_basis_past_the_listing_limit_is_refused():
+    # a star's centre alone as alpha leaves every leaf in beta
+    limit = pauli._MAX_LISTED_BETA
+    assert limit > 17  # the largest basis the lattice certificates list
+    leaves = Graph.from_edges(limit + 2, [(1, v) for v in range(2, limit + 3)])
+    with pytest.raises(ValueError, match=rf"2\^{limit + 1} states"):
+        stabilized_product_basis(leaves, [1])
+    assert len(stabilized_product_basis(leaves, range(2, limit + 3))) == 2
+
+
 def test_basis_mutually_orthogonal(fig6):
     basis = stabilized_product_basis(fig6, [1, 2, 3, 4])
     for s1, s2 in itertools.combinations(basis, 2):
