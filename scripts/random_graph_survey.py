@@ -2,12 +2,12 @@
 """Survey random graph states: how often do the bounds coincide, and what does
 the product-overlap search say when they do not?
 
-For every sampled graph `measures.bounds` gives [lower, upper]: the orbit
-minima, or the cut rank as the lower end when the orbit cap truncates the
-enumeration.  When they differ, an alternating-optimisation search over
-product states probes whether the true geometric measure sits strictly below
-the upper bound (it cannot certify optimality, only witness overlaps above
-the certificate).
+For every sampled graph `measures.bounds(g)`, the bounds that `evaluate`
+reports, gives [lower, upper]: the orbit minima, or the cut rank as the
+lower end when the default orbit cap truncates the enumeration.  When they
+differ, an alternating-optimisation search over product states probes
+whether the true geometric measure sits strictly below the upper bound (it
+cannot certify optimality, only witness overlaps above the certificate).
 
     python scripts/random_graph_survey.py --n 7 --samples 200 --seed 1
 """
@@ -19,7 +19,7 @@ import itertools
 import math
 import random
 
-from graphent import Graph, dense, lc_orbit, measures
+from graphent import Graph, dense, measures
 
 
 def sample_connected(n: int, rng: random.Random, p: float) -> Graph:
@@ -46,7 +46,7 @@ def main() -> int:
     open_cases = 0
     for i in range(args.samples):
         g = sample_connected(args.n, rng, args.edge_prob)
-        report = measures.bounds(g, orbit=lc_orbit(g))
+        report = measures.bounds(g)
         lower, upper = report.lower, report.upper
         truncated += report.truncated
         gaps[upper - lower] = gaps.get(upper - lower, 0) + 1

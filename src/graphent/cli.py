@@ -283,11 +283,14 @@ def run_verification(g: Graph, report, seed: int = 0):
 
 
 def _parse_sizes(spec: str) -> tuple[range, ...]:
-    """One unexpanded range per comma-separated part; empty ones are dropped."""
+    """One unexpanded range per comma-separated part (n or a..b); empty ranges are dropped."""
     ranges = []
-    for part in spec.split(","):
-        lo, dots, hi = part.strip().partition("..")
-        ranges.append(range(int(lo), int(hi if dots else lo) + 1))
+    try:
+        for part in spec.split(","):
+            lo, dots, hi = part.strip().partition("..")
+            ranges.append(range(int(lo), int(hi if dots else lo) + 1))
+    except ValueError:  # a part that is neither an integer nor a..b
+        ranges = []
     ranges = [r for r in ranges if r]
     if not ranges or any(r.start < 1 for r in ranges):
         raise ValueError(f"bad size specification {spec!r}")

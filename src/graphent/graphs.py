@@ -12,12 +12,12 @@ adjacency tuples and the bits a local complementation flips are a shift, a
 multiply and two masks away; they depend only on the vertex and its row,
 and the orbit search keeps them in a table per vertex.  lc_orbit is the
 one orbit engine: it enumerates the orbit breadth-first over packed keys
-and keeps the search's parent pointers, from which the LC path to any
-member is read back.  It solves the input graph exactly, and the other
-members only while a solve could still change its summary: the GF(2) rank
-of a cut is the same on every member and bounds every member's |M_max| and
-|beta| from below, so once the running minima reach that rank most members
-need no solve.  Every member's |beta| is also at least the least GF(2)
+and reads the LC path to its representative back from the search's parent
+pointers.  It solves the input graph exactly, and the other members only
+while a solve could still change its summary: the GF(2) rank of a cut is
+the same on every member and bounds every member's |M_max| and |beta| from
+below, so once the running minima reach that rank most members need no
+solve.  Every member's |beta| is also at least the least GF(2)
 rank of a Pauli choice of the input (_min_pauli_rank, a depth-first search
 that enumerates no member), so once the best |beta| reaches that rank only
 the tie-break on the adjacency is left to decide.  Where the best |beta|
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 MAX_VERTICES = 64
@@ -382,7 +382,7 @@ def lc_orbit_members(
     (1-indexed) whose local complementation first reached it, and g's own
     key to None.  Local complementation is an involution, so a member's
     parent is its own local complement at that vertex, and following the
-    parents back to g retraces a shortest LC path (see OrbitSummary.path).
+    parents back to g retraces a shortest LC path (see _path_to).
     cap, at least 1, bounds the number of members kept; truncated is set
     once a further member was found, and the search stops there.
 
@@ -417,7 +417,7 @@ def lc_orbit_members(
 
 
 def _path_to(n: int, members, key: int) -> tuple[int, ...]:
-    """Walk lc_orbit_members' parents from key back to the root."""
+    """A shortest LC vertex sequence from lc_orbit_members' root to member key."""
     path = []
     a = members[key]
     while a is not None:
@@ -431,9 +431,7 @@ def _path_to(n: int, members, key: int) -> tuple[int, ...]:
 class OrbitSummary:
     """LC-orbit census: minima of matching/vertex-cover size over the orbit.
 
-    packed is the map of lc_orbit_members, rooted at the input graph.
-    own_vertex_cover is the input graph's |beta| and representative_matching
-    the representative's |M_max|; the representative's |beta| is
+    representative_matching is the representative's |M_max|; its |beta| is
     min_vertex_cover.  cut_rank is the GF(2) rank of the best cut of the
     input graph found, a lower bound on |M_max| and |beta| of every member,
     visited or not.
@@ -445,14 +443,8 @@ class OrbitSummary:
     min_vertex_cover: int
     truncated: bool
     lc_path: tuple[int, ...]
-    own_vertex_cover: int
     representative_matching: int
     cut_rank: int
-    packed: dict = field(repr=False, compare=False)
-
-    def path(self, adj: tuple[int, ...]) -> tuple[int, ...]:
-        """Shortest LC vertex sequence from the input graph to member adj."""
-        return _path_to(len(adj), self.packed, _pack(adj))
 
 
 @dataclass(frozen=True)
@@ -483,10 +475,10 @@ def _root_facts(g: Graph) -> _RootFacts:
 def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP, *, _root: _RootFacts | None = None) -> OrbitSummary:
     """Enumerate the labelled LC orbit and minimise |M_max| and |beta| over it.
 
-    The representative minimises (|beta|, |M_max|, adjacency) lexicographically;
-    when the cap truncates enumeration the minima are only upper bounds and
-    the truncated flag is set.  _root is _root_facts(g), for a caller that
-    has already worked it out.
+    The representative minimises (|beta|, |M_max|, adjacency) lexicographically,
+    and lc_path is a shortest LC path from g to it; when the cap truncates
+    enumeration the minima are only upper bounds and the truncated flag is
+    set.  _root is _root_facts(g), for a caller that has worked it out.
 
     The input graph is solved exactly.  Every other member is solved only as
     far as it could still change a field of the summary: the GF(2) rank r of
@@ -548,10 +540,8 @@ def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP, *, _root: _RootFacts | None
         min_vertex_cover=bc,
         truncated=truncated,
         lc_path=_path_to(n, members, bkey),
-        own_vertex_cover=facts.own_cover,
         representative_matching=bm,
         cut_rank=r,
-        packed=members,
     )
 
 

@@ -50,7 +50,7 @@ from .graphs import (
     local_complement,
     max_independent_set,
 )
-from .pauli import _basis_codes, _decode_states, _transport_step, stabilized_product_basis
+from .pauli import _MAX_LISTED_BETA, _basis_codes, _decode_states, _transport_step, stabilized_product_basis
 from .pauli import generators_from_graph, group_elements, restricted_subgroup
 
 # Classification labels for the bound-equality statements.
@@ -97,21 +97,21 @@ class BoundsReport:
     truncated: bool
 
 
-def bounds(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP, orbit: OrbitSummary | None = None) -> BoundsReport:
+def bounds(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> BoundsReport:
     """Orbit-minimised bounds plus the equality classification.
 
     Bipartite inputs short-circuit to BIPARTITE_KONIG; otherwise the
     statements are evaluated on the orbit representative.  A truncated orbit
     makes the minima upper bounds only, flagged via `truncated`: the lower
     bound is then the orbit's cut rank, which holds on every member, and the
-    bounds coincide only when it reaches the upper bound.  With no orbit
-    summary given, the bounds are those of _solve, which evaluate shares; a
-    given summary may be rooted at any member of g's orbit.
+    bounds coincide only when it reaches the upper bound.  The bounds are
+    those of _solve, which evaluate shares.
     """
-    if orbit is None:
-        return _solve(g, orbit_cap)[0]
-    if not g.is_connected():
-        raise ValueError("bounds require a connected graph")
+    return _solve(g, orbit_cap)[0]
+
+
+def _orbit_bounds(g: Graph, orbit: OrbitSummary) -> BoundsReport:
+    """The bounds that lc_orbit's summary of g gives."""
     lower = orbit.cut_rank if orbit.truncated else orbit.min_matching
     return _report(g, lower, orbit.min_vertex_cover, orbit.representative_matching, orbit.truncated)
 
@@ -127,9 +127,10 @@ def _report(g: Graph, lower: int, upper: int, rep_matching: int, truncated: bool
     return BoundsReport(lower, upper, lower == upper, classification, truncated)
 
 
-def _solve(g: Graph, orbit_cap: int) -> tuple[BoundsReport, Graph, tuple[int, ...]]:
+def _solve(g: Graph, orbit_cap: int, *, listed: bool = False) -> tuple[BoundsReport, Graph, tuple[int, ...]]:
     """(bounds, base, path) of g, which must be connected: base is the graph
     to build the certificates on and path the LC vertex sequence from g to it.
+    listed refuses, before any orbit work, a g with no listable decomposition.
 
     root is _root_facts(g): the cut rank r, g's own |beta| and |M_max|, and
     the proved least Pauli rank m.  r bounds |M_max| of every orbit member
@@ -152,11 +153,15 @@ def _solve(g: Graph, orbit_cap: int) -> tuple[BoundsReport, Graph, tuple[int, ..
         raise ValueError("bounds require a connected graph")
     root = _root_facts(g)
     r, cover = root.cut_rank, root.own_cover
+    if listed and r > _MAX_LISTED_BETA:  # no member's |beta| is below r
+        raise ValueError(
+            f"the stabilized basis has at least 2^{r} states, past the 2^{_MAX_LISTED_BETA} that can be listed"
+        )
     if cover == root.pauli_rank and root.own_matching == r:
         truncated = orbit_cap < 3**g.n and lc_orbit_members(g, orbit_cap)[1]
         return _report(g, r, cover, r, truncated), g, ()
     orbit = lc_orbit(g, orbit_cap, _root=root)
-    report = bounds(g, orbit=orbit)
+    report = _orbit_bounds(g, orbit)
     if cover == report.upper:
         return report, g, ()
     return report, orbit.representative, orbit.lc_path
@@ -453,10 +458,11 @@ def evaluate(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> EntanglementReport
     solving its orbit), or else the orbit representative, with the CSS/CPS
     transported back to g's labelling along the LC path.  A Pauli-rank
     search that runs out of nodes proves no m and only leaves more members
-    to solve: the report is the same either way.
+    to solve: the report is the same either way.  A cut rank above the
+    listing limit (_MAX_LISTED_BETA) is refused before any orbit work.
     """
     n = g.n
-    rep_bounds, base, path = _solve(g, orbit_cap)
+    rep_bounds, base, path = _solve(g, orbit_cap, listed=True)
     alpha = max_independent_set(base)
     decomp = minimal_decomposition(base, alpha)
     if path:  # the CSS mixes the same basis, carried back to g

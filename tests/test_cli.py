@@ -281,6 +281,13 @@ def test_lattice_huge_size_returns_at_once(capsys, kind):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("spec", ["4..6,", "1..x"])
+def test_lattice_malformed_size_part(capsys, spec):
+    # a part that is neither an integer nor a..b is a bad specification, not an int() message
+    code, out, err = run(capsys, ["lattice", "hexagonal", spec])
+    assert (code, out, err) == (1, "", f"error: bad size specification {spec!r}\n")
+
+
 def test_lattice_huge_range_checked_unexpanded(capsys):
     # the range is checked before any row or size list is built, so the first
     # size past the 64-vertex cap is reported at once however far the range goes

@@ -38,6 +38,7 @@ from graphent.graphs import (
     _min_pauli_rank,
     _mis_size,
     _pack,
+    _path_to,
     _unpack,
     _vertices_of,
 )
@@ -194,7 +195,6 @@ def test_orbit_pinned_tie_breaks(name):
     assert summary.size == size and not summary.truncated
     assert summary.lc_path == path
     assert summary.representative.edges() == rep_edges
-    assert summary.own_vertex_cover == len(min_vertex_cover(g))
     rep = summary.representative
     assert summary.representative_matching == _matching_max_size(rep.n, rep.adj)
 
@@ -218,27 +218,26 @@ def _bfs_depths(g: Graph, count: float = float("inf")) -> dict:
 
 @pytest.mark.parametrize("g", [FIG6, complete(4)], ids=["fig6", "K4"])
 def test_orbit_parent_pointers_replay(g):
-    summary = lc_orbit(g)
+    members, _ = lc_orbit_members(g)
     depths = _bfs_depths(g)
-    members = [_unpack(g.n, key) for key in summary.packed]
-    assert set(members) == set(depths)
-    for adj in members:
-        path = summary.path(adj)
+    assert {_unpack(g.n, key) for key in members} == set(depths)
+    for key in members:
+        path = _path_to(g.n, members, key)
         h = g
         for a in path:
             h = local_complement(h, a)
-        assert h.adj == adj
-        assert len(path) == depths[adj]
-    assert summary.path(g.adj) == ()
-    assert summary.path(summary.representative.adj) == summary.lc_path
+        assert _pack(h.adj) == key
+        assert len(path) == depths[h.adj]
+    assert _path_to(g.n, members, _pack(g.adj)) == ()
+    summary = lc_orbit(g)
+    assert _path_to(g.n, members, _pack(summary.representative.adj)) == summary.lc_path
 
 
 def _assert_parents_replay(g: Graph, cap: int) -> None:
     """The root maps to None; every other member maps to a vertex whose local
-    complement takes it to a member found earlier; path() replays from g to
+    complement takes it to a member found earlier; _path_to replays from g to
     each member in exactly its breadth-first depth."""
-    summary = lc_orbit(g, cap)
-    members = summary.packed
+    members, _ = lc_orbit_members(g, cap)
     depths = _bfs_depths(g, len(members))
     order = {key: i for i, key in enumerate(members)}
     root = _pack(g.adj)
@@ -248,7 +247,7 @@ def _assert_parents_replay(g: Graph, cap: int) -> None:
         if key != root:
             assert a in range(1, g.n + 1), (g.edges(), adj)
             assert order.get(_lc_key(g.n, key, a - 1), len(order)) < order[key], (g.edges(), adj)
-        path = summary.path(adj)
+        path = _path_to(g.n, members, key)
         h = g.adj
         for v in path:
             h = _tuple_tau(h, v - 1)
@@ -268,8 +267,11 @@ def test_orbit_parent_vertices_replay_random():
 
 
 def test_orbit_summary_has_no_members_view():
-    assert "members" not in {f.name for f in dataclasses.fields(OrbitSummary)}
-    assert not hasattr(lc_orbit(ring(5)), "members")
+    # the member map, and what was read from it, belong to lc_orbit_members
+    dropped = {"members", "packed", "path", "own_vertex_cover"}
+    assert not dropped & {f.name for f in dataclasses.fields(OrbitSummary)}
+    summary = lc_orbit(ring(5))
+    assert not any(hasattr(summary, name) for name in dropped)
 
 
 def test_orbit_closure_small(p3, triangle):
@@ -598,9 +600,7 @@ def _reference_summary(g: Graph, cap: int) -> dict:
         "min_vertex_cover": cover,
         "truncated": truncated,
         "lc_path": tuple(reversed(path)),
-        "own_vertex_cover": keys[0][0],
         "representative_matching": msize,
-        "members": list(members.items()),
     }
 
 
@@ -613,9 +613,7 @@ def _summary_fields(g: Graph, cap: int) -> dict:
         "min_vertex_cover": s.min_vertex_cover,
         "truncated": s.truncated,
         "lc_path": s.lc_path,
-        "own_vertex_cover": s.own_vertex_cover,
         "representative_matching": s.representative_matching,
-        "members": _parent_items(g.n, s.packed),
     }
 
 
@@ -762,14 +760,17 @@ def test_min_pauli_rank_equals_the_brute_force_minimum():
 
 
 def test_min_pauli_rank_equals_the_orbit_minimum_cover():
-    # one orbit per LC class covers every connected graph with n <= 6
-    minimum = {}
+    # every connected graph with n <= 6 lies in one of the orbits checked
+    seen = set()
     for g in (g for n in range(1, 7) for g in all_connected_graphs(n)):
-        key = (g.n, _pack(g.adj))
-        if key not in minimum:
-            summary = lc_orbit(g)
-            minimum.update(((g.n, k), summary.min_vertex_cover) for k in summary.packed)
-        assert _pauli_rank(g) == minimum[key], g.edges()
+        if (g.n, _pack(g.adj)) in seen:
+            continue
+        members, truncated = lc_orbit_members(g)
+        minimum = lc_orbit(g).min_vertex_cover
+        assert not truncated
+        for key in members:
+            assert _pauli_rank(Graph(g.n, _unpack(g.n, key))) == minimum, g.edges()
+        seen.update((g.n, key) for key in members)
     rng = random.Random(47)
     graphs = [ring(n) for n in range(7, 11)] + [random_connected(n, rng) for n in (7, 7, 8, 8, 9, 9)]
     for g in graphs:

@@ -30,6 +30,7 @@ from graphent import (
     max_independent_set,
     max_matching,
     measures,
+    min_vertex_cover,
     minimal_decomposition,
     predicts_equal,
     sign_function,
@@ -477,13 +478,14 @@ def test_evaluate_triangle(triangle):
 
 
 def test_evaluate_k4_transports_certificates():
-    k4 = complete(4)
-    report = evaluate(k4)
-    assert report.e_schmidt == 1.0
-    assert report.lc_path != ()
-    psi = dense.statevector(k4)
-    assert abs(dense.relative_entropy_pure(psi, css_density(report.css)) - 1.0) < 1e-9
-    assert abs(dense.overlap2(psi, report.cps) - 0.5) < 1e-12
+    # the second graph's CSS is carried back along a three-step LC path
+    three_steps = Graph.from_edges(5, [(1, 2), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (4, 5)])
+    for g, value, path in ((complete(4), 1, (2,)), (three_steps, 2, (2, 4, 3))):
+        report = evaluate(g)
+        assert report.e_schmidt == value and report.lc_path == path
+        psi = dense.statevector(g)
+        assert abs(dense.relative_entropy_pure(psi, css_density(report.css)) - value) < 1e-9
+        assert abs(dense.overlap2(psi, report.cps) - 2.0**-value) < 1e-12
 
 
 def test_evaluate_rejects_lc_path_that_misses_the_input(monkeypatch):
@@ -560,6 +562,20 @@ def test_evaluate_settles_own_cover_at_the_pauli_rank_without_the_orbit(monkeypa
     assert bounds(ring(9)) == report.bounds
 
 
+def test_evaluate_refuses_an_unlistable_decomposition_before_the_orbit(monkeypatch):
+    # the 64-ring's cut rank 32 bounds every member's |beta| from below
+    def refuse(*args, **kwargs):
+        raise AssertionError("orbit enumerated")
+
+    monkeypatch.setattr(measures, "lc_orbit", refuse)
+    monkeypatch.setattr(measures, "lc_orbit_members", refuse)
+    with pytest.raises(ValueError, match=r"2\^32 states"):
+        evaluate(ring(64))
+    monkeypatch.undo()
+    b = bounds(ring(64))  # bounds lists nothing, so it does not refuse
+    assert (b.lower, b.upper) == (32, 32) and b.truncated
+
+
 def test_evaluate_works_out_the_input_facts_once(monkeypatch):
     # K4 is not settled (own cover 3, orbit minimum 1), so its orbit is solved
     calls = {}
@@ -606,10 +622,10 @@ def settle_corpus() -> list:
 def test_evaluate_and_bounds_equal_the_orbit_path(cap, settle_corpus):
     for g in settle_corpus:
         orbit = lc_orbit(g, cap)
-        want = bounds(g, orbit=orbit)
+        want = measures._orbit_bounds(g, orbit)
         report = evaluate(g, cap)
         assert report.bounds == want == bounds(g, cap), g.edges()
-        path = () if orbit.own_vertex_cover == want.upper else orbit.lc_path
+        path = () if len(min_vertex_cover(g)) == want.upper else orbit.lc_path
         assert report.lc_path == path, g.edges()
 
 
