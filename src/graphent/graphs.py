@@ -372,6 +372,12 @@ def local_complement(g: Graph, a: int) -> Graph:
     return Graph(g.n, _unpack(g.n, _lc_key(g.n, _pack(g.adj), a - 1)))
 
 
+def _check_orbit_cap(cap: int) -> None:
+    """Refuse an orbit cap below 1: the orbit always holds its root."""
+    if cap < 1:
+        raise ValueError(f"orbit cap {cap} must be at least 1")
+
+
 def lc_orbit_members(
     g: Graph, cap: int = DEFAULT_ORBIT_CAP
 ) -> tuple[dict[int, int | None], bool]:
@@ -392,8 +398,7 @@ def lc_orbit_members(
     an XOR.  A vertex of degree <= 1 toggles nothing and leads back to the
     member itself.
     """
-    if cap < 1:
-        raise ValueError(f"orbit cap {cap} must be at least 1")
+    _check_orbit_cap(cap)
     n = g.n
     full = (1 << n) - 1
     stride, lows, keep = _layout(n)

@@ -10,10 +10,10 @@ bounds and evaluate share one solve, _solve.  The GF(2) rank r of any cut
 is a lower bound on min |M_max|, and the least GF(2) rank m over the Pauli
 choices of g (graphs._min_pauli_rank) one on min |beta|.  So an input whose
 own |beta| is m and whose own |M_max| is r has both minima as it stands (an
-own |beta| of r is the case m = r): _solve then solves no orbit member, and
-enumerates the orbit only to tell whether the cap truncates it, which an
-orbit of at most 3^n members cannot when the cap is at least 3^n.  The
-reports are the ones that solving the orbit gives.
+own |beta| of r is the case m = r): _solve then does no orbit work at any
+cap, and its bounds and classification are the ones that solving the whole
+orbit gives.  truncated thus means one thing: the cap cut off the orbit
+solve that the bounds rest on.
 
 evaluate solves each sub-problem once: r, g's own |beta| and |M_max| and m
 are worked out once (graphs._root_facts) and handed to the orbit solve,
@@ -37,6 +37,7 @@ from .graphs import (
     Graph,
     OrbitSummary,
     _bits,
+    _check_orbit_cap,
     _edge_key,
     _independent_mask,
     _lc_key,
@@ -46,7 +47,6 @@ from .graphs import (
     _root_facts,
     is_bipartite,
     lc_orbit,
-    lc_orbit_members,
     local_complement,
     max_independent_set,
 )
@@ -101,11 +101,12 @@ def bounds(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> BoundsReport:
     """Orbit-minimised bounds plus the equality classification.
 
     Bipartite inputs short-circuit to BIPARTITE_KONIG; otherwise the
-    statements are evaluated on the orbit representative.  A truncated orbit
-    makes the minima upper bounds only, flagged via `truncated`: the lower
-    bound is then the orbit's cut rank, which holds on every member, and the
-    bounds coincide only when it reaches the upper bound.  The bounds are
-    those of _solve, which evaluate shares.
+    statements are evaluated on the orbit representative.  When the cap cuts
+    off the orbit solve, `truncated` is set and the minima are upper bounds
+    only: the lower bound is then the orbit's cut rank, which holds on every
+    member, and the bounds coincide only when it reaches the upper bound.
+    The bounds are those of _solve, which evaluate shares, and an input it
+    settles at its own cover is never truncated.
     """
     return _solve(g, orbit_cap)[0]
 
@@ -136,19 +137,13 @@ def _solve(g: Graph, orbit_cap: int, *, listed: bool = False) -> tuple[BoundsRep
     the proved least Pauli rank m.  r bounds |M_max| of every orbit member
     from below, and m bounds every member's |beta| from below (see
     _min_pauli_rank), so when g's own |beta| is m and its own |M_max| is r,
-    g has the least (|beta|, |M_max|) pair of the orbit: the bounds are
-    [r, m], whether or not the cap truncates the orbit, and the
-    classification is that of g.  An own |beta| equal to r is the case
-    m = r.  Only truncated depends on the orbit.  An LC orbit on n vertices
-    has at most 3^n members: a graph H of the orbit is determined by which
-    Pauli of each qubit the local Clifford taking |g> to |H> maps to Z (two
-    graphs with the same choice would give a Z-only element of one graph
-    state's stabilizer other than the identity; Bouchet's count by Eulerian
-    vectors).  So the orbit is enumerated, and nothing solved on it, only
-    when orbit_cap < 3^n.  An input not settled so has its orbit solved
-    with root, and base is g whenever its own cover attains the upper
-    bound, else the orbit representative.
+    g has the least (|beta|, |M_max|) pair of the orbit (an own |beta| of r
+    is the case m = r): the bounds [r, m] and g's classification are proved
+    without the orbit, which is not enumerated at any cap, so the report is
+    never truncated.  Otherwise the orbit is solved with root, and base is g
+    whenever its own cover attains the upper bound, else the representative.
     """
+    _check_orbit_cap(orbit_cap)
     if not g.is_connected():
         raise ValueError("bounds require a connected graph")
     root = _root_facts(g)
@@ -158,8 +153,7 @@ def _solve(g: Graph, orbit_cap: int, *, listed: bool = False) -> tuple[BoundsRep
             f"the stabilized basis has at least 2^{r} states, past the 2^{_MAX_LISTED_BETA} that can be listed"
         )
     if cover == root.pauli_rank and root.own_matching == r:
-        truncated = orbit_cap < 3**g.n and lc_orbit_members(g, orbit_cap)[1]
-        return _report(g, r, cover, r, truncated), g, ()
+        return _report(g, r, cover, r, False), g, ()
     orbit = lc_orbit(g, orbit_cap, _root=root)
     report = _orbit_bounds(g, orbit)
     if cover == report.upper:
@@ -454,12 +448,12 @@ def evaluate(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> EntanglementReport
     The bounds, and the graph base to build the decomposition on, come from
     _solve, which bounds shares: g itself whenever its own vertex cover
     attains the orbit minimum (an input whose own |beta| is the least Pauli
-    rank m and whose own |M_max| is the cut rank r is settled without
-    solving its orbit), or else the orbit representative, with the CSS/CPS
-    transported back to g's labelling along the LC path.  A Pauli-rank
-    search that runs out of nodes proves no m and only leaves more members
-    to solve: the report is the same either way.  A cut rank above the
-    listing limit (_MAX_LISTED_BETA) is refused before any orbit work.
+    rank m and whose own |M_max| is the cut rank r is settled with no orbit
+    work and never truncated), or else the orbit representative, with the
+    CSS/CPS transported back to g's labelling along the LC path.  A
+    Pauli-rank search that runs out of nodes proves no m and only leaves
+    more members to solve: the report is the same either way.  A cut rank
+    above the listing limit _MAX_LISTED_BETA is refused before orbit work.
     """
     n = g.n
     rep_bounds, base, path = _solve(g, orbit_cap, listed=True)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import time
 
 import pytest
 
+from graphent import measures
 from graphent.cli import main
 
 from conftest import FIG6_TEXT, complete
@@ -102,7 +104,8 @@ def test_usage_error_exits_1(capsys, fig6_file):
 
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_orbit_cap_below_1_exits_1(capsys, fig6_file, cap):
-    for command in ("analyze", "orbit"):
+    # fig6 is settled at its own cover, so analyze and verify do no orbit work on it
+    for command in ("analyze", "orbit", "verify"):
         code, out, err = run(capsys, [command, fig6_file, "--orbit-cap", cap])
         assert code == 1 and out == ""
         assert "orbit cap" in err
@@ -289,8 +292,9 @@ def test_lattice_malformed_size_part(capsys, spec):
 
 
 def test_lattice_huge_range_checked_unexpanded(capsys):
-    # the range is checked before any row or size list is built, so the first
-    # size past the 64-vertex cap is reported at once however far the range goes
+    # the range is never expanded into a size list and nothing is printed
+    # before the first size past the 64-vertex cap, which is reported at once
+    # however far the range goes
     code, out, small_err = run(capsys, ["lattice", "triangular", "1..20", "--exact"])
     assert code == 1 and out == "" and "size 9 yields 81 > 64" in small_err
     start = time.perf_counter()
@@ -312,6 +316,28 @@ def test_verify_one_vertex(capsys, monkeypatch):
     assert ree_check == [
         {"detail": "ree=0.000000000000 upper=0", "name": "relative_entropy_equals_upper", "passed": True}
     ]
+
+
+def test_verify_checks_the_shipped_decomposition(capsys, tmp_path, monkeypatch):
+    # K4's decomposition is built on the star at the end of its lc_path (2,)
+    path = tmp_path / "k4.txt"
+    path.write_text("4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
+    code, out, _ = run(capsys, ["verify", str(path)])
+    assert code == 0 and json.loads(out)["all_passed"] is True
+    real = measures.evaluate
+
+    def one_sign_flipped(*args, **kwargs):
+        report = real(*args, **kwargs)
+        assert report.lc_path == (2,) and report.decomposition.size() == 2
+        (sign, state), *rest = report.decomposition.terms
+        decomp = dataclasses.replace(report.decomposition, terms=((-sign, state), *rest))
+        return dataclasses.replace(report, decomposition=decomp)
+
+    monkeypatch.setattr(measures, "evaluate", one_sign_flipped)
+    code, out, _ = run(capsys, ["verify", str(path)])
+    assert code == 4
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+    assert failed == ["decomposition_reconstructs"]
 
 
 def test_verify_examples(capsys, tmp_path, fig6_file):

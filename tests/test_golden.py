@@ -29,8 +29,8 @@ GOLDEN = [
     ("K33", K33, 5000, "833b4325eb5aa4ded718e03abdcbe0473995f52f15e220730f97097de9a54707"),
     ("star6", star(6), 5000, "29bbaee611e84f95652592c90dfb43df1ee074a7a6fbce80c9f85474ed8ee57b"),
     ("ring8", ring(8), 5000, "28c64361887e53d50493224710637f6eeb6de3126b60cf8bde57de7ce99e8c6a"),
-    ("ring10", ring(10), 5000, "efdf3be55b6fbf0a1f5fd6331f638160e9824cfd14de2848163a7779b26459c4"),
-    ("ring12", ring(12), 5000, "a6cfcf328d49db1e6968078ff1b85ed914c4072261a96dbb125f51aa0384bc1a"),
+    ("ring10", ring(10), 5000, "0eab986a74406febe01f21f59af5e997e3e288ce727336548701cabe97598198"),
+    ("ring12", ring(12), 5000, "490a284d3832521e9c910b9ea7200d2e7f806cebded9470f2b72ac14001f4303"),
     ("K33-cap2", K33, 2, "dbfbe84f447cf9500b465e2c63bcf2468ccd61b2a2bda27a84225d5711e47a66"),
 ]
 
@@ -56,7 +56,7 @@ ORACLE_GOLDEN = [
     ("verify", "C5", "05c04d75d532b1879a99efeab58ca663e8698eaf57f28049ea29c23e54c600d7"),
     ("css", "C5", "bb0fc1df544e816238aff733aaafd978864576a74fa851f52382779bda98d681"),
     ("analyze-oracle", "C5", "a0e4d4a6c1e28240ac8cd54e3c92622b0591930f77f88651215f2d1325ce9ddd"),
-    ("verify", "K4", "d25c60cb3e15dbfa370ccf20bd24c6b378fb0ddd71cfa40f309fd8a0820e5d6f"),
+    ("verify", "K4", "7d97479e6d617e50fc897bdc46cf09ae04467090273b1b99868aa6cbb16a295e"),
     ("css", "K4", "e71cc879c724d530e94dbf3bde5da9eafc3c2cae18fa35004129f22005ea0a08"),
     ("analyze-oracle", "K4", "41eb8e77925f11dca74ff05e0452359e5b7adc21cc4c8c6ddff310a5e9805a9b"),
 ]

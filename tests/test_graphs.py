@@ -285,8 +285,8 @@ def test_orbit_closure_small(p3, triangle):
 
 
 def test_orbit_has_at_most_3_to_the_n_members():
-    # the bound that lets evaluate skip enumeration when the cap is at least 3^n;
-    # every connected graph with n <= 6 lies in one of the orbits enumerated
+    # Bouchet's count of an LC orbit by Eulerian vectors; every connected
+    # graph with n <= 6 lies in one of the orbits enumerated
     seen = set()
     for g in (g for n in range(1, 7) for g in all_connected_graphs(n)):
         if (g.n, _pack(g.adj)) not in seen:

@@ -531,49 +531,51 @@ def test_evaluate_requires_connected():
         evaluate(Graph.from_edges(4, [(1, 2), (3, 4)]))
 
 
-def test_evaluate_settles_own_cover_at_cut_rank_without_the_orbit(monkeypatch):
-    # the 10-ring's own cover 5 is its cut rank, and 3^10 is below the default cap
+@pytest.fixture
+def no_orbit(monkeypatch):
+    """Make any orbit enumeration or orbit solve fail the test."""
+
     def refuse(*args, **kwargs):
         raise AssertionError("orbit enumerated")
 
+    monkeypatch.setattr(graphs, "lc_orbit_members", refuse)
     monkeypatch.setattr(measures, "lc_orbit", refuse)
-    monkeypatch.setattr(measures, "lc_orbit_members", refuse)
+
+
+def test_evaluate_settles_own_cover_at_cut_rank_without_the_orbit(no_orbit):
+    # the 10-ring's own cover 5 is its cut rank
     report = evaluate(ring(10))
     assert report.e_schmidt == 5.0 and report.lc_path == () and not report.bounds.truncated
     assert bounds(ring(10)) == report.bounds
 
 
-def test_evaluate_ring12_at_the_default_cap_is_truncated_and_proved():
-    # 3^12 exceeds the cap, so the orbit is enumerated only for the truncated flag
-    b = evaluate(ring(12)).bounds
-    assert b.truncated and (b.lower, b.upper) == (6, 6) and b.coincide
-
-
-def test_evaluate_settles_own_cover_at_the_pauli_rank_without_the_orbit(monkeypatch):
+def test_evaluate_settles_own_cover_at_the_pauli_rank_without_the_orbit(no_orbit):
     # the 9-ring: own cover 5 is the least Pauli rank, own |M_max| 4 the cut rank
-    def refuse(*args, **kwargs):
-        raise AssertionError("orbit enumerated")
-
-    monkeypatch.setattr(measures, "lc_orbit", refuse)
-    monkeypatch.setattr(measures, "lc_orbit_members", refuse)
     report = evaluate(ring(9))
     assert (report.bounds.lower, report.bounds.upper) == (4, 5) and not report.bounds.coincide
     assert report.lc_path == () and not report.bounds.truncated
     assert bounds(ring(9)) == report.bounds
 
 
-def test_evaluate_refuses_an_unlistable_decomposition_before_the_orbit(monkeypatch):
-    # the 64-ring's cut rank 32 bounds every member's |beta| from below
-    def refuse(*args, **kwargs):
-        raise AssertionError("orbit enumerated")
+def test_settled_inputs_do_no_orbit_work_at_any_cap(no_orbit):
+    # the 12-ring's orbit is larger than either cap, but its own cover 6 is
+    # its cut rank: the value is proved, so the report is not truncated
+    for cap in (1, 100_000):
+        report = evaluate(ring(12), cap)
+        b = report.bounds
+        assert (b.lower, b.upper) == (6, 6) and b.coincide and not b.truncated, cap
+        assert report.lc_path == () and bounds(ring(12), cap) == b
+    b = bounds(ring(64))  # bounds lists nothing, so it does not refuse
+    assert (b.lower, b.upper) == (32, 32) and b.coincide and not b.truncated
+    for solve in (evaluate, bounds):  # the cap is checked all the same
+        with pytest.raises(ValueError, match="orbit cap 0 must be at least 1"):
+            solve(ring(12), 0)
 
-    monkeypatch.setattr(measures, "lc_orbit", refuse)
-    monkeypatch.setattr(measures, "lc_orbit_members", refuse)
+
+def test_evaluate_refuses_an_unlistable_decomposition_before_the_orbit(no_orbit):
+    # the 64-ring's cut rank 32 bounds every member's |beta| from below
     with pytest.raises(ValueError, match=r"2\^32 states"):
         evaluate(ring(64))
-    monkeypatch.undo()
-    b = bounds(ring(64))  # bounds lists nothing, so it does not refuse
-    assert (b.lower, b.upper) == (32, 32) and b.truncated
 
 
 def test_evaluate_works_out_the_input_facts_once(monkeypatch):
@@ -610,19 +612,34 @@ def test_evaluate_unchanged_when_the_pauli_rank_search_runs_out(monkeypatch):
 
 @pytest.fixture(scope="module")
 def settle_corpus() -> list:
-    """Every connected graph with n <= 5 and every 7th with n = 6, then the
-    7- to 9-rings and seeded G(n, 1/2) with n = 7-9."""
+    """(graph, settled) for every connected graph with n <= 5 and every 7th
+    with n = 6, then the 7- to 9-rings and seeded G(n, 1/2) with n = 7-9.
+
+    settled: the graph's own vertex cover is the smallest of its full orbit
+    and its own maximum matching the orbit's cut rank, so its bounds are
+    proved without the orbit."""
     corpus = [g for n in range(1, 6) for g in all_connected_graphs(n)]
     corpus += itertools.islice(all_connected_graphs(6), 0, None, 7)
     rng = random.Random(53)
-    return corpus + [ring(n) for n in (7, 8, 9)] + [random_connected(n, rng) for n in (7, 7, 8, 8, 9, 9)]
+    corpus += [ring(n) for n in (7, 8, 9)] + [random_connected(n, rng) for n in (7, 7, 8, 8, 9, 9)]
+    out = []
+    for g in corpus:
+        full = lc_orbit(g)
+        own = (len(min_vertex_cover(g)), len(max_matching(g)))
+        out.append((g, own == (full.min_vertex_cover, full.cut_rank)))
+    return out
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 20, 100_000])
 def test_evaluate_and_bounds_equal_the_orbit_path(cap, settle_corpus):
-    for g in settle_corpus:
+    # the orbit path's values, classification and lc_path at every cap; its
+    # truncated flag only where the input is not settled at its own cover
+    assert any(settled for _, settled in settle_corpus)
+    for g, settled in settle_corpus:
         orbit = lc_orbit(g, cap)
         want = measures._orbit_bounds(g, orbit)
+        if settled:
+            want = dataclasses.replace(want, truncated=False)
         report = evaluate(g, cap)
         assert report.bounds == want == bounds(g, cap), g.edges()
         path = () if len(min_vertex_cover(g)) == want.upper else orbit.lc_path
