@@ -14,18 +14,13 @@ from .graphs import (
     lc_orbit_members,
     local_complement,
     max_independent_set,
-    max_matching,
-    min_vertex_cover,
     parse_graph,
 )
 from .measures import (
-    BellExtraction,
-    BellSearchError,
     BoundsReport,
     Decomposition,
     EntanglementReport,
     SeparableStateDescription,
-    bell_extraction,
     bounds,
     classify,
     closest_product_state,
@@ -33,7 +28,6 @@ from .measures import (
     css_stabilizer_form,
     evaluate,
     minimal_decomposition,
-    predicts_equal,
     sign_function,
     transport_css,
 )
@@ -42,14 +36,13 @@ from .pauli import (
     StabilizerGroup,
     apply_generator,
     apply_pauli,
-    entangles_check,
     generators_from_graph,
     lc_clifford_transport,
     multiply,
     restricted_subgroup,
     stabilized_product_basis,
 )
-from .lattices import LatticeSpec, gap_exact, gap_formula, gap_scan, generate_lattice
+from .lattices import LatticeSpec, gap_formula, gap_scan, generate_lattice
 from .separable import noise_css, peps_css
 
 __version__ = "0.1.0"

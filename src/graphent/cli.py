@@ -75,21 +75,25 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def _oracle_block(g: Graph, report) -> dict:
     if g.n > dense.DENSE_OP_CAP:
         return {"skipped": f"dense oracle limited to n <= {dense.DENSE_OP_CAP}"}
-    psi = dense.statevector(g)
+    figures = _dense_figures(g, report, dense.statevector(g))
+    block = {key: value for key, (value, _) in figures.items()}
+    block["verified"] = all(passed for _, passed in figures.values())
+    return block
+
+
+def _dense_figures(g: Graph, report, psi: np.ndarray) -> dict[str, tuple[float, bool]]:
+    """(value, within tolerance) of each dense figure of report, psi being
+    g's statevector: the REE of its CSS against the upper bound, the
+    reconstruction error of its decomposition, and its CPS overlap against
+    2^-upper."""
+    upper = report.bounds.upper
     ree = dense.mixture_relative_entropy(psi, report.css.components)
     rec_err = _reconstruction_error(g, report)
     cps_overlap = dense.overlap2(psi, report.cps)
-    upper = report.bounds.upper
-    verified = (
-        abs(ree - upper) < REE_TOL
-        and rec_err < DENSE_TOL
-        and abs(cps_overlap - 2.0**-upper) < DENSE_TOL
-    )
     return {
-        "ree": ree,
-        "reconstruction_max_err": rec_err,
-        "cps_overlap2": cps_overlap,
-        "verified": bool(verified),
+        "ree": (ree, abs(ree - upper) < REE_TOL),
+        "reconstruction_max_err": (rec_err, rec_err < DENSE_TOL),
+        "cps_overlap2": (cps_overlap, abs(cps_overlap - 2.0**-upper) < DENSE_TOL),
     }
 
 
@@ -231,14 +235,12 @@ def run_verification(g: Graph, report, seed: int = 0):
         fix_err = max(fix_err, float(np.abs(dense.pauli_dense(gen) @ psi - psi).max()))
     checks.append(("generators_fix_statevector", fix_err < DENSE_TOL, f"max_err={fix_err:.3e}"))
 
-    rec_err = _reconstruction_error(g, report)
-    checks.append(("decomposition_reconstructs", rec_err < DENSE_TOL, f"max_err={rec_err:.3e}"))
+    figures = _dense_figures(g, report, psi)
+    rec_err, passed = figures["reconstruction_max_err"]
+    checks.append(("decomposition_reconstructs", passed, f"max_err={rec_err:.3e}"))
 
-    ree = dense.mixture_relative_entropy(psi, report.css.components)
-    ree_err = abs(ree - report.bounds.upper)
-    checks.append(
-        ("relative_entropy_equals_upper", ree_err < REE_TOL, f"ree={ree:.12f} upper={report.bounds.upper}")
-    )
+    ree, passed = figures["ree"]
+    checks.append(("relative_entropy_equals_upper", passed, f"ree={ree:.12f} upper={report.bounds.upper}"))
 
     errs = _css_errors(
         measures.closest_separable_state(g, alpha).components,
@@ -250,9 +252,8 @@ def run_verification(g: Graph, report, seed: int = 0):
     for name, err in zip(names, errs.values()):
         checks.append((name, err < DENSE_TOL, f"max_err={err:.3e}"))
 
-    cps_overlap = dense.overlap2(psi, report.cps)
-    cps_err = abs(cps_overlap - 2.0 ** -report.bounds.upper)
-    checks.append(("cps_overlap_certificate", cps_err < DENSE_TOL, f"overlap2={cps_overlap:.12f}"))
+    cps_overlap, passed = figures["cps_overlap2"]
+    checks.append(("cps_overlap_certificate", passed, f"overlap2={cps_overlap:.12f}"))
 
     rng = random.Random(seed)
     cut_ok = True

@@ -273,12 +273,11 @@ def _parse_graph6(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def parse_graph(text: str, fmt: str = "edgelist", require_connected: bool = True) -> Graph:
-    """Parse edge-list or graph6 text into a Graph.
+def parse_graph(text: str, fmt: str = "edgelist") -> Graph:
+    """Parse edge-list or graph6 text into a connected Graph.
 
-    Analysis entry points require connectivity, so by default a disconnected
-    graph raises DisconnectedGraphError; require_connected=False parses any
-    graph, e.g. to read a disconnected edge list or graph6 string back.
+    Analysis entry points require connectivity, so a disconnected graph
+    raises DisconnectedGraphError.
     """
     if fmt == "edgelist":
         g = _parse_edgelist(text)
@@ -286,7 +285,7 @@ def parse_graph(text: str, fmt: str = "edgelist", require_connected: bool = True
         g = _parse_graph6(text)
     else:
         raise ValueError(f"unknown graph format {fmt!r}")
-    if require_connected and not g.is_connected():
+    if not g.is_connected():
         raise DisconnectedGraphError("input graph is not connected")
     return g
 
@@ -358,12 +357,6 @@ def _lc_key(n: int, key: int, a0: int) -> int:
     stride, lows, keep = _layout(n)
     row = (key >> (n - 1 - a0) * stride) & ((1 << n) - 1)
     return key ^ _toggle(key, a0, row, lows, keep)
-
-
-def _edge_key(n: int, u0: int, v0: int) -> int:
-    """The two bits of the packed key that hold edge {u0, v0} (0-based)."""
-    stride = _layout(n)[0]
-    return (1 << ((n - 1 - u0) * stride + v0)) | (1 << ((n - 1 - v0) * stride + u0))
 
 
 def local_complement(g: Graph, a: int) -> Graph:
@@ -633,38 +626,6 @@ def _matching_max_size(n: int, adj) -> int:
     return size
 
 
-def max_matching(g: Graph) -> tuple[tuple[int, int], ...]:
-    """Lexicographically smallest maximum matching, as sorted 1-indexed pairs."""
-    n = g.n
-    adj = list(g.adj)
-    remaining = _matching_max_size(n, adj)
-    chosen: list[tuple[int, int]] = []
-    while remaining:
-        found = False
-        for i in range(n):
-            row = adj[i]
-            for j in _bits(row):
-                if j <= i:
-                    continue
-                trial = list(adj)
-                kill = (1 << i) | (1 << j)
-                for k in range(n):
-                    trial[k] &= ~kill
-                trial[i] = 0
-                trial[j] = 0
-                if _matching_max_size(n, trial) == remaining - 1:
-                    chosen.append((i + 1, j + 1))
-                    adj = trial
-                    remaining -= 1
-                    found = True
-                    break
-            if found:
-                break
-        if not found:  # pragma: no cover - would mean the solver is inconsistent
-            raise RuntimeError("matching extraction failed")
-    return tuple(chosen)
-
-
 # ---------------------------------------------------------------------------
 # Maximum independent set / minimum vertex cover
 
@@ -771,12 +732,6 @@ def max_independent_set(g: Graph) -> frozenset[int]:
             cand = cand_in
             left -= 1
     return _vertices_of(chosen)
-
-
-def min_vertex_cover(g: Graph) -> frozenset[int]:
-    """Complement of the maximum independent set; |alpha| + |beta| = n."""
-    alpha = max_independent_set(g)
-    return frozenset(range(1, g.n + 1)) - alpha
 
 
 def is_bipartite(g: Graph):

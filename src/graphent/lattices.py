@@ -193,11 +193,6 @@ def _solve_gap(g: Graph) -> tuple[int, int, int]:
     return matching, cover, cover - matching
 
 
-def gap_exact(g: Graph) -> int:
-    """Exact |beta| - |M_max| on the given lattice graph (no orbit minimisation)."""
-    return _solve_gap(g)[2]
-
-
 @dataclass(frozen=True)
 class GapRow:
     kind: str

@@ -25,9 +25,7 @@ are views.
 
 from __future__ import annotations
 
-import functools
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +36,8 @@ from .graphs import (
     OrbitSummary,
     _bits,
     _check_orbit_cap,
-    _edge_key,
     _independent_mask,
-    _lc_key,
     _mask_of,
-    _matching_max_size,
-    _pack,
     _root_facts,
     is_bipartite,
     lc_orbit,
@@ -60,14 +54,6 @@ ALPHA_EQ_HALF_PERFECT = "ALPHA_EQ_HALF_PERFECT"
 ALPHA_EQ_HALF_IMPERFECT = "ALPHA_EQ_HALF_IMPERFECT"
 BIPARTITE_KONIG = "BIPARTITE_KONIG"
 
-_PREDICTS_EQUAL = {
-    ALPHA_LT_HALF: False,
-    ALPHA_GT_HALF: True,
-    ALPHA_EQ_HALF_PERFECT: True,
-    ALPHA_EQ_HALF_IMPERFECT: False,
-    BIPARTITE_KONIG: True,
-}
-
 
 def classify(alpha_size: int, n: int, matching_is_perfect: bool | None = None) -> str:
     """Bound-equality classification from |alpha| against n/2.
@@ -82,10 +68,6 @@ def classify(alpha_size: int, n: int, matching_is_perfect: bool | None = None) -
     if matching_is_perfect is None:
         raise ValueError("|alpha| = n/2 requires the perfect-matching flag")
     return ALPHA_EQ_HALF_PERFECT if matching_is_perfect else ALPHA_EQ_HALF_IMPERFECT
-
-
-def predicts_equal(classification: str) -> bool:
-    return _PREDICTS_EQUAL[classification]
 
 
 @dataclass(frozen=True)
@@ -275,118 +257,6 @@ def transport_css(g: Graph, lc_sequence, alpha=None) -> SeparableStateDescriptio
     codes = _basis_codes(g, _independent_mask(g, _alpha_or_default(g, alpha)))
     _transport_components(g, tuple(lc_sequence), codes)
     return SeparableStateDescription(_decode_states(codes), 1.0 / len(codes))
-
-
-# ---------------------------------------------------------------------------
-# Bell-pair extraction (matching lower-bound witness)
-
-
-class BellSearchError(RuntimeError):
-    """Raised when no move sequence reaches the Bell-pair graph for any endpoint selection."""
-
-
-@dataclass(frozen=True)
-class BellExtraction:
-    moves: tuple
-    final: Graph
-    partition_a: frozenset[int]
-
-
-def _bell_moves(n: int, amask: int):
-    """Within-partition CZ toggles (sorted pairs) then local complementations."""
-    moves = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            same_a = ((amask >> u) & 1) and ((amask >> v) & 1)
-            same_b = not ((amask >> u) & 1) and not ((amask >> v) & 1)
-            if same_a or same_b:
-                moves.append(("cz", u + 1, v + 1))
-    moves.extend(("lc", a) for a in range(1, n + 1))
-    return tuple(moves)
-
-
-def _apply_bell_move(n: int, key: int, move) -> int:
-    """One move on a packed adjacency key (see graphs._pack)."""
-    if move[0] == "cz":
-        return key ^ _edge_key(n, move[1] - 1, move[2] - 1)
-    return _lc_key(n, key, move[1] - 1)
-
-
-@functools.lru_cache(maxsize=64)
-def _bell_tree(n: int, medges, amask: int) -> dict:
-    """Backward BFS tree over all matching-preserving states, rooted at the goal.
-
-    States are packed adjacency keys.  Every move is an involution, so the
-    tree reaches exactly the states from which the goal is reachable; shared
-    across queries with the same matching and partition.
-    """
-    goal = _pack(Graph.from_edges(n, medges).adj)  # exactly the matched edges
-    moves = _bell_moves(n, amask)
-    tree = {goal: None}
-    queue = deque([goal])
-    while queue:
-        cur = queue.popleft()
-        for move in moves:
-            nxt = _apply_bell_move(n, cur, move)
-            if nxt in tree or nxt & goal != goal:  # seen, or a matched edge lost
-                continue
-            tree[nxt] = (move, cur)
-            queue.append(nxt)
-    return tree
-
-
-def bell_extraction(g: Graph, matching) -> BellExtraction:
-    """Reduce g to exactly its matched edges using within-partition CZs and LCs.
-
-    Partition A holds one endpoint per matched edge (smaller endpoint first;
-    the remaining selections are tried in order on failure).  Each selection's
-    backward tree lists every graph that can reach the goal, so a refusal is
-    exact; the trees are built for n <= 6 only, and larger graphs raise
-    ValueError.  The returned move sequence is replayed and verified: every
-    matched edge survives every intermediate graph and the final graph is the
-    disjoint union of the matched edges plus isolated vertices.
-    """
-    if g.n > 6:
-        raise ValueError("Bell extraction is limited to n <= 6")
-    medges = tuple(sorted((min(u, v), max(u, v)) for u, v in matching))
-    used = set()
-    for u, v in medges:
-        if not g.has_edge(u, v):
-            raise ValueError(f"matched pair ({u},{v}) is not an edge")
-        if u in used or v in used:
-            raise ValueError("matching edges share a vertex")
-        used.update((u, v))
-    if len(medges) != _matching_max_size(g.n, g.adj):
-        raise ValueError("matching is not maximum")
-
-    goal = Graph.from_edges(g.n, medges)
-    start, want = _pack(g.adj), _pack(goal.adj)
-    for sel in range(1 << len(medges)):
-        amask = 0
-        for i, (u, v) in enumerate(medges):
-            pick = v if (sel >> i) & 1 else u
-            amask |= 1 << (pick - 1)
-        tree = _bell_tree(g.n, medges, amask)
-        if start not in tree:
-            continue
-        seq = []
-        state = start
-        while tree[state] is not None:
-            move, state = tree[state]
-            seq.append(move)
-        key = start
-        for move in seq:
-            key = _apply_bell_move(g.n, key, move)
-            if key & want != want:
-                raise BellSearchError("matched edge deleted mid-sequence")
-        if key != want:
-            raise BellSearchError("replayed sequence missed the goal graph")
-        return BellExtraction(
-            moves=tuple(seq),
-            final=goal,
-            partition_a=frozenset(b + 1 for b in _bits(amask)),
-        )
-    raise BellSearchError("no sequence of these moves exists for any endpoint selection")
 
 
 # ---------------------------------------------------------------------------

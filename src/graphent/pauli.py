@@ -13,7 +13,6 @@ transport maps whole columns through 256-entry byte tables.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,10 +150,6 @@ def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     return PauliOperator(p.n, p.x ^ q.x, p.z ^ q.z, phase)
 
 
-def commutes(p: PauliOperator, q: PauliOperator) -> bool:
-    return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) % 2 == 0
-
-
 @dataclass(frozen=True)
 class StabilizerGroup:
     """Independent commuting generators, tagged with the vertex indices kept."""
@@ -194,19 +189,6 @@ def group_elements(s: StabilizerGroup) -> list[PauliOperator]:
             acc = multiply(acc, s.generators[idx])
         elements.append(acc)
     return elements
-
-
-def entangles_check(s: StabilizerGroup) -> bool:
-    """True when some kept generator has Z on another kept generator's vertex.
-
-    For graph stabilizers this means the kept vertex set is not independent,
-    so the stabilized set contains entangled states rather than a product
-    basis.
-    """
-    for p, q in itertools.permutations(s.generators, 2):
-        if p.x & q.z:
-            return True
-    return False
 
 
 def _basis_codes(g: Graph, amask: int) -> np.ndarray:
@@ -290,11 +272,9 @@ __all__ = [
     "STATE_ALPHABET",
     "identity",
     "multiply",
-    "commutes",
     "generators_from_graph",
     "restricted_subgroup",
     "group_elements",
-    "entangles_check",
     "stabilized_product_basis",
     "apply_pauli",
     "apply_generator",

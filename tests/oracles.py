@@ -1,7 +1,8 @@
-"""Brute-force references that the tests compare the library against.
+"""Brute-force references and plain checks that the tests compare the library against.
 
 None of these is part of the pipeline: each is the plainest way to get a
-value the library computes faster, kept small enough to read at a glance.
+value the library computes faster, or a statement of the paper the tests
+check, kept small enough to read at a glance.
 """
 
 from __future__ import annotations
@@ -14,6 +15,14 @@ import numpy as np
 from graphent import dense
 from graphent.dense import DENSE_OP_CAP, _check_cap
 from graphent.graphs import Graph, _bits, _mask_of, max_independent_set
+from graphent.measures import (
+    ALPHA_EQ_HALF_IMPERFECT,
+    ALPHA_EQ_HALF_PERFECT,
+    ALPHA_GT_HALF,
+    ALPHA_LT_HALF,
+    BIPARTITE_KONIG,
+)
+from graphent.pauli import PauliOperator, StabilizerGroup
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -35,21 +44,28 @@ def brute_mis(g: Graph) -> int:
     return best
 
 
-def brute_matching(g: Graph) -> int:
-    """Maximum matching size by exhaustive search over matchings."""
-    edges = g.edges()
+def brute_matching(g: Graph) -> tuple[tuple[int, int], ...]:
+    """The lexicographically first maximum matching, as sorted 1-indexed pairs.
 
-    def grow(start: int, used_mask: int) -> int:
-        best = 0
+    Exhaustive search over matchings, extending each by a later edge of the
+    sorted edge list: matchings are visited in lexicographic order, so the
+    first one of the largest size is the lexicographically first.
+    """
+    edges = g.edges()
+    best: list[tuple[int, int]] = []
+
+    def grow(start: int, used_mask: int, chosen: list[tuple[int, int]]):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = list(chosen)
         for idx in range(start, len(edges)):
             u, v = edges[idx]
             pair = (1 << (u - 1)) | (1 << (v - 1))
-            if used_mask & pair:
-                continue
-            best = max(best, 1 + grow(idx + 1, used_mask | pair))
-        return best
+            if not used_mask & pair:
+                grow(idx + 1, used_mask | pair, chosen + [(u, v)])
 
-    return grow(0, 0)
+    grow(0, 0, [])
+    return tuple(best)
 
 
 def lc_unitary_dense(g: Graph, a: int) -> np.ndarray:
@@ -130,3 +146,34 @@ def noise_css_quadrature(g: Graph, beta=None, points: int = 64) -> np.ndarray:
         vec = psi * np.exp(1j * phase)
         rho += np.outer(vec, vec.conj())
     return rho / total
+
+
+# Whether each bound-equality classification predicts coinciding bounds.
+_PREDICTS_EQUAL = {
+    ALPHA_LT_HALF: False,
+    ALPHA_GT_HALF: True,
+    ALPHA_EQ_HALF_PERFECT: True,
+    ALPHA_EQ_HALF_IMPERFECT: False,
+    BIPARTITE_KONIG: True,
+}
+
+
+def predicts_equal(classification: str) -> bool:
+    return _PREDICTS_EQUAL[classification]
+
+
+def commutes(p: PauliOperator, q: PauliOperator) -> bool:
+    return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) % 2 == 0
+
+
+def entangles_check(s: StabilizerGroup) -> bool:
+    """True when some kept generator has Z on another kept generator's vertex.
+
+    For graph stabilizers this means the kept vertex set is not independent,
+    so the stabilized set contains entangled states rather than a product
+    basis.
+    """
+    for p, q in itertools.permutations(s.generators, 2):
+        if p.x & q.z:
+            return True
+    return False

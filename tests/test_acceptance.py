@@ -19,7 +19,6 @@ import pytest
 
 from graphent import (
     Graph,
-    bell_extraction,
     bounds,
     closest_separable_state,
     cut_rank,
@@ -28,19 +27,19 @@ from graphent import (
     gap_formula,
     generate_lattice,
     is_bipartite,
-    max_matching,
     minimal_decomposition,
     restricted_subgroup,
     stabilized_product_basis,
 )
 from graphent.graphs import _matching_max_size, _mis_size
 from graphent.lattices import LatticeSpec
-from graphent.measures import BellSearchError, css_stabilizer_form, predicts_equal
-from graphent.pauli import entangles_check, generators_from_graph
+from graphent.measures import css_stabilizer_form
+from graphent.pauli import generators_from_graph
 from graphent.separable import noise_css, peps_css
 
+from bell import BellSearchError, _apply_bell_move, bell_extraction
 from conftest import complete, random_connected, record_criterion, star
-from oracles import all_connected_graphs, brute_matching, brute_mis
+from oracles import all_connected_graphs, brute_matching, brute_mis, entangles_check, predicts_equal
 
 FIG6 = Graph.from_edges(6, [(1, 6), (2, 6), (3, 5), (4, 5), (5, 6)])
 
@@ -215,7 +214,7 @@ def test_criterion_07_koenig_duality():
         if is_bipartite(g) is not None:
             assert msize == beta, g.edges()
         if g.n <= 6:  # brute-force cross-check on the exhaustive corpus
-            assert msize == brute_matching(g)
+            assert msize == len(brute_matching(g))
             assert alpha == brute_mis(g)
     elapsed = time.monotonic() - t0
     record_criterion(
@@ -226,14 +225,13 @@ def test_criterion_07_koenig_duality():
 def test_criterion_08_bell_extraction_exhaustive():
     t0 = time.monotonic()
     from graphent.graphs import _pack, _unpack
-    from graphent.measures import _apply_bell_move
 
     attempted = extracted = infeasible = 0
     for g in connected_graphs(6):
         if _matching_max_size(6, g.adj) != 3:
             continue
         attempted += 1
-        m = max_matching(g)
+        m = brute_matching(g)
         feasible = any(
             cut_rank(g, [(v if (sel >> i) & 1 else u) for i, (u, v) in enumerate(m)]) == 3
             for sel in range(8)

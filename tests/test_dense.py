@@ -155,9 +155,9 @@ def test_reduced_entropy_equals_cut_rank():
 
 def test_brute_solvers(fig6):
     assert brute_mis(fig6) == 4
-    assert brute_matching(fig6) == 2
+    assert len(brute_matching(fig6)) == 2
     assert brute_mis(complete(5)) == 1
-    assert brute_matching(complete(5)) == 2
+    assert len(brute_matching(complete(5))) == 2
 
 
 def test_best_product_overlap_product_input():

@@ -21,8 +21,6 @@ from graphent import (
     lc_orbit_members,
     local_complement,
     max_independent_set,
-    max_matching,
-    min_vertex_cover,
     parse_graph,
 )
 from graphent.graphs import (
@@ -30,7 +28,6 @@ from graphent.graphs import (
     _cut_rank,
     _cut_rank_bound,
     _cut_rank_ceiling,
-    _edge_key,
     _greedy_clique_cover,
     _layout,
     _lc_key,
@@ -38,12 +35,15 @@ from graphent.graphs import (
     _min_pauli_rank,
     _mis_size,
     _pack,
+    _parse_edgelist,
+    _parse_graph6,
     _path_to,
     _unpack,
     _vertices_of,
 )
 from graphent.lattices import LatticeSpec, generate_lattice
 
+from bell import _edge_key
 from conftest import FIG6, complete, random_connected, ring, star
 from oracles import all_connected_graphs, brute_matching, brute_min_pauli_rank, brute_mis
 
@@ -102,7 +102,7 @@ def test_parse_errors(text):
 def test_parse_rejects_disconnected():
     with pytest.raises(DisconnectedGraphError):
         parse_graph("4 2\n1 2\n3 4")
-    g = parse_graph("4 2\n1 2\n3 4", require_connected=False)
+    g = _parse_edgelist("4 2\n1 2\n3 4")
     assert g.n == 4
 
 
@@ -116,7 +116,7 @@ def test_graph6_known_vector(p3):
 @settings(max_examples=60, deadline=None)
 @given(graphs_strategy())
 def test_graph6_round_trip(g):
-    assert parse_graph(g.to_graph6(), fmt="graph6", require_connected=False).adj == g.adj
+    assert _parse_graph6(g.to_graph6()).adj == g.adj
 
 
 def test_graph6_bad_chars():
@@ -165,7 +165,7 @@ def test_orbit_fig6(fig6):
     assert not summary.truncated
     # brute-force matching/MVC per enumerated member agrees with the minima
     members, _ = lc_orbit_members(fig6)
-    assert min(brute_matching(Graph(6, _unpack(6, key))) for key in members) == 2
+    assert min(len(brute_matching(Graph(6, _unpack(6, key)))) for key in members) == 2
     assert min(6 - brute_mis(Graph(6, _unpack(6, key))) for key in members) == 2
 
 
@@ -427,22 +427,22 @@ def test_packed_key_order_is_adjacency_order():
 
 
 def test_matching_fig6(fig6):
-    m = max_matching(fig6)
-    assert len(m) == 2
+    m = brute_matching(fig6)
+    assert len(m) == _matching_max_size(6, fig6.adj) == 2
     assert m == ((1, 6), (3, 5))
 
 
 def test_matching_star():
     for n in (3, 5, 8):
-        assert len(max_matching(star(n))) == 1
+        assert _matching_max_size(n, star(n).adj) == len(brute_matching(star(n))) == 1
 
 
 def test_matching_complete():
-    assert len(max_matching(complete(6))) == 3
+    assert _matching_max_size(6, complete(6).adj) == len(brute_matching(complete(6))) == 3
 
 
 def test_matching_is_valid_matching(fig6):
-    m = max_matching(fig6)
+    m = brute_matching(fig6)
     seen = set()
     for u, v in m:
         assert fig6.has_edge(u, v)
@@ -456,32 +456,37 @@ def test_matching_exhaustive_n5_vs_brute():
         for mask in range(1 << len(pairs)):
             edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
             g = Graph.from_edges(n, edges)
-            assert _matching_max_size(n, g.adj) == brute_matching(g)
+            assert _matching_max_size(n, g.adj) == len(brute_matching(g))
 
 
 @settings(max_examples=40, deadline=None)
 @given(graphs_strategy(max_n=8))
 def test_matching_vs_brute_random(g):
-    assert _matching_max_size(g.n, g.adj) == brute_matching(g)
+    assert _matching_max_size(g.n, g.adj) == len(brute_matching(g))
 
 
 # ---------------------------------------------------------------------------
 # independent set / vertex cover
 
 
+def vertex_cover(g: Graph) -> frozenset[int]:
+    """The vertex cover beta that complements max_independent_set."""
+    return frozenset(range(1, g.n + 1)) - max_independent_set(g)
+
+
 def test_mis_fig6(fig6):
     assert max_independent_set(fig6) == {1, 2, 3, 4}
-    assert min_vertex_cover(fig6) == {5, 6}
+    assert vertex_cover(fig6) == {5, 6}
 
 
 def test_mis_p3(p3):
     assert max_independent_set(p3) == {1, 3}
-    assert min_vertex_cover(p3) == {2}
+    assert vertex_cover(p3) == {2}
 
 
 def test_mis_k5_tie_break():
     assert max_independent_set(complete(5)) == {1}
-    assert min_vertex_cover(complete(5)) == {2, 3, 4, 5}
+    assert vertex_cover(complete(5)) == {2, 3, 4, 5}
 
 
 def test_mis_tie_break_prefers_low_vertices():
@@ -502,7 +507,7 @@ def test_mis_exhaustive_n5_vs_brute():
 @given(graphs_strategy(max_n=8))
 def test_mis_properties(g):
     alpha = max_independent_set(g)
-    beta = min_vertex_cover(g)
+    beta = vertex_cover(g)
     assert len(alpha) + len(beta) == g.n
     for a in alpha:
         assert not (alpha & g.neighbors(a))
@@ -515,7 +520,7 @@ def test_mis_properties(g):
 @given(graphs_strategy(max_n=8))
 def test_matching_cover_duality(g):
     msize = _matching_max_size(g.n, g.adj)
-    bsize = len(min_vertex_cover(g))
+    bsize = len(vertex_cover(g))
     assert msize <= bsize
     if is_bipartite(g) is not None:
         assert msize == bsize

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from graphent import (
     BoundsReport,
     Graph,
-    bell_extraction,
     bounds,
     classify,
     closest_product_state,
@@ -28,11 +27,8 @@ from graphent import (
     lc_orbit,
     lc_orbit_members,
     max_independent_set,
-    max_matching,
     measures,
-    min_vertex_cover,
     minimal_decomposition,
-    predicts_equal,
     sign_function,
     stabilized_product_basis,
     transport_css,
@@ -43,13 +39,13 @@ from graphent.measures import (
     ALPHA_GT_HALF,
     ALPHA_LT_HALF,
     BIPARTITE_KONIG,
-    BellSearchError,
     _transport_components,
 )
-from graphent.graphs import _pack, _unpack
+from graphent.graphs import _matching_max_size, _pack, _unpack
 
+from bell import BellSearchError, _apply_bell_move, bell_extraction
 from conftest import complete, kernel_cases, random_connected, ring, small_graphs_with_alphas, star
-from oracles import all_connected_graphs
+from oracles import all_connected_graphs, brute_matching, predicts_equal
 
 FIG4 = Graph.from_edges(7, [(1, 7), (2, 7), (3, 6), (4, 5), (5, 6), (5, 7), (6, 7)])
 
@@ -339,7 +335,7 @@ def test_cps_rejects_dependent_alpha(p3, fig6):
 
 
 # ---------------------------------------------------------------------------
-# Bell extraction
+# Bell extraction (tests/bell.py, the reference of criterion 08)
 
 
 def test_bell_p2_trivial(p2):
@@ -358,12 +354,10 @@ def test_bell_prism():
     prism = Graph.from_edges(
         6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (1, 4), (2, 5), (3, 6)]
     )
-    m = max_matching(prism)
+    m = brute_matching(prism)
     result = bell_extraction(prism, m)
     assert result.final.edges() == sorted(m)
     # replay: every matched edge survives every intermediate graph
-    from graphent.measures import _apply_bell_move
-
     key = _pack(prism.adj)
     for move in result.moves:
         key = _apply_bell_move(6, key, move)
@@ -376,7 +370,7 @@ def test_bell_k6_infeasible_fails_loudly():
     # every K6 bipartition has cut rank 1 < 3: extraction must report failure
     k6 = complete(6)
     with pytest.raises(BellSearchError):
-        bell_extraction(k6, max_matching(k6))
+        bell_extraction(k6, brute_matching(k6))
 
 
 def test_bell_rejects_bad_matching(p4):
@@ -392,7 +386,7 @@ def test_bell_refusals_are_exact_up_to_n5():
     graphs = refused = 0
     for n in range(2, 6):
         for g in all_connected_graphs(n):
-            m = max_matching(g)
+            m = brute_matching(g)
             feasible = any(
                 cut_rank(g, [(v if (sel >> i) & 1 else u) for i, (u, v) in enumerate(m)]) == len(m)
                 for sel in range(1 << len(m))
@@ -415,7 +409,7 @@ def test_bell_above_n6_is_refused_at_once():
         (3, 8), (4, 5), (4, 8), (5, 6), (5, 8), (7, 8),
     ])
     cases = [
-        (ring(7), max_matching(ring(7))),
+        (ring(7), brute_matching(ring(7))),
         (motivation, [(1, 4), (2, 3), (5, 6), (7, 8)]),
     ]
     for g, m in cases:
@@ -625,7 +619,7 @@ def settle_corpus() -> list:
     out = []
     for g in corpus:
         full = lc_orbit(g)
-        own = (len(min_vertex_cover(g)), len(max_matching(g)))
+        own = (g.n - len(max_independent_set(g)), _matching_max_size(g.n, g.adj))
         out.append((g, own == (full.min_vertex_cover, full.cut_rank)))
     return out
 
@@ -642,7 +636,7 @@ def test_evaluate_and_bounds_equal_the_orbit_path(cap, settle_corpus):
             want = dataclasses.replace(want, truncated=False)
         report = evaluate(g, cap)
         assert report.bounds == want == bounds(g, cap), g.edges()
-        path = () if len(min_vertex_cover(g)) == want.upper else orbit.lc_path
+        path = () if g.n - len(max_independent_set(g)) == want.upper else orbit.lc_path
         assert report.lc_path == path, g.edges()
 
 

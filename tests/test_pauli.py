@@ -15,7 +15,6 @@ from graphent import (
     apply_generator,
     apply_pauli,
     dense,
-    entangles_check,
     evaluate,
     generators_from_graph,
     lattices,
@@ -30,10 +29,10 @@ from graphent import (
 )
 from graphent.cli import _json
 from graphent.measures import _transport_components
-from graphent.pauli import commutes, group_elements, identity
+from graphent.pauli import group_elements, identity
 
 from conftest import kernel_cases, random_connected
-from oracles import lc_unitary_dense
+from oracles import commutes, entangles_check, lc_unitary_dense
 from test_golden import GOLDEN
 
 
