@@ -3,8 +3,9 @@
 the product-overlap search say when they do not?
 
 For every sampled graph `measures.bounds(g)`, the bounds that `evaluate`
-reports, gives [lower, upper]: the orbit minima, or the cut rank as the
-lower end when the default orbit cap truncates the enumeration.  When they
+reports, gives [lower, upper]: the cut rank and the orbit's least vertex
+cover, taken over the members visited when the default orbit cap truncates
+the enumeration.  When they
 differ, an alternating-optimisation search over product states probes
 whether the true geometric measure sits strictly below the upper bound (it
 cannot certify optimality, only witness overlaps above the certificate).

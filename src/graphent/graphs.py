@@ -765,20 +765,27 @@ def cut_rank(g: Graph, a) -> int:
     return _cut_rank(g.adj, amask, comp)
 
 
+def _residue(pivots: list[int], row: int) -> int:
+    """row minus echelon rows until its leading bit has no pivot; 0 if in
+    their span.  pivots[b] is the row whose leading bit is b, or 0."""
+    while row:
+        p = pivots[row.bit_length() - 1]
+        if not p:
+            return row
+        row ^= p
+    return 0
+
+
 def _cut_rank(adj, amask: int, comp: int) -> int:
     """GF(2) rank of the rows of amask restricted to the columns of comp."""
     if amask.bit_count() > comp.bit_count():  # the rank is symmetric
         amask, comp = comp, amask
-    basis: list[int] = []
-    while amask:
-        low = amask & -amask
-        row = adj[low.bit_length() - 1] & comp
-        for b in basis:  # clears b's leading bit, which no later basis row has
-            row = min(row, row ^ b)
+    pivots = [0] * len(adj)
+    for v in _bits(amask):
+        row = _residue(pivots, adj[v] & comp)
         if row:
-            basis.append(row)
-        amask ^= low
-    return len(basis)
+            pivots[row.bit_length() - 1] = row
+    return len(pivots) - pivots.count(0)
 
 
 # up to this many vertices _cut_rank_bound tries every cut (2^11 at n = 12)
@@ -886,15 +893,6 @@ def _min_pauli_rank(n: int, adj, floor: int, best: int) -> int | None:
     pivots = [0] * n  # pivots[b]: the basis row whose leading bit is b, or 0
     nodes = 0
 
-    def residue(row: int) -> int:
-        """row minus basis rows until its leading bit has no pivot; 0 if in the span."""
-        while row:
-            p = pivots[row.bit_length() - 1]
-            if not p:
-                return row
-            row ^= p
-        return 0
-
     def search(v: int, rank: int) -> bool:
         """Assign vertices v..n-1 at the given rank; True once the search should stop."""
         nonlocal best, nodes
@@ -903,9 +901,9 @@ def _min_pauli_rank(n: int, adj, floor: int, best: int) -> int | None:
             return True
         while v < n:  # rows already in the span add nothing: one child, walk on
             z = 1 << v
-            rz = residue(z)
-            rx = residue(adj[v]) if rz else 0
-            ry = residue(z ^ adj[v]) if rx else 0
+            rz = _residue(pivots, z)
+            rx = _residue(pivots, adj[v]) if rz else 0
+            ry = _residue(pivots, z ^ adj[v]) if rx else 0
             if ry:
                 break
             v += 1

@@ -1,19 +1,19 @@
 """Bounds, direct evaluation of the three measures, and the certificates.
 
-The pipeline: LC-orbit minima give the lower bound (min |M_max|) and upper
-bound (min |beta|); when they coincide all three measures equal log2 of the
-number of terms in the minimal product decomposition, and the closest
-separable state / closest product state certificates are built from the
-product basis stabilized by the maximum-independent-set subgroup.
+The pipeline: the cut rank r is the lower bound (see BoundsReport) and the
+LC orbit's least |beta| the upper; when they coincide all three measures
+equal log2 of the number of terms in the minimal product decomposition, and
+the closest separable state / closest product state certificates are built
+from the product basis stabilized by the maximum-independent-set subgroup.
 
-bounds and evaluate share one solve, _solve.  The GF(2) rank r of any cut
-is a lower bound on min |M_max|, and the least GF(2) rank m over the Pauli
-choices of g (graphs._min_pauli_rank) one on min |beta|.  So an input whose
-own |beta| is m and whose own |M_max| is r has both minima as it stands (an
-own |beta| of r is the case m = r): _solve then does no orbit work at any
-cap, and its bounds and classification are the ones that solving the whole
-orbit gives.  truncated thus means one thing: the cap cut off the orbit
-solve that the bounds rest on.
+bounds and evaluate share one solve, _solve.  r is also a lower bound on
+min |M_max|, and the least GF(2) rank m over the Pauli choices of g
+(graphs._min_pauli_rank) one on min |beta|.  So an input whose own |beta|
+is m and whose own |M_max| is r has both minima as it stands (an own |beta|
+of r is the case m = r): _solve then does no orbit work at any cap, and its
+bounds and classification are the ones that solving the whole orbit gives.
+truncated thus means one thing: the cap cut off the orbit solve that the
+upper bound rests on.
 
 evaluate solves each sub-problem once: r, g's own |beta| and |M_max| and m
 are worked out once (graphs._root_facts) and handed to the orbit solve,
@@ -33,7 +33,6 @@ import numpy as np
 from .graphs import (
     DEFAULT_ORBIT_CAP,
     Graph,
-    OrbitSummary,
     _bits,
     _check_orbit_cap,
     _independent_mask,
@@ -55,7 +54,7 @@ ALPHA_EQ_HALF_IMPERFECT = "ALPHA_EQ_HALF_IMPERFECT"
 BIPARTITE_KONIG = "BIPARTITE_KONIG"
 
 
-def classify(alpha_size: int, n: int, matching_is_perfect: bool | None = None) -> str:
+def classify(alpha_size: int, n: int, matching_is_perfect: bool) -> str:
     """Bound-equality classification from |alpha| against n/2.
 
     |alpha| < n/2 predicts unequal bounds, |alpha| > n/2 predicts equal; at
@@ -65,13 +64,22 @@ def classify(alpha_size: int, n: int, matching_is_perfect: bool | None = None) -
         return ALPHA_LT_HALF
     if 2 * alpha_size > n:
         return ALPHA_GT_HALF
-    if matching_is_perfect is None:
-        raise ValueError("|alpha| = n/2 requires the perfect-matching flag")
     return ALPHA_EQ_HALF_PERFECT if matching_is_perfect else ALPHA_EQ_HALF_IMPERFECT
 
 
 @dataclass(frozen=True)
 class BoundsReport:
+    """[lower, upper] on E_S, E_R and E_G, and the paper's classification.
+
+    lower is r, the GF(2) rank of the best cut found (graphs._cut_rank_bound):
+    across it the Schmidt rank is 2^r with a flat spectrum (Hein, Eisert and
+    Briegel, quant-ph/0307130), so E_S, E_R (the entropy across the cut;
+    Vedral and Plenio, PRA 57, 1619 (1998)) and E_G (no product overlap
+    beats 2^-r) are at least r, on every LC-orbit member and at any cap.
+    upper is the least |beta| over the orbit members solved; truncated says
+    the cap cut the orbit off.
+    """
+
     lower: int
     upper: int
     coincide: bool
@@ -80,23 +88,16 @@ class BoundsReport:
 
 
 def bounds(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> BoundsReport:
-    """Orbit-minimised bounds plus the equality classification.
+    """Bounds [r, orbit-least |beta|] plus the equality classification.
 
     Bipartite inputs short-circuit to BIPARTITE_KONIG; otherwise the
     statements are evaluated on the orbit representative.  When the cap cuts
-    off the orbit solve, `truncated` is set and the minima are upper bounds
-    only: the lower bound is then the orbit's cut rank, which holds on every
-    member, and the bounds coincide only when it reaches the upper bound.
+    off the orbit solve, `truncated` is set, and the upper bound and the
+    classification rest on the members solved; r holds on every member.
     The bounds are those of _solve, which evaluate shares, and an input it
     settles at its own cover is never truncated.
     """
     return _solve(g, orbit_cap)[0]
-
-
-def _orbit_bounds(g: Graph, orbit: OrbitSummary) -> BoundsReport:
-    """The bounds that lc_orbit's summary of g gives."""
-    lower = orbit.cut_rank if orbit.truncated else orbit.min_matching
-    return _report(g, lower, orbit.min_vertex_cover, orbit.representative_matching, orbit.truncated)
 
 
 def _report(g: Graph, lower: int, upper: int, rep_matching: int, truncated: bool) -> BoundsReport:
@@ -137,7 +138,7 @@ def _solve(g: Graph, orbit_cap: int, *, listed: bool = False) -> tuple[BoundsRep
     if cover == root.pauli_rank and root.own_matching == r:
         return _report(g, r, cover, r, False), g, ()
     orbit = lc_orbit(g, orbit_cap, _root=root)
-    report = _orbit_bounds(g, orbit)
+    report = _report(g, r, orbit.min_vertex_cover, orbit.representative_matching, orbit.truncated)
     if cover == report.upper:
         return report, g, ()
     return report, orbit.representative, orbit.lc_path
