@@ -114,7 +114,7 @@ def _css_errors(basis, group_sum, peps: np.ndarray, noise: np.ndarray) -> dict[s
     """Largest entrywise distance of each independent CSS construction (the
     group sum, the PEPS assembly, dephasing) from the uniform mixture over basis."""
     mixture = dense.mixture_density(basis)
-    eq6 = sum(dense.pauli_dense(p) for p in group_sum.elements) * group_sum.scale
+    eq6 = dense.pauli_sum(group_sum.elements) * group_sum.scale
     return {
         "stabilizer_sum": float(np.abs(eq6 - mixture).max()),
         "peps": float(np.abs(peps - mixture).max()),
@@ -275,7 +275,7 @@ def run_verification(g: Graph, report, seed: int = 0):
 
     if g.n <= 6:
         full = generators_from_graph(g)
-        proj = sum(dense.pauli_dense(p) for p in group_elements(full)) / (1 << g.n)
+        proj = dense.pauli_sum(group_elements(full)) / (1 << g.n)
         proj_err = float(np.abs(proj - np.outer(psi, psi.conj())).max())
         checks.append(("projector_identity", proj_err < DENSE_TOL, f"max_err={proj_err:.3e}"))
 

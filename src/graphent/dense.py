@@ -2,9 +2,10 @@
 
 Explicit statevectors, Pauli matrices and density matrices, against which
 `verify`, `css` and `analyze --oracle` check the fast modules' claims, plus
-the heuristic search for the best product-state overlap.  Qubit 1 is the
-most significant bit of the computational-basis index, so state strings read
-left to right.
+the heuristic search for the best product-state overlap.  A Pauli group sum
+(`pauli_sum`) accumulates in one matrix, not one matrix per operator.  Qubit 1
+is the most significant bit of the computational-basis index, so state strings
+read left to right.
 """
 
 from __future__ import annotations
@@ -91,16 +92,28 @@ def _parity(v: np.ndarray, n: int) -> np.ndarray:
 
 
 def pauli_dense(p) -> np.ndarray:
-    """Dense matrix of a symplectic Pauli operator, phase included.
+    """Dense matrix of a symplectic Pauli operator, phase included."""
+    return pauli_sum([p])
 
-    i^phase X^x Z^z sends |k> to i^phase (-1)^(z.k) |k xor x>: a signed
-    permutation with one nonzero entry per column.
+
+def pauli_sum(paulis) -> np.ndarray:
+    """Dense sum of Pauli operators on one n, built in place.
+
+    i^phase X^x Z^z sends |k> to i^phase (-1)^(z.k) |k xor x>: one nonzero
+    entry per column, which each operator adds to a single zero matrix.  So
+    every entry gets the additions of a matrix-by-matrix sum in the same
+    order, less the exact zeros: the same bits, from one array.
     """
-    _check_cap(p.n, DENSE_OP_CAP, "dense Pauli")
-    k = np.arange(1 << p.n)
-    sign = 1 - 2 * _parity(k & _index_mask(p.z, p.n), p.n)
+    paulis = list(paulis)
+    if not paulis:
+        raise ValueError("Pauli sum needs at least one operator")
+    n = paulis[0].n
+    _check_cap(n, DENSE_OP_CAP, "dense Pauli")
+    k = np.arange(1 << n)
     mat = np.zeros((k.size, k.size), dtype=complex)
-    mat[k ^ _index_mask(p.x, p.n), k] = (1j ** (p.phase % 4)) * sign
+    for p in paulis:
+        sign = 1 - 2 * _parity(k & _index_mask(p.z, n), n)
+        mat[k ^ _index_mask(p.x, n), k] += (1j ** (p.phase % 4)) * sign
     return mat
 
 

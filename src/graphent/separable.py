@@ -1,9 +1,10 @@
 """Non-stabilizer routes to the closest separable state.
 
-Two independent constructions, both compared entrywise against the
-stabilized-basis mixture: a virtual-qubit (projected-pairs style) assembly
-over maximally correlated two-qubit separable edge states, and dephasing of
-the vertex-cover qubits by averaged relative phases.
+Two independent constructions, which `verify` and `css --method all` compare
+entrywise against the stabilized-basis mixture: a virtual-qubit
+(projected-pairs style) assembly over maximally correlated two-qubit separable
+edge states, and dephasing of the vertex-cover qubits by averaged relative
+phases.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ _QUBIT_REAL = {
 }
 
 
-def _site_table(virtuals: list[str], in_alpha: int):
-    """Projected 2-vector and axis label for every bit combination of a site.
+def _site_table(virtuals: list[str], in_alpha: int, combos):
+    """Projected 2-vectors (rows of a 2^deg table, zero elsewhere) and axis
+    labels (keyed by combination) of a site's bit combinations in combos.
 
     ``virtuals[pos]`` is "+-" for an X-basis (orange) virtual qubit and "01"
     for a Z-basis one; bit pos of the combination is the edge component t and
@@ -46,8 +48,8 @@ def _site_table(virtuals: list[str], in_alpha: int):
     repetition projector |0><0...0| + |1><1...1|.
     """
     vecs = np.zeros((1 << len(virtuals), 2), dtype=float)
-    labels = []
-    for combo in range(len(vecs)):
+    labels = {}
+    for combo in combos:
         qubits = [_QUBIT_REAL[pair[(combo >> pos) & 1]] for pos, pair in enumerate(virtuals)]
         if len(qubits) == 1:
             vec = qubits[0]
@@ -70,7 +72,7 @@ def _site_table(virtuals: list[str], in_alpha: int):
                 c1 *= q1
             vec = (c0, c1)
         vecs[combo] = vec
-        labels.append(_axis_label(vec))
+        labels[combo] = _axis_label(vec)
     return vecs, labels
 
 
@@ -128,9 +130,10 @@ def peps_css(g: Graph, alpha=None) -> CssConstruction:
         idx = np.zeros(ts.size, dtype=np.int64)
         for pos, eid in enumerate(edge_ids[site]):
             idx |= ((ts >> eid) & 1) << pos
-        vecs, chars = _site_table(virtuals[site], (amask >> site) & 1)
+        combos = idx.tolist()  # only these combinations are read, not all 2^deg
+        vecs, chars = _site_table(virtuals[site], (amask >> site) & 1, set(combos))
         block = (block[:, :, None] * vecs[idx][:, None, :]).reshape(ts.size, -1)
-        site_chars.append([chars[i] for i in idx])
+        site_chars.append([chars[i] for i in combos])
     components = tuple(map("".join, zip(*site_chars)))
     if any("?" in c for c in components):
         raise RuntimeError("projected component did not land on an axis state")
@@ -151,7 +154,8 @@ def noise_css(g: Graph, beta=None) -> CssConstruction:
     two-point average phi in {0, pi} per qubit (cross terms carry e^{+-i phi}),
     i.e. the uniform mixture of Z^S|G> over subsets S of the cover.  The 2^m
     copies Z^S|G> are the rows of one array Phi, so the average is the one
-    matrix product Phi^T Phi* / 2^m.
+    matrix product Phi^T Phi* / 2^m.  The components are the stabilizer
+    CSS's; callers compare rho with their mixture (entrywise, to 1e-12).
     """
     if beta is None:
         beta = frozenset(range(1, g.n + 1)) - max_independent_set(g)
@@ -169,9 +173,6 @@ def noise_css(g: Graph, beta=None) -> CssConstruction:
     phi = np.where(flip, -psi, psi)
     rho = phi.T @ phi.conj() / subsets.size
     css = closest_separable_state(g, alpha)
-    mix = dense.mixture_density(css.components)
-    if not np.allclose(rho, mix, atol=1e-12):
-        raise RuntimeError("dephasing average disagrees with the product mixture")
     return CssConstruction(rho, css.components, css.weight)
 
 

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from graphent import measures
+from graphent import measures, separable
 from graphent.cli import main
 
 from conftest import FIG6_TEXT, complete
@@ -183,6 +183,28 @@ def test_verify_and_css_k8(capsys, tmp_path):
     code, out, _ = run(capsys, ["css", str(path), "--method", "all"])
     assert code == 0, out
     assert json.loads(out)["verdict"] == "equal"
+
+
+def test_css_disagreement_exits_3_and_fails_verify(capsys, fig6_file, monkeypatch):
+    # a dephasing construction one entry off by 1e-9: css reports it, verify fails on it alone
+    real = separable.noise_css
+
+    def one_entry_off(*args, **kwargs):
+        result = real(*args, **kwargs)
+        rho = result.dense.copy()
+        rho[0, 0] += 1e-9
+        return dataclasses.replace(result, dense=rho)
+
+    monkeypatch.setattr(separable, "noise_css", one_entry_off)
+    code, out, _ = run(capsys, ["css", fig6_file, "--method", "all"])
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["verdict"] == "unequal"
+    assert doc["max_errors"]["noise"] > 1e-12
+    code, out, _ = run(capsys, ["verify", fig6_file])
+    assert code == 4
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+    assert failed == ["noise_equals_stabilizer"]
 
 
 def test_css_single_method(capsys, tmp_path):

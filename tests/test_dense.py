@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from graphent import Graph, closest_separable_state, cut_rank, dense, max_independent_set
+from graphent import Graph, closest_separable_state, css_stabilizer_form, cut_rank, dense, max_independent_set
 from graphent.pauli import PauliOperator, generators_from_graph, group_elements
 from graphent.separable import noise_css
 
@@ -267,6 +267,29 @@ def test_pauli_dense_is_the_kronecker_build():
                 for phase in range(4):
                     p = PauliOperator(n, x, z, phase)
                     assert np.array_equal(dense.pauli_dense(p), _kron_pauli(p)), p
+
+
+def _operator_by_operator(paulis) -> np.ndarray:
+    return sum(dense.pauli_dense(p) for p in paulis)
+
+
+def test_pauli_sum_is_the_operator_by_operator_sum():
+    # equal entry for entry: the CSS group sum (eq. 6) on every connected n <= 5
+    # graph and seeded n = 8..10 graphs, and the full stabilizer group on every
+    # connected n <= 5 graph and seeded n = 6 graphs
+    rng = random.Random(27)
+    small = [g for n in range(1, 6) for g in all_connected_graphs(n)]
+    for g in small + [random_connected(n, rng) for n in (8, 9, 10) for _ in range(2)]:
+        elements = css_stabilizer_form(g).elements
+        assert np.array_equal(dense.pauli_sum(elements), _operator_by_operator(elements)), g.edges()
+    for g in small + [FIG6, ring(6), complete(6)] + [random_connected(6, rng) for _ in range(5)]:
+        elements = list(group_elements(generators_from_graph(g)))
+        assert np.array_equal(dense.pauli_sum(elements), _operator_by_operator(elements)), g.edges()
+
+
+def test_pauli_sum_refuses_an_empty_list():
+    with pytest.raises(ValueError, match="at least one"):
+        dense.pauli_sum([])
 
 
 def test_mixture_density_is_the_outer_product_sum():

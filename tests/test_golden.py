@@ -41,7 +41,14 @@ def test_analyze_report_digest(graph, cap, digest):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
-ORACLE_GRAPHS = {"fig6": FIG6, "C5": ring(5), "K4": complete(4)}
+# a fixed connected 10-vertex graph with 20 edges: the size at which the dense
+# oracle's 2^n x 2^n matrices and 4^n-entry group sums cost the most
+G10 = Graph.from_edges(10, [
+    (1, 2), (1, 3), (1, 4), (1, 9), (2, 4), (2, 5), (2, 7), (3, 4), (3, 7), (3, 10),
+    (4, 8), (4, 10), (5, 6), (5, 7), (5, 9), (6, 8), (6, 10), (7, 9), (8, 10), (9, 10),
+])
+
+ORACLE_GRAPHS = {"fig6": FIG6, "C5": ring(5), "K4": complete(4), "G10": G10}
 ORACLE_COMMANDS = {
     "verify": ["verify", "--seed", "3"],
     "css": ["css", "--method", "all"],
@@ -59,6 +66,8 @@ ORACLE_GOLDEN = [
     ("verify", "K4", "7d97479e6d617e50fc897bdc46cf09ae04467090273b1b99868aa6cbb16a295e"),
     ("css", "K4", "e71cc879c724d530e94dbf3bde5da9eafc3c2cae18fa35004129f22005ea0a08"),
     ("analyze-oracle", "K4", "41eb8e77925f11dca74ff05e0452359e5b7adc21cc4c8c6ddff310a5e9805a9b"),
+    ("verify", "G10", "ad40c6f80b18d41f069419b8577debb5143e10bcbc59bbf706f9882af5508f75"),
+    ("css", "G10", "f2f252b2c87e6e402d8fdb293b25253a892d1ecc90d3cb293235b8edac670c98"),
 ]
 
 
