@@ -112,14 +112,20 @@ def _reconstruction_error(g: Graph, report) -> float:
 
 def _css_errors(basis, group_sum, peps: np.ndarray, noise: np.ndarray) -> dict[str, float]:
     """Largest entrywise distance of each independent CSS construction (the
-    group sum, the PEPS assembly, dephasing) from the uniform mixture over basis."""
+    group sum, the PEPS assembly, dephasing) from the uniform mixture over basis.
+
+    For g's own stabilized basis all four matrices are float64 (see dense).
+    The group sum's matrix then holds each difference in turn, so no other
+    2^n x 2^n array is allocated.
+    """
     mixture = dense.mixture_density(basis)
-    eq6 = dense.pauli_sum(group_sum.elements) * group_sum.scale
-    return {
-        "stabilizer_sum": float(np.abs(eq6 - mixture).max()),
-        "peps": float(np.abs(peps - mixture).max()),
-        "noise": float(np.abs(noise - mixture).max()),
-    }
+    scratch = dense.pauli_sum(group_sum.elements)
+    scratch *= group_sum.scale
+    errs = {}
+    for name, rho in (("stabilizer_sum", scratch), ("peps", peps), ("noise", noise)):
+        np.subtract(rho, mixture, out=scratch)
+        errs[name] = float(np.abs(scratch, out=scratch).max())
+    return errs
 
 
 def cmd_css(args: argparse.Namespace) -> int:
@@ -127,14 +133,16 @@ def cmd_css(args: argparse.Namespace) -> int:
     alpha = max_independent_set(g)
     methods = ("stabilizer", "peps", "noise") if args.method == "all" else (args.method,)
     built = {}
+    if "noise" in methods:  # its components are the stabilizer CSS's: one basis serves both
+        built["noise"] = separable.noise_css(g, beta=frozenset(range(1, g.n + 1)) - alpha)
     descriptions = []
     for method in methods:
         if method == "stabilizer":
-            res = measures.closest_separable_state(g, alpha)
+            res = built.get("noise") or measures.closest_separable_state(g, alpha)
         elif method == "peps":
             res = separable.peps_css(g, alpha)
         else:
-            res = separable.noise_css(g, beta=frozenset(range(1, g.n + 1)) - alpha)
+            res = built["noise"]
         built[method] = res
         desc = {"method": method, "components": list(res.components), "weight": res.weight}
         if method == "stabilizer" and g.n <= dense.DENSE_OP_CAP:
@@ -232,7 +240,7 @@ def run_verification(g: Graph, report, seed: int = 0):
 
     fix_err = 0.0
     for gen in generators_from_graph(g).generators:
-        fix_err = max(fix_err, float(np.abs(dense.pauli_dense(gen) @ psi - psi).max()))
+        fix_err = max(fix_err, float(np.abs(dense.apply_pauli(gen, psi) - psi).max()))
     checks.append(("generators_fix_statevector", fix_err < DENSE_TOL, f"max_err={fix_err:.3e}"))
 
     figures = _dense_figures(g, report, psi)
@@ -242,11 +250,12 @@ def run_verification(g: Graph, report, seed: int = 0):
     ree, passed = figures["ree"]
     checks.append(("relative_entropy_equals_upper", passed, f"ree={ree:.12f} upper={report.bounds.upper}"))
 
-    errs = _css_errors(
-        measures.closest_separable_state(g, alpha).components,
+    noise = separable.noise_css(g, frozenset(range(1, g.n + 1)) - alpha)
+    errs = _css_errors(  # noise's components are g's own stabilizer CSS
+        noise.components,
         measures.css_stabilizer_form(g, alpha),
         separable.peps_css(g, alpha).dense,
-        separable.noise_css(g, frozenset(range(1, g.n + 1)) - alpha).dense,
+        noise.dense,
     )
     names = ("group_sum_equals_mixture", "peps_equals_stabilizer", "noise_equals_stabilizer")
     for name, err in zip(names, errs.values()):

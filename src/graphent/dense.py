@@ -3,9 +3,16 @@
 Explicit statevectors, Pauli matrices and density matrices, against which
 `verify`, `css` and `analyze --oracle` check the fast modules' claims, plus
 the heuristic search for the best product-state overlap.  A Pauli group sum
-(`pauli_sum`) accumulates in one matrix, not one matrix per operator.  Qubit 1
+(`pauli_sum`) accumulates in one matrix, not one matrix per operator, and a
+single Pauli acts on a vector (`apply_pauli`) without a matrix.  Qubit 1
 is the most significant bit of the computational-basis index, so state strings
 read left to right.
+
+A graph state has real amplitudes and every element of its stabilizer group
+is a real matrix (even phase), so the CSS checks are float64: a mixture of
+0/1/+/- product states and a group sum of even-phase Paulis come out real.
+Each of their entries is one product or a sum of +-1, exact in either dtype,
+so float64 gives the bits that complex128 gives.
 """
 
 from __future__ import annotations
@@ -32,6 +39,9 @@ QUBIT_STATES = {
 }
 _LABEL_INDEX = {label: i for i, label in enumerate(QUBIT_STATES)}
 _QUBIT_TABLE = np.array(list(QUBIT_STATES.values()))
+#: Labels 0 1 + - (codes below 4) have real vectors: these rows, as float64.
+_REAL_CODES = 4
+_REAL_TABLE = _QUBIT_TABLE[:_REAL_CODES].real.copy()
 
 _EIG_FLOOR = 1e-14
 
@@ -62,18 +72,27 @@ def product_state_vector(state: str) -> np.ndarray:
 
 
 def _product_vectors(states) -> np.ndarray:
-    """(K, 2^n) array of the dense vectors of K product state strings of length n.
+    """(K, 2^n) array of the dense vectors of K product state strings of length n."""
+    return _tensor_rows(_label_codes(states), _QUBIT_TABLE)
+
+
+def _label_codes(states) -> np.ndarray:
+    """(K, n) array of the label codes (rows of _QUBIT_TABLE) of K product state strings."""
+    try:  # numpy refuses strings of different lengths with a ValueError
+        return np.array([[_LABEL_INDEX[ch] for ch in s] for s in states], dtype=np.intp)
+    except KeyError as exc:
+        raise ValueError(f"unknown qubit label {exc.args[0]!r}") from None
+
+
+def _tensor_rows(codes: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """(K, 2^n) array of the tensor products of the table rows that codes picks.
 
     Row by row the same multiplications as np.kron from [1], so the same bits.
     """
-    try:  # numpy refuses strings of different lengths with a ValueError
-        labels = np.array([[_LABEL_INDEX[ch] for ch in s] for s in states], dtype=np.intp)
-    except KeyError as exc:
-        raise ValueError(f"unknown qubit label {exc.args[0]!r}") from None
-    k = len(states)
-    vecs = np.ones((k, 1), dtype=complex)
-    for col in labels.T:
-        vecs = (vecs[:, :, None] * _QUBIT_TABLE[col][:, None, :]).reshape(k, -1)
+    k = len(codes)
+    vecs = np.ones((k, 1), dtype=table.dtype)
+    for col in codes.T:
+        vecs = (vecs[:, :, None] * table[col][:, None, :]).reshape(k, -1)
     return vecs
 
 
@@ -102,7 +121,9 @@ def pauli_sum(paulis) -> np.ndarray:
     i^phase X^x Z^z sends |k> to i^phase (-1)^(z.k) |k xor x>: one nonzero
     entry per column, which each operator adds to a single zero matrix.  So
     every entry gets the additions of a matrix-by-matrix sum in the same
-    order, less the exact zeros: the same bits, from one array.
+    order, less the exact zeros: the same bits, from one array.  The matrix
+    is float64 when every phase is even (each entry a sum of +-1), complex
+    otherwise.
     """
     paulis = list(paulis)
     if not paulis:
@@ -110,24 +131,53 @@ def pauli_sum(paulis) -> np.ndarray:
     n = paulis[0].n
     _check_cap(n, DENSE_OP_CAP, "dense Pauli")
     k = np.arange(1 << n)
-    mat = np.zeros((k.size, k.size), dtype=complex)
+    real = all(p.phase % 2 == 0 for p in paulis)
+    mat = np.zeros((k.size, k.size), dtype=float if real else complex)
     for p in paulis:
         sign = 1 - 2 * _parity(k & _index_mask(p.z, n), n)
-        mat[k ^ _index_mask(p.x, n), k] += (1j ** (p.phase % 4)) * sign
+        mat[k ^ _index_mask(p.x, n), k] += _phase_factor(p.phase) * sign
     return mat
 
 
-def _mixture_factor(components) -> np.ndarray:
+def _phase_factor(phase: int):
+    """i^phase; an int +-1 for an even phase, so that a real operator stays real."""
+    phase %= 4
+    return 1 - phase if phase % 2 == 0 else 1j**phase
+
+
+def apply_pauli(p, vec: np.ndarray) -> np.ndarray:
+    """i^phase X^x Z^z applied to a statevector, in O(2^n) without its matrix.
+
+    Entry j of the image is i^phase (-1)^(z.(j xor x)) vec[j xor x], which
+    is what the matrix's one nonzero entry in row j gives; each factor is
+    +-1 or +-i, so the product is exact and equals pauli_dense(p) @ vec.
+    """
+    n = p.n
+    if vec.shape != (1 << n,):
+        raise ValueError(f"statevector of shape {vec.shape} for a Pauli on {n} qubits")
+    src = np.arange(1 << n) ^ _index_mask(p.x, n)
+    sign = 1 - 2 * _parity(src & _index_mask(p.z, n), n)
+    return _phase_factor(p.phase) * sign * vec[src]
+
+
+def _mixture_factor(codes: np.ndarray, table: np.ndarray) -> np.ndarray:
     """dim x K factor A = V^T sqrt(1/K) of the mixture A A^dagger; V's rows
-    are the components' vectors."""
-    vecs = _product_vectors(components)
+    are the vectors of the components' label codes."""
+    vecs = _tensor_rows(codes, table)
     return vecs.T * np.sqrt(1.0 / len(vecs))
 
 
 def mixture_density(components) -> np.ndarray:
-    """Density matrix of the uniform classical mixture of product state strings."""
-    factor = _mixture_factor(components)
-    return factor @ factor.conj().T
+    """Density matrix of the uniform classical mixture of product state strings.
+
+    float64 when every label is one of 0 1 + -: A A^T, numpy's symmetric
+    product, instead of a complex product with a conjugated copy.  For a
+    stabilized basis each entry is one term, the same bits in either dtype.
+    """
+    codes = _label_codes(components)
+    real = codes.max(initial=0) < _REAL_CODES
+    factor = _mixture_factor(codes, _REAL_TABLE if real else _QUBIT_TABLE)
+    return factor @ factor.T if real else factor @ factor.conj().T
 
 
 def relative_entropy_pure(psi: np.ndarray, omega: np.ndarray) -> float:
@@ -150,7 +200,7 @@ def mixture_relative_entropy(psi: np.ndarray, components) -> float:
     gives omega's nonzero eigenpairs (S^2, U) at O(dim K^2) cost; every other
     eigenvector is orthogonal to U, with eigenvalue 0.
     """
-    u, s, _ = np.linalg.svd(_mixture_factor(components), full_matrices=False)
+    u, s, _ = np.linalg.svd(_mixture_factor(_label_codes(components), _QUBIT_TABLE), full_matrices=False)
     evals = s**2
     weights_psi = np.abs(u.conj().T @ psi) ** 2
     keep = evals > _EIG_FLOOR

@@ -20,7 +20,11 @@ from . import dense
 
 @dataclass(frozen=True)
 class CssConstruction:
-    """Dense separable state plus its explicit product-projector mixture."""
+    """Dense separable state plus its explicit product-projector mixture.
+
+    dense is float64: both constructions are real (real edge states and
+    projectors; a real graph state dephased by signs).
+    """
 
     dense: np.ndarray
     components: tuple[str, ...]
@@ -144,7 +148,8 @@ def peps_css(g: Graph, alpha=None) -> CssConstruction:
     norms = np.linalg.norm(block, axis=1)
     if norms.max() - norms.min() > 1e-9 * norms.max():
         raise RuntimeError("surviving components are not uniformly weighted")
-    return CssConstruction((rho / trace).astype(complex), components, 1.0 / len(components))
+    rho /= trace
+    return CssConstruction(rho, components, 1.0 / len(components))
 
 
 def noise_css(g: Graph, beta=None) -> CssConstruction:
@@ -153,9 +158,10 @@ def noise_css(g: Graph, beta=None) -> CssConstruction:
     The continuous phase average over the cover qubits reduces exactly to the
     two-point average phi in {0, pi} per qubit (cross terms carry e^{+-i phi}),
     i.e. the uniform mixture of Z^S|G> over subsets S of the cover.  The 2^m
-    copies Z^S|G> are the rows of one array Phi, so the average is the one
-    matrix product Phi^T Phi* / 2^m.  The components are the stabilizer
-    CSS's; callers compare rho with their mixture (entrywise, to 1e-12).
+    copies Z^S|G> are the rows of one real array Phi (a graph state has real
+    amplitudes), so the average is the one real product Phi^T Phi / 2^m.  The
+    components are the stabilizer CSS's; callers compare rho with their
+    mixture (entrywise, to 1e-12).
     """
     if beta is None:
         beta = frozenset(range(1, g.n + 1)) - max_independent_set(g)
@@ -164,14 +170,15 @@ def noise_css(g: Graph, beta=None) -> CssConstruction:
     _independent_mask(g, alpha, "complement of beta")
     if g.n > dense.DENSE_OP_CAP:
         raise ValueError(f"dense assembly limited to n <= {dense.DENSE_OP_CAP}")
-    psi = dense.statevector(g)
+    psi = dense.statevector(g).real
     idx = np.arange(psi.size)
     subsets = np.arange(1 << len(beta))[:, None]
     flip = np.zeros((subsets.size, psi.size), dtype=np.int64)
     for pos, b in enumerate(sorted(beta)):
         flip ^= ((subsets >> pos) & 1) & ((idx >> (g.n - b)) & 1)
     phi = np.where(flip, -psi, psi)
-    rho = phi.T @ phi.conj() / subsets.size
+    rho = phi.T @ phi
+    rho /= subsets.size
     css = closest_separable_state(g, alpha)
     return CssConstruction(rho, css.components, css.weight)
 

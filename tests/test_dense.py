@@ -276,15 +276,24 @@ def _operator_by_operator(paulis) -> np.ndarray:
 def test_pauli_sum_is_the_operator_by_operator_sum():
     # equal entry for entry: the CSS group sum (eq. 6) on every connected n <= 5
     # graph and seeded n = 8..10 graphs, and the full stabilizer group on every
-    # connected n <= 5 graph and seeded n = 6 graphs
+    # connected n <= 5 graph and seeded n = 6 graphs; every phase is even, so
+    # the sum is float64, and equal to the complex sum of Kronecker builds too
     rng = random.Random(27)
     small = [g for n in range(1, 6) for g in all_connected_graphs(n)]
     for g in small + [random_connected(n, rng) for n in (8, 9, 10) for _ in range(2)]:
         elements = css_stabilizer_form(g).elements
-        assert np.array_equal(dense.pauli_sum(elements), _operator_by_operator(elements)), g.edges()
+        mat = dense.pauli_sum(elements)
+        assert mat.dtype == np.float64
+        assert np.array_equal(mat, _operator_by_operator(elements)), g.edges()
+        assert np.array_equal(mat, sum(_kron_pauli(p) for p in elements)), g.edges()
     for g in small + [FIG6, ring(6), complete(6)] + [random_connected(6, rng) for _ in range(5)]:
         elements = list(group_elements(generators_from_graph(g)))
         assert np.array_equal(dense.pauli_sum(elements), _operator_by_operator(elements)), g.edges()
+    # an odd phase keeps the complex matrix
+    odd = [PauliOperator.from_text("XZ"), PauliOperator(2, 0b11, 0b01, 1)]
+    mat = dense.pauli_sum(odd)
+    assert mat.dtype == np.complex128
+    assert np.array_equal(mat, sum(_kron_pauli(p) for p in odd))
 
 
 def test_pauli_sum_refuses_an_empty_list():
@@ -302,6 +311,50 @@ def test_noise_css_is_the_subset_loop():
     for g in (FIG6, ring(5), random_connected(7, rng), random_connected(7, rng)):
         beta = frozenset(range(1, g.n + 1)) - max_independent_set(g)
         assert np.allclose(noise_css(g, beta).dense, _subset_noise(g, beta), atol=1e-14), g.edges()
+
+
+# ---------------------------------------------------------------------------
+# The float64 oracle against the complex128 builds it replaced
+
+
+def _real_oracle_graphs():
+    """Every connected graph with n <= 5, and seeded graphs with n = 8..10."""
+    rng = random.Random(28)
+    small = [g for n in range(1, 6) for g in all_connected_graphs(n)]
+    return small + [random_connected(n, rng) for n in (8, 9, 10) for _ in range(2)]
+
+
+def test_real_mixture_density_is_the_complex_product():
+    for g in _real_oracle_graphs():
+        components = closest_separable_state(g, max_independent_set(g)).components
+        factor = dense._product_vectors(components).T * np.sqrt(1.0 / len(components))
+        rho = dense.mixture_density(components)
+        assert rho.dtype == np.float64
+        assert np.array_equal(rho, factor @ factor.conj().T), g.edges()
+    # a Y-axis label keeps the complex product
+    assert dense.mixture_density(["0+-", "1i-"]).dtype == np.complex128
+
+
+def test_apply_pauli_is_the_matrix_product():
+    # the generators and random Paulis of every phase, on the graph state,
+    # its real part and a random complex vector
+    rng = np.random.default_rng(28)
+    for g in _real_oracle_graphs():
+        n = g.n
+        psi = dense.statevector(g)
+        noise = rng.normal(size=psi.size) + 1j * rng.normal(size=psi.size)
+        paulis = list(generators_from_graph(g).generators)
+        paulis += [PauliOperator(n, *map(int, rng.integers(1 << n, size=2)), phase) for phase in range(4)]
+        for p in paulis:
+            mat = dense.pauli_dense(p)
+            for vec in (psi, psi.real, noise):
+                assert np.array_equal(dense.apply_pauli(p, vec), mat @ vec), (g.edges(), p)
+            assert dense.apply_pauli(p, psi.real).dtype == (np.float64 if p.phase % 2 == 0 else np.complex128)
+
+
+def test_apply_pauli_refuses_a_vector_of_another_size():
+    with pytest.raises(ValueError, match="for a Pauli on 3 qubits"):
+        dense.apply_pauli(PauliOperator.from_text("XZI"), np.ones(4))
 
 
 def _overlap_graphs():

@@ -68,6 +68,7 @@ ORACLE_GOLDEN = [
     ("analyze-oracle", "K4", "41eb8e77925f11dca74ff05e0452359e5b7adc21cc4c8c6ddff310a5e9805a9b"),
     ("verify", "G10", "ad40c6f80b18d41f069419b8577debb5143e10bcbc59bbf706f9882af5508f75"),
     ("css", "G10", "f2f252b2c87e6e402d8fdb293b25253a892d1ecc90d3cb293235b8edac670c98"),
+    ("analyze-oracle", "G10", "9a4bd31d967e95ce6e1d957f25e3411e06803b5486728e28064d78411b484f55"),
 ]
 
 

@@ -19,7 +19,7 @@ from graphent import (
 )
 
 from conftest import complete, random_connected, small_graphs_with_alphas
-from oracles import noise_css_quadrature
+from oracles import all_connected_graphs, noise_css_quadrature
 
 
 def stab_density(g, alpha=None):
@@ -183,3 +183,37 @@ def test_three_way_random_n7_n8():
         ref = stab_density(g)
         assert np.abs(peps_css(g).dense - ref).max() < 1e-12
         assert np.abs(noise_css(g).dense - ref).max() < 1e-12
+
+
+def _complex_noise(g, beta):
+    """The complex128 dephasing build: Phi^T Phi* / 2^m, Phi's rows Z^S|G>."""
+    psi = dense.statevector(g)
+    idx = np.arange(psi.size)
+    subsets = np.arange(1 << len(beta))[:, None]
+    flip = np.zeros((subsets.size, psi.size), dtype=np.int64)
+    for pos, b in enumerate(sorted(beta)):
+        flip ^= ((subsets >> pos) & 1) & ((idx >> (g.n - b)) & 1)
+    phi = np.where(flip, -psi, psi)
+    return phi.T @ phi.conj() / subsets.size
+
+
+def test_real_constructions_are_the_complex_builds():
+    # every connected n <= 5 graph and seeded n = 8..10 graphs: the float64
+    # dephasing equals the complex build, and both constructions lie as far
+    # from the float64 mixture as their complex forms from the complex one
+    rng = random.Random(28)
+    graphs = [g for n in range(1, 6) for g in all_connected_graphs(n)]
+    for g in graphs + [random_connected(n, rng) for n in (8, 9, 10) for _ in range(2)]:
+        alpha = max_independent_set(g)
+        beta = frozenset(range(1, g.n + 1)) - alpha
+        noise = noise_css(g, beta).dense
+        peps = peps_css(g, alpha).dense
+        assert noise.dtype == peps.dtype == np.float64
+        complex_noise = _complex_noise(g, beta)
+        assert np.array_equal(noise, complex_noise), g.edges()
+        components = closest_separable_state(g, alpha).components
+        factor = dense._product_vectors(components).T * np.sqrt(1.0 / len(components))
+        complex_mixture = factor @ factor.conj().T
+        mixture = dense.mixture_density(components)
+        assert np.abs(noise - mixture).max() == np.abs(complex_noise - complex_mixture).max()
+        assert np.abs(peps - mixture).max() == np.abs(peps.astype(complex) - complex_mixture).max()
