@@ -1,6 +1,13 @@
-"""Direct evaluation of pure graph state entanglement via graph problems."""
+"""Direct evaluation of pure graph state entanglement via graph problems.
 
-from . import dense, graphs, lattices, measures, pauli, separable
+The dense oracle (dense, separable and its noise_css and peps_css) needs
+numpy, which the rest of the package does not; those names are imported
+on first use (PEP 562), so importing graphent does not load numpy.
+"""
+
+from importlib import import_module as _import_module
+
+from . import graphs, lattices, measures, pauli
 from .graphs import (
     DEFAULT_ORBIT_CAP,
     MAX_VERTICES,
@@ -43,8 +50,17 @@ from .pauli import (
     stabilized_product_basis,
 )
 from .lattices import LatticeSpec, gap_formula, gap_scan, generate_lattice
-from .separable import noise_css, peps_css
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# name -> the module that provides it, imported on first use
+_LAZY = {"dense": "dense", "separable": "separable", "noise_css": "separable", "peps_css": "separable"}
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_LAZY))
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _import_module(f".{_LAZY[name]}", __name__)
+    return module if name == _LAZY[name] else getattr(module, name)

@@ -5,6 +5,10 @@ option value or command-line usage); 2 bounds do not coincide (analyze; the
 interval report is still emitted); 3 CSS construction disagreement; 4 verify
 failures.  Identical arguments yield byte-identical output; --seed (verify
 only) picks the random cuts of the cut-rank check.
+
+numpy is imported only by the dense oracle: verify, css and analyze
+--oracle import it (with dense and separable) when they run, so analyze,
+orbit and lattice never load it.
 """
 
 from __future__ import annotations
@@ -15,9 +19,7 @@ import itertools
 import json
 import sys
 
-import numpy as np
-
-from . import dense, measures, separable
+from . import measures
 from .graphs import (
     DEFAULT_ORBIT_CAP,
     Graph,
@@ -73,6 +75,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _oracle_block(g: Graph, report) -> dict:
+    from . import dense
+
     if g.n > dense.DENSE_OP_CAP:
         return {"skipped": f"dense oracle limited to n <= {dense.DENSE_OP_CAP}"}
     figures = _dense_figures(g, report, dense.statevector(g))
@@ -81,14 +85,16 @@ def _oracle_block(g: Graph, report) -> dict:
     return block
 
 
-def _dense_figures(g: Graph, report, psi: np.ndarray) -> dict[str, tuple[float, bool]]:
+def _dense_figures(g: Graph, report, psi) -> dict[str, tuple[float, bool]]:
     """(value, within tolerance) of each dense figure of report, psi being
     g's statevector: the REE of its CSS against the upper bound, the
     reconstruction error of its decomposition, and its CPS overlap against
     2^-upper."""
+    from . import dense
+
     upper = report.bounds.upper
     ree = dense.mixture_relative_entropy(psi, report.css.components)
-    rec_err = _reconstruction_error(g, report)
+    rec_err = _reconstruction_error(g, report, psi)
     cps_overlap = dense.overlap2(psi, report.cps)
     return {
         "ree": (ree, abs(ree - upper) < REE_TOL),
@@ -97,20 +103,28 @@ def _dense_figures(g: Graph, report, psi: np.ndarray) -> dict[str, tuple[float, 
     }
 
 
-def _reconstruction_error(g: Graph, report) -> float:
+def _reconstruction_error(g: Graph, report, psi) -> float:
     """Largest entrywise distance of the signed sum that report ships as its
     decomposition from the state it belongs to: that of the graph reached
-    from g along lc_path."""
-    base = g
-    for a in report.lc_path:
-        base = local_complement(base, a)
+    from g along lc_path, which is psi, g's statevector, when the path is
+    empty."""
+    import numpy as np
+
+    from . import dense
+
+    target = psi
+    if report.lc_path:
+        base = g
+        for a in report.lc_path:
+            base = local_complement(base, a)
+        target = dense.statevector(base)
     decomp = report.decomposition
     vecs = dense._product_vectors([state for _, state in decomp.terms])
     rec = sum(sign * decomp.normalization * vec for (sign, _), vec in zip(decomp.terms, vecs))
-    return float(np.abs(rec - dense.statevector(base)).max())
+    return float(np.abs(rec - target).max())
 
 
-def _css_errors(basis, group_sum, peps: np.ndarray, noise: np.ndarray) -> dict[str, float]:
+def _css_errors(basis, group_sum, peps, noise) -> dict[str, float]:
     """Largest entrywise distance of each independent CSS construction (the
     group sum, the PEPS assembly, dephasing) from the uniform mixture over basis.
 
@@ -118,6 +132,10 @@ def _css_errors(basis, group_sum, peps: np.ndarray, noise: np.ndarray) -> dict[s
     The group sum's matrix then holds each difference in turn, so no other
     2^n x 2^n array is allocated.
     """
+    import numpy as np
+
+    from . import dense
+
     mixture = dense.mixture_density(basis)
     scratch = dense.pauli_sum(group_sum.elements)
     scratch *= group_sum.scale
@@ -129,6 +147,8 @@ def _css_errors(basis, group_sum, peps: np.ndarray, noise: np.ndarray) -> dict[s
 
 
 def cmd_css(args: argparse.Namespace) -> int:
+    from . import dense, separable
+
     g = _load_graph(args)
     alpha = max_independent_set(g)
     methods = ("stabilizer", "peps", "noise") if args.method == "all" else (args.method,)
@@ -205,6 +225,8 @@ def cmd_lattice(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import dense
+
     g = _load_graph(args)
     if g.n > dense.DENSE_OP_CAP:
         raise GraphFormatError(f"verify needs n <= {dense.DENSE_OP_CAP}")
@@ -233,6 +255,10 @@ def run_verification(g: Graph, report, seed: int = 0):
     the group sum, the PEPS assembly and dephasing.
     """
     import random
+
+    import numpy as np
+
+    from . import dense, separable
 
     checks: list[tuple[str, bool, str]] = []
     psi = dense.statevector(g)

@@ -21,14 +21,17 @@ which solves the members whose solve could still change its summary; that
 summary carries the values bounds needs; then one maximum independent set
 gives one stabilized basis, of which the decomposition, the CSS and the CPS
 are views.
+
+The basis stays one pauli label buffer through signs and transport: the
+decomposition's signs are read from its beta columns taken as integers
+(_signs), so this module, like pauli, needs no numpy.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
 
 from .graphs import (
     DEFAULT_ORBIT_CAP,
@@ -167,17 +170,28 @@ def _edge_parity(g: Graph, kmask: int) -> int:
     return sum((g.adj[v] & kmask).bit_count() for v in _bits(kmask)) // 2 % 2
 
 
-def _sign_bits(g: Graph, amask: int, codes: np.ndarray) -> np.ndarray:
-    """q(k) = _edge_parity of k for every row of the basis code array of amask.
+# Byte -> sign of its low bit as a signed byte: even -> +1, odd -> -1 (0xff).
+_SIGN_OF_LOW_BIT = bytes(255 if x & 1 else 1 for x in range(256))
+
+
+def _signs(g: Graph, amask: int, buf: bytearray) -> list[int]:
+    """(-1)^q(k), q being _edge_parity of k, for every row of the basis buffer of amask.
 
     k is the set of beta vertices labelled "1", and of the two beta labels
-    only "1" has its low bit set, so an edge counts where both ends' codes do.
+    only "1" has its low bit set.  Column v read as one little-endian integer
+    holds row i's label in byte i, so the AND of two columns has a low bit
+    set in byte i where both ends of an edge carry "1" in row i, and the XOR
+    over the beta-beta edges holds q in the low bits.
     """
-    q = np.zeros(len(codes), np.uint8)
-    for v in _bits(~amask & ((1 << g.n) - 1)):
-        for u in _bits(g.adj[v] & ~amask & ((1 << v) - 1)):
-            q ^= codes[:, u] & codes[:, v]
-    return q & 1
+    n = g.n
+    beta = ~amask & ((1 << n) - 1)
+    columns = {v: int.from_bytes(buf[v::n + 1], "little") for v in _bits(beta) if g.adj[v] & beta}
+    q = 0
+    for v in columns:
+        for u in _bits(g.adj[v] & beta & ((1 << v) - 1)):
+            q ^= columns[u] & columns[v]
+    rows = len(buf) // (n + 1)
+    return array("b", q.to_bytes(rows, "little").translate(_SIGN_OF_LOW_BIT)).tolist()
 
 
 @dataclass(frozen=True)
@@ -219,10 +233,9 @@ def minimal_decomposition(g: Graph, alpha=None) -> Decomposition:
     exactly (an oracle-checked invariant).
     """
     amask = _independent_mask(g, _alpha_or_default(g, alpha))
-    codes = _basis_codes(g, amask)
-    signs = (1 - 2 * _sign_bits(g, amask, codes).astype(np.int8)).tolist()
-    basis = _decode_states(codes)
-    return Decomposition(tuple(zip(signs, basis)), 1.0 / math.sqrt(len(basis)))
+    buf = _basis_codes(g, amask)
+    basis = _decode_states(buf)
+    return Decomposition(tuple(zip(_signs(g, amask, buf), basis)), 1.0 / math.sqrt(len(basis)))
 
 
 def closest_separable_state(g: Graph, alpha=None) -> SeparableStateDescription:
@@ -244,20 +257,21 @@ def closest_product_state(g: Graph, alpha=None) -> str:
     return "".join("+" if (amask >> v) & 1 else "0" for v in range(g.n))
 
 
-def _transport_components(g: Graph, lc_sequence, codes: np.ndarray) -> Graph:
-    """Apply the LC Cliffords for lc_sequence to a label code array in place; returns the graph reached."""
+def _transport_components(g: Graph, lc_sequence, buf: bytearray) -> Graph:
+    """Apply the LC Cliffords for lc_sequence to a label buffer in place; returns the graph reached."""
     h = g
     for a in lc_sequence:
-        _transport_step(h, a, codes)
+        _transport_step(h, a, buf)
         h = local_complement(h, a)
     return h
 
 
 def transport_css(g: Graph, lc_sequence, alpha=None) -> SeparableStateDescription:
     """CSS of the graph state reached from g by the given local complementations."""
-    codes = _basis_codes(g, _independent_mask(g, _alpha_or_default(g, alpha)))
-    _transport_components(g, tuple(lc_sequence), codes)
-    return SeparableStateDescription(_decode_states(codes), 1.0 / len(codes))
+    buf = _basis_codes(g, _independent_mask(g, _alpha_or_default(g, alpha)))
+    _transport_components(g, tuple(lc_sequence), buf)
+    basis = _decode_states(buf)
+    return SeparableStateDescription(basis, 1.0 / len(basis))
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +345,10 @@ def evaluate(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> EntanglementReport
     alpha = max_independent_set(base)
     decomp = minimal_decomposition(base, alpha)
     if path:  # the CSS mixes the same basis, carried back to g
-        codes = _basis_codes(base, _independent_mask(base, alpha))
-        if _transport_components(base, tuple(reversed(path)), codes).adj != g.adj:
+        buf = _basis_codes(base, _independent_mask(base, alpha))
+        if _transport_components(base, tuple(reversed(path)), buf).adj != g.adj:
             raise RuntimeError("LC path replay failed to return to the input graph")
-        basis = _decode_states(codes)
+        basis = _decode_states(buf)
     else:
         basis = tuple(state for _, state in decomp.terms)
     css = SeparableStateDescription(basis, 1.0 / len(basis))

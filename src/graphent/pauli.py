@@ -5,17 +5,16 @@ qubit and the phase tracked as an exponent of i mod 4.  Product stabilizer
 states are plain strings over the alphabet {0,1,+,-,i,j} where i/j denote the
 Y+ / Y- eigenstates; qubit a is character a-1.
 
-Whole bases are built as (states, n) uint8 arrays of the labels' ASCII codes,
-decoded to strings once; only lc_clifford_transport encodes a string.  The
-stabilized basis is the GF(2) span of one row per beta vertex, and the LC
-transport maps whole columns through 256-entry byte tables.
+Whole bases are built as one bytearray of ASCII labels, each state a row of
+n label bytes ended by b"\n", and decoded to strings once; only
+lc_clifford_transport encodes a string.  Column v of the rows is the strided
+slice buf[v::n + 1].  The stabilized basis is the GF(2) span of one row per
+beta vertex, and the LC transport relabels whole columns with bytes.translate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .graphs import Graph, _bits, _independent_mask
 
@@ -35,23 +34,18 @@ _XZ_ACTION = {
 }
 
 
-def _label_table(images: str) -> np.ndarray:
-    """Byte table sending STATE_ALPHABET[i] to images[i] and every other byte to 0."""
-    table = np.zeros(256, np.uint8)
-    table[list(STATE_ALPHABET.encode("ascii"))] = list(images.encode("ascii"))
-    return table
-
-
 # Projective action of the local Cliffords in U_a^tau = sqrt(-iX)_a sqrt(iZ)_{N_a},
 # as byte tables over the labels 0 1 + - i j.  Global phases are deliberately
 # dropped; unit tests lock the conventions to the dense unitary in tests/oracles.py.
-_SQRT_MINUS_IX = _label_table("ji+-01")
-_SQRT_PLUS_IZ = _label_table("01ji+-")
+_SQRT_MINUS_IX = bytes.maketrans(b"01+-ij", b"ji+-01")
+_SQRT_PLUS_IZ = bytes.maketrans(b"01+-ij", b"01ji+-")
+# Adding a beta vertex b to k flips 0/1 on b and +/- on its alpha neighbours.
+_FLIP = bytes.maketrans(b"01+-", b"10-+")
 _LABEL_BYTES = STATE_ALPHABET.encode("ascii")
 
-# The most beta vertices whose 2^|beta| basis states are listed.  At 20 a
-# 40-vertex minimal_decomposition lists its 2^20 terms in about 0.8 s on a
-# 2-core x86 VM, at a peak of 260 MiB; each further vertex doubles both.
+# The most beta vertices whose 2^|beta| basis states are listed.  At 20 the
+# 40-ring's minimal_decomposition lists its 2^20 terms in 0.55-0.8 s on a
+# 2-core x86 VM, at a peak of 250 MiB; each further vertex doubles both.
 _MAX_LISTED_BETA = 20
 
 
@@ -59,22 +53,28 @@ def _unknown_label(label: str) -> ValueError:
     return ValueError(f"unknown state label {label!r}; labels are {STATE_ALPHABET!r}")
 
 
-def _encode_state(state: str, n: int) -> np.ndarray:
-    """The writable (1, n) code array of one state; ValueError for a wrong length or an unknown label."""
+def _encode_state(state: str, n: int) -> bytearray:
+    """The one-row label buffer of a state; ValueError for a wrong length or an unknown label."""
     if len(state) != n:
         raise ValueError("state length does not match graph size")
     # a non-ASCII character becomes "?", which is not a label either
     data = state.encode("ascii", "replace")
     if data.translate(None, _LABEL_BYTES):
         raise _unknown_label(next(c for c in state if c not in STATE_ALPHABET))
-    return np.frombuffer(bytearray(data), np.uint8).reshape(1, n)
+    return bytearray(data + b"\n")
 
 
-def _decode_states(codes: np.ndarray) -> tuple[str, ...]:
-    """The rows of an ASCII code array as strings: one decode, then slices."""
-    n = codes.shape[1]
-    data = codes.tobytes().decode("ascii")
-    return tuple([data[i:i + n] for i in range(0, len(data), n)])
+def _decode_states(buf: bytearray) -> tuple[str, ...]:
+    """The rows of a label buffer as strings: one decode, one split."""
+    states = buf.decode("ascii").split("\n")
+    states.pop()  # the empty string after the last row's b"\n"
+    return tuple(states)
+
+
+def _translate_column(buf: bytearray, start: int, n: int, table: bytes) -> None:
+    """Relabel, through table and in place, one column of an n-label buffer
+    from byte start on: start v is column v of every row."""
+    buf[start::n + 1] = buf[start::n + 1].translate(table)
 
 
 @dataclass(frozen=True)
@@ -191,13 +191,13 @@ def group_elements(s: StabilizerGroup) -> list[PauliOperator]:
     return elements
 
 
-def _basis_codes(g: Graph, amask: int) -> np.ndarray:
-    """stabilized_product_basis of the independent set amask, as its (2^|beta|, n) code array.
+def _basis_codes(g: Graph, amask: int) -> bytearray:
+    """stabilized_product_basis of the independent set amask, as its label buffer.
 
     Each state's bits are a GF(2)-linear function of k, so the basis is built
-    by doubling, last beta vertex b first: the rows for k + e_b are the rows
-    so far XOR b's row, which flips "0"/"1" on b and "+"/"-" on its alpha
-    neighbours.  Raises ValueError when |beta| exceeds _MAX_LISTED_BETA.
+    by doubling, last beta vertex b first: the rows for k + e_b are a copy of
+    the rows so far, appended to them, with "0"/"1" swapped on b and "+"/"-"
+    on its alpha neighbours.  Raises ValueError when |beta| exceeds _MAX_LISTED_BETA.
     """
     n = g.n
     beta = [v for v in range(n) if not (amask >> v) & 1]
@@ -205,14 +205,13 @@ def _basis_codes(g: Graph, amask: int) -> np.ndarray:
         raise ValueError(
             f"the stabilized basis has 2^{len(beta)} states, past the 2^{_MAX_LISTED_BETA} that can be listed"
         )
-    codes = np.empty((1 << len(beta), n), np.uint8)
-    codes[0] = [ord("+") if (amask >> v) & 1 else ord("0") for v in range(n)]
-    for t, b in enumerate(reversed(beta)):  # b is bit t of k
-        flip = np.zeros(n, np.uint8)
-        flip[b] = ord("0") ^ ord("1")
-        flip[list(_bits(g.adj[b] & amask))] = ord("+") ^ ord("-")
-        np.bitwise_xor(codes[:1 << t], flip, out=codes[1 << t:2 << t])
-    return codes
+    buf = bytearray(b"".join(b"+" if (amask >> v) & 1 else b"0" for v in range(n)) + b"\n")
+    for b in reversed(beta):
+        size = len(buf)
+        buf *= 2
+        for v in (b, *_bits(g.adj[b] & amask)):
+            _translate_column(buf, size + v, n, _FLIP)
+    return buf
 
 
 def stabilized_product_basis(g: Graph, alpha) -> tuple[str, ...]:
@@ -251,19 +250,19 @@ def apply_generator(p: PauliOperator, state: str) -> tuple[int, str]:
     return (1 if k == 0 else -1), new
 
 
-def _transport_step(g: Graph, a: int, codes: np.ndarray) -> None:
-    """Relabel every row of an ASCII code array under U_a^tau for g, in place."""
+def _transport_step(g: Graph, a: int, buf: bytearray) -> None:
+    """Relabel every row of a label buffer under U_a^tau for g, in place."""
     g._check_vertex(a)
-    codes[:, a - 1] = _SQRT_MINUS_IX[codes[:, a - 1]]
-    cols = list(_bits(g.adj[a - 1]))
-    codes[:, cols] = _SQRT_PLUS_IZ[codes[:, cols]]
+    _translate_column(buf, a - 1, g.n, _SQRT_MINUS_IX)
+    for v in _bits(g.adj[a - 1]):
+        _translate_column(buf, v, g.n, _SQRT_PLUS_IZ)
 
 
 def lc_clifford_transport(g: Graph, a: int, state: str) -> str:
     """Relabel a product state under U_a^tau for graph g (global phase dropped)."""
-    codes = _encode_state(state, g.n)
-    _transport_step(g, a, codes)
-    return _decode_states(codes)[0]
+    buf = _encode_state(state, g.n)
+    _transport_step(g, a, buf)
+    return _decode_states(buf)[0]
 
 
 __all__ = [

@@ -99,7 +99,7 @@ KERNEL_PATCHES = (
 
 
 def kernel_cases():
-    """(g, alpha, lc_sequence) on which the array-built bases, signs and
+    """(g, alpha, lc_sequence) on which the buffer-built bases, signs and
     transport are pinned to the per-character loops they replaced.
 
     Every connected n <= 5 graph with each maximal independent set and a

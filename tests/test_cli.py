@@ -5,10 +5,15 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import graphent
 from graphent import measures, separable
 from graphent.cli import main
 
@@ -374,3 +379,55 @@ def test_verify_examples(capsys, tmp_path, fig6_file):
     doc = json.loads(out)
     names = {c["name"] for c in doc["checks"]}
     assert "decomposition_reconstructs" in names and "projector_identity" in names
+
+
+def test_verify_checks_the_decomposition_of_g_itself(capsys, fig6_file, monkeypatch):
+    # fig6 is settled at its own cover: its decomposition is checked against its own statevector
+    real = measures.evaluate
+
+    def one_sign_flipped(*args, **kwargs):
+        report = real(*args, **kwargs)
+        assert report.lc_path == ()
+        (sign, state), *rest = report.decomposition.terms
+        decomp = dataclasses.replace(report.decomposition, terms=((-sign, state), *rest))
+        return dataclasses.replace(report, decomposition=decomp)
+
+    monkeypatch.setattr(measures, "evaluate", one_sign_flipped)
+    code, out, _ = run(capsys, ["verify", fig6_file])
+    assert code == 4
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+    assert failed == ["decomposition_reconstructs"]
+
+
+# analyze, orbit and lattice, then verify, in one fresh interpreter: only
+# the dense oracle may load numpy
+NO_NUMPY_SCRIPT = """
+import sys
+from graphent.cli import main
+
+graph, out = sys.argv[1:]
+loaded = "numpy" in sys.modules
+codes = [main(argv + ["--out", out]) for argv in (["analyze", graph], ["orbit", graph], ["lattice", "hexagonal", "1..3"])]
+loaded = loaded or "numpy" in sys.modules
+codes.append(main(["verify", graph, "--out", out]))
+print(codes, loaded, "numpy" in sys.modules)
+"""
+
+
+def test_analyze_orbit_and_lattice_do_not_import_numpy(fig6_file, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(graphent.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT, fig6_file, str(tmp_path / "out.txt")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.split("\n")[0] == "[0, 0, 0, 0] False True"
+
+
+def test_dense_names_are_imported_on_first_use():
+    for name in ("dense", "separable", "noise_css", "peps_css"):
+        assert name in graphent.__all__
+        assert getattr(graphent, name) is not None
+    assert graphent.noise_css is separable.noise_css
+    assert graphent.dense.statevector
+    with pytest.raises(AttributeError, match="no_such_name"):
+        graphent.no_such_name

@@ -437,9 +437,9 @@ def test_transport_p3_to_triangle(p3, triangle):
 
 
 def test_transport_components_track_graph(p3):
-    codes = np.frombuffer(bytearray(b"+0+-1-"), np.uint8).reshape(2, 3)
+    codes = bytearray(b"+0+\n-1-\n")
     final = _transport_components(p3, (2, 2), codes)
-    comps = tuple(bytes(row).decode("ascii") for row in codes)
+    comps = tuple(codes.decode("ascii").split())
     assert final.adj == p3.adj  # involution
     # "+0+" -> "jjj" -> "-1-" and "-1-" -> "iii" -> "+0+": the square of the
     # Clifford is X_2 Z_1 Z_3 up to phase, which swaps the two states

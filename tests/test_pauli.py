@@ -28,8 +28,9 @@ from graphent import (
     transport_css,
 )
 from graphent.cli import _json
+from graphent.graphs import _independent_mask
 from graphent.measures import _transport_components
-from graphent.pauli import group_elements, identity
+from graphent.pauli import _basis_codes, _decode_states, _encode_state, group_elements, identity
 
 from conftest import kernel_cases, random_connected
 from oracles import commutes, entangles_check, lc_unitary_dense
@@ -309,7 +310,7 @@ def test_transport_rejects_bad_lengths(p3):
 
 
 # ---------------------------------------------------------------------------
-# The array builders against the per-character loops they replaced
+# The buffer builders against the per-character loops they replaced
 
 LOOP_SQRT_MINUS_IX = {"0": "j", "1": "i", "+": "+", "-": "-", "i": "0", "j": "1"}
 LOOP_SQRT_PLUS_IZ = {"0": "0", "1": "1", "+": "j", "-": "i", "i": "+", "j": "-"}
@@ -346,13 +347,13 @@ def loop_lc_transport(g: Graph, a: int, state: str) -> str:
     return "".join(out)
 
 
-def codes_of(states, n: int) -> np.ndarray:
-    """The writable (len(states), n) ASCII code array of label strings."""
-    return np.frombuffer(bytearray("".join(states).encode("ascii")), np.uint8).reshape(len(states), n)
+def codes_of(states) -> bytearray:
+    """The label buffer of label strings: each a row ended by a newline."""
+    return bytearray("".join(state + "\n" for state in states).encode("ascii"))
 
 
-def states_of(codes: np.ndarray) -> tuple[str, ...]:
-    return tuple(bytes(row).decode("ascii") for row in codes)
+def states_of(codes: bytearray) -> tuple[str, ...]:
+    return tuple(codes.decode("ascii").split())
 
 
 def loop_transport(g: Graph, lc_sequence, states):
@@ -372,7 +373,7 @@ def test_transport_is_the_dict_loop():
     complex_labels = repeats = 0
     for g, alpha, seq in kernel_cases():
         basis = loop_basis(g, alpha)
-        codes = codes_of(basis, g.n)
+        codes = codes_of(basis)
         final = _transport_components(g, seq, codes)
         comps = states_of(codes)
         want_final, want = loop_transport(g, seq, basis)
@@ -390,13 +391,27 @@ def test_transport_is_the_dict_loop_on_every_label():
         g = random_connected(n, rng)
         states = ["".join(rng.choice("01+-ij") for _ in range(n)) for _ in range(50)]
         seq = [rng.randrange(1, n + 1) for _ in range(4)] * 2
-        codes = codes_of(states, n)
+        codes = codes_of(states)
         _transport_components(g, seq, codes)
         assert states_of(codes) == loop_transport(g, seq, states)[1]
 
 
+def slice_decode(codes: bytearray, n: int) -> tuple[str, ...]:
+    """The rows of a label buffer cut out of one decoded string, one slice per row."""
+    data = codes.decode("ascii")
+    return tuple([data[i:i + n] for i in range(0, len(data), n + 1)])
+
+
+def test_decode_is_the_slice_decode():
+    for g, alpha, seq in kernel_cases():
+        codes = _basis_codes(g, _independent_mask(g, alpha))
+        _transport_components(g, seq, codes)
+        assert _decode_states(codes) == slice_decode(codes, g.n), (g.adj, alpha, seq)
+    assert _decode_states(_encode_state("+0ij-1", 6)) == ("+0ij-1",)
+
+
 def test_certificates_encode_no_string(monkeypatch):
-    # the basis stays one code array through signs and transport: only a
+    # the basis stays one label buffer through signs and transport: only a
     # string handed to lc_clifford_transport is ever encoded
     def refuse(state, n):
         raise AssertionError("a certificate string was encoded")
