@@ -13,7 +13,11 @@ multiply and two masks away; they depend only on the vertex and its row,
 and the orbit search keeps them in a table per vertex.  lc_orbit is the
 one orbit engine: it enumerates the orbit breadth-first over packed keys
 and reads the LC path to its representative back from the search's parent
-pointers.  It solves the input graph exactly, and the other members only
+pointers.  The search leaves out steps known to lead to a member found
+already: local complementations at two non-adjacent vertices commute, and
+one at a keeps a's row (the skip rule of lc_orbit_members).  The members
+and their order stay those of the search that takes every step.
+lc_orbit solves the input graph exactly, and the other members only
 while a solve could still change its summary: the GF(2) rank of a cut is
 the same on every member and bounds every member's |M_max| and |beta| from
 below, so once the running minima reach that rank most members need no
@@ -390,17 +394,46 @@ def lc_orbit_members(
     so far to their toggles, and a step is a row extraction, a lookup and
     an XOR.  A vertex of degree <= 1 toggles nothing and leads back to the
     member itself.
+
+    The skip rule.  Most steps only find a member found before, and the
+    search leaves out some of them without taking them.  Each queued member
+    x has a skip set S(x): S(g) is empty, and a member x = tau_a(p), first
+    reached from its parent p at vertex a, has
+    S(x) = ((S(p) | {b < a}) minus N(a)) | {a},
+    and x is expanded only at the vertices outside S(x).  Two facts make
+    every skipped step one that finds a known member:
+    (1) tau_a leaves a's own row unchanged, so N(a) is the same in p and x;
+    (2) tau_a tau_b = tau_b tau_a when a and b are not adjacent (Bouchet,
+        J. Combin. Theory B 45, 58 (1988); Hein, Eisert and Briegel, PRA 69,
+        062311 (2004)).
+    Claim: when x's expansion starts, tau_b(x) is a member for every b in
+    S(x), so once x is expanded, tau_c(x) is a member for every vertex c.
+    By induction along the queue: b = a gives tau_a(x) = p.  Otherwise b is
+    not adjacent to a, so tau_b(x) = tau_a(q) with q = tau_b(p), and q was a
+    member before p's step at a found x: p's own step at b came earlier if
+    b < a and b is outside S(p), and the claim for p covers b in S(p).  So q
+    was queued before x and expanded before it, which made tau_a(q) a
+    member.  The steps left out change nothing, so the members, their
+    order, their parent vertices and truncated are those of the search that
+    takes every step.  A table per call maps each skip set to the vertex
+    entries outside it.
     """
     _check_orbit_cap(cap)
     n = g.n
     full = (1 << n) - 1
     stride, lows, keep = _layout(n)
-    rows = [(a0, (n - 1 - a0) * stride, {}) for a0 in range(n)]
+    # per vertex: (a0, row shift, toggle table, the vertices up to a0)
+    rows = [(a0, (n - 1 - a0) * stride, {}, (2 << a0) - 1) for a0 in range(n)]
+    steps = {}  # skip set -> the entries of rows outside it
     start = _pack(g.adj)
     members: dict[int, int | None] = {start: None}
     order = [start]  # the breadth-first queue; the loop reads it as it grows
-    for cur in order:
-        for a0, shift, toggles in rows:
+    skips = [0]  # S(x) of each queued member, beside the queue
+    for cur, skip in zip(order, skips):
+        todo = steps.get(skip)
+        if todo is None:
+            todo = steps[skip] = [e for e in rows if not skip >> e[0] & 1]
+        for a0, shift, toggles, upto in todo:
             row = (cur >> shift) & full
             t = toggles.get(row)
             if t is None:
@@ -411,6 +444,7 @@ def lc_orbit_members(
                     return members, True
                 members[nxt] = a0 + 1
                 order.append(nxt)
+                skips.append((skip | upto) & ~row)  # a0 is not in its own row
     return members, False
 
 
@@ -494,6 +528,11 @@ def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP, *, _root: _RootFacts | None
     one vertex of each clique), and a member this bound already rules out
     is not searched.  On the 9-ring, whose own |beta| 5 is m but one above
     r = 4, 17 of the 8,140 members besides g are searched.
+    One case is screened before all of that, with one key comparison: once
+    the best |beta| is the proved floor and its |M_max| is r (so that
+    min |M_max| is r too and no matching solve is left), only a member with
+    a smaller key could still win; every other member would be passed over
+    by the first cover test anyway, so the solve counts do not change.
     Every field equals what solving every member would give.  Members are
     compared as packed keys, whose order is that of their adjacency tuples,
     and unpacked only for a solve.
@@ -507,7 +546,11 @@ def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP, *, _root: _RootFacts | None
     min_match = bm = facts.own_matching
     bc = facts.own_cover
     bkey = _pack(g.adj)
+    above = 1 << n * _layout(n)[0]  # above every key
+    stop = bkey if bc == lowest and bm == r else above
     for key in islice(members, 1, None):  # the root comes first
+        if key > stop:  # settled: only a smaller key can still win
+            continue
         adj = msize = None
         if min_match > r:
             adj = _unpack(n, key)
@@ -531,6 +574,7 @@ def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP, *, _root: _RootFacts | None
             min_match = min(min_match, msize)
         if (cover, msize, key) < (bc, bm, bkey):
             bc, bm, bkey = cover, msize, key
+            stop = bkey if bc == lowest and bm == r else above
     return OrbitSummary(
         size=len(members),
         representative=Graph(n, _unpack(n, bkey)),

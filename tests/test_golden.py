@@ -1,5 +1,6 @@
-"""Golden outputs: the SHA-256 of the analyze report JSON on fixed graphs, and
-of the oracle commands' stdout (verify, css --method all, analyze --oracle).
+"""Golden outputs: the SHA-256 of the analyze report JSON on fixed graphs, of
+`graphent orbit` stdout on whole and capped orbits, and of the oracle
+commands' stdout (verify, css --method all, analyze --oracle).
 
 The digests pin the reports byte for byte, tie-breaks and float formatting
 included.  K_{3,3} at orbit cap 2 reports the interval [2, 3]: a truncated
@@ -11,13 +12,15 @@ gives [2, 2]).
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
 from graphent import Graph, evaluate
 from graphent.cli import _json, main
+from graphent.lattices import LatticeSpec, generate_lattice
 
-from conftest import FIG6, complete, ring, star
+from conftest import FIG6, complete, random_connected, ring, star
 
 K33 = Graph.from_edges(6, [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)])
 
@@ -32,6 +35,11 @@ GOLDEN = [
     ("ring10", ring(10), 5000, "0eab986a74406febe01f21f59af5e997e3e288ce727336548701cabe97598198"),
     ("ring12", ring(12), 5000, "490a284d3832521e9c910b9ea7200d2e7f806cebded9470f2b72ac14001f4303"),
     ("K33-cap2", K33, 2, "dbfbe84f447cf9500b465e2c63bcf2468ccd61b2a2bda27a84225d5711e47a66"),
+    # two inputs that enumerate their whole orbit and report a nonempty lc_path
+    ("G8-seed3", random_connected(8, random.Random(3)), 5000,
+     "d22dc79c135a448e6ee172d678df8ff68dc30f079ed0fbe736f3c92a974423a5"),
+    ("G9-seed1", random_connected(9, random.Random(1)), 5000,
+     "022c56c1a428a9ea36098a82900fdae7133c16214c34717021d61499ad232d7e"),
 ]
 
 
@@ -39,6 +47,32 @@ GOLDEN = [
 def test_analyze_report_digest(graph, cap, digest):
     text = _json(evaluate(graph, orbit_cap=cap).to_dict())
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def _write_graph(g: Graph, path) -> str:
+    path.write_text(f"{g.n} {len(g.edges())}\n" + "".join(f"{u} {v}\n" for u, v in g.edges()))
+    return str(path)
+
+
+# (name, graph, orbit cap or None for the default, SHA-256 of `graphent orbit`
+# stdout): three whole orbits of 8,140, 22,484 and 27,368 members, and two
+# that the cap cuts off, one of them at 62 vertices
+ORBIT_GOLDEN = [
+    ("ring9", ring(9), None, "74f554b6bc584f4f21d268406dbfc741951e3d5e7f8ac8debfec45ca8180599b"),
+    ("ring10", ring(10), None, "486b10e8ea63564fb65c1a1a70d424d16a1fa6016bb37f5003cfb0a41a6517d6"),
+    ("G10-seed10", random_connected(10, random.Random(10)), None,
+     "4e8a2c3059f660257fa431bc46b55cf120f034d34e449ea68f87290cb02af1cb"),
+    ("G13-seed13-cap5000", random_connected(13, random.Random(13)), 5000,
+     "398b52082b8b21662a40c95d9ba07bc2343312f64aab62bfd9af07d9db9b380f"),
+    ("hexagonal15-cap2000", generate_lattice(LatticeSpec("hexagonal", 15)), 2000,
+     "d1be486890b7aaee0659a915e7f3b9cfaefdc627dd5079d24179f47bb512bb42"),
+]
+
+
+@pytest.mark.parametrize("graph,cap,digest", [case[1:] for case in ORBIT_GOLDEN], ids=[case[0] for case in ORBIT_GOLDEN])
+def test_orbit_command_digest(graph, cap, digest, tmp_path, capsys):
+    main(["orbit", *([] if cap is None else ["--orbit-cap", str(cap)]), _write_graph(graph, tmp_path / "graph.txt")])
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
 # a fixed connected 10-vertex graph with 20 edges: the size at which the dense
@@ -74,8 +108,5 @@ ORACLE_GOLDEN = [
 
 @pytest.mark.parametrize("command,graph,digest", ORACLE_GOLDEN, ids=[f"{c}-{g}" for c, g, _ in ORACLE_GOLDEN])
 def test_oracle_command_digest(command, graph, digest, tmp_path, capsys):
-    g = ORACLE_GRAPHS[graph]
-    path = tmp_path / "graph.txt"
-    path.write_text(f"{g.n} {len(g.edges())}\n" + "".join(f"{u} {v}\n" for u, v in g.edges()))
-    main([*ORACLE_COMMANDS[command], str(path)])
+    main([*ORACLE_COMMANDS[command], _write_graph(ORACLE_GRAPHS[graph], tmp_path / "graph.txt")])
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest

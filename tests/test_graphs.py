@@ -38,6 +38,7 @@ from graphent.graphs import (
     _parse_edgelist,
     _parse_graph6,
     _path_to,
+    _root_facts,
     _unpack,
     _vertices_of,
 )
@@ -370,9 +371,12 @@ def _tuple_items(g: Graph, cap: int) -> tuple[list, bool]:
     return list(members.items()), truncated
 
 
+_SEEDED_N6 = [random_connected(6, random.Random(59 + k)) for k in range(40)]
+
+
 @pytest.mark.parametrize("cap", [1, 2, 5, 20, DEFAULT_ORBIT_CAP])
 def test_packed_orbit_equals_tuple_search(cap):
-    for g in _CONNECTED_UP_TO_5:
+    for g in _CONNECTED_UP_TO_5 + _SEEDED_N6:
         assert _unpacked_items(g, cap) == _tuple_items(g, cap), g.edges()
 
 
@@ -392,6 +396,50 @@ def test_packed_orbit_equals_tuple_search_64_vertices():
         items, truncated = _unpacked_items(g, 2000)
         assert truncated and len(items) == 2000
         assert (items, truncated) == _tuple_items(g, 2000), g.n
+
+
+# whole orbits: two rings, and two G(10, 1/2) whose own cover exceeds the
+# least Pauli rank m, so that lc_orbit reads every member; (graph, size)
+_WHOLE_ORBITS = {
+    "ring9": (ring(9), 8140),
+    "ring10": (ring(10), 22484),
+    "G10-seed2": (random_connected(10, random.Random(2)), 11456),
+    "G10-seed20": (random_connected(10, random.Random(20)), 11784),
+}
+
+
+@pytest.mark.parametrize("name", list(_WHOLE_ORBITS))
+def test_packed_orbit_equals_tuple_search_whole_orbits(name):
+    g, size = _WHOLE_ORBITS[name]
+    if name.startswith("G10"):
+        facts = _root_facts(g)
+        assert facts.own_cover > facts.pauli_rank
+    items, truncated = _unpacked_items(g, DEFAULT_ORBIT_CAP)
+    assert not truncated and len(items) == size
+    assert (items, truncated) == _tuple_items(g, DEFAULT_ORBIT_CAP)
+
+
+def test_lc_commutes_at_non_adjacent_vertices_and_keeps_its_row():
+    # the two facts lc_orbit_members' skip rule rests on; local complements
+    # at two adjacent vertices do not commute in general, and the test sees it
+    rng = random.Random(67)
+    adjacent_differ = 0
+    for n in [2, 3, 5, 8, 13, 21, 34, 59, 60, 61, 62, 63, 64]:
+        stride = _layout(n)[0]
+        for p in (0.5, min(1.0, 3 / n)):
+            g = random_connected(n, rng, p)
+            key = _pack(g.adj)
+            for a0 in range(n):
+                after = _lc_key(n, key, a0)
+                assert (after >> (n - 1 - a0) * stride) & ((1 << n) - 1) == g.adj[a0]
+            for a0, b0 in itertools.combinations(range(n), 2):
+                ab = _lc_key(n, _lc_key(n, key, b0), a0)
+                ba = _lc_key(n, _lc_key(n, key, a0), b0)
+                if g.adj[a0] >> b0 & 1:
+                    adjacent_differ += ab != ba
+                else:
+                    assert ab == ba, (g.edges(), a0, b0)
+    assert adjacent_differ
 
 
 @pytest.mark.parametrize("g", [ring(62), generate_lattice(LatticeSpec("hexagonal", 15))])
