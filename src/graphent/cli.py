@@ -128,22 +128,38 @@ def _css_errors(basis, group_sum, peps, noise) -> dict[str, float]:
     """Largest entrywise distance of each independent CSS construction (the
     group sum, the PEPS assembly, dephasing) from the uniform mixture over basis.
 
-    For g's own stabilized basis all four matrices are float64 (see dense).
-    The group sum's matrix then holds each difference in turn, so no other
-    2^n x 2^n array is allocated.
+    Walks dense.ROW_BLOCK rows at a time: for each block it forms the
+    mixture's rows, the group sum's rows and each construction's rows from
+    its factor, and their distances, while the block is in cache, so no
+    2^n x 2^n array exists from n = 7 on.  Every entry is the one the full
+    matrices give (see dense).  The block maxima are reduced with np.max,
+    which keeps a NaN.
     """
     import numpy as np
 
     from . import dense
 
-    mixture = dense.mixture_density(basis)
-    scratch = dense.pauli_sum(group_sum.elements)
-    scratch *= group_sum.scale
-    errs = {}
-    for name, rho in (("stabilizer_sum", scratch), ("peps", peps), ("noise", noise)):
-        np.subtract(rho, mixture, out=scratch)
-        errs[name] = float(np.abs(scratch, out=scratch).max())
-    return errs
+    mixture = dense.mixture_factor(basis)
+    terms = dense.pauli_terms(group_sum.elements)
+
+    def constructions(start, stop):  # one block of rows at a time, formed when asked for
+        rows = dense.pauli_sum_rows(terms, start, stop)
+        rows *= group_sum.scale
+        yield "stabilizer_sum", rows
+        for name, construction in (("peps", peps), ("noise", noise)):
+            rows = dense.gram_rows(construction.factor, construction.factor, start, stop)
+            rows /= construction.divisor
+            yield name, rows
+
+    maxima: dict[str, list] = {"stabilizer_sum": [], "peps": [], "noise": []}
+    dim = mixture.shape[1]
+    for start in range(0, dim, dense.ROW_BLOCK):
+        stop = min(start + dense.ROW_BLOCK, dim)
+        mix = dense.gram_rows(mixture, mixture, start, stop)
+        for name, rows in constructions(start, stop):
+            np.subtract(rows, mix, out=rows)
+            maxima[name].append(np.abs(rows, out=rows).max())
+    return {name: float(np.max(values)) for name, values in maxima.items()}
 
 
 def cmd_css(args: argparse.Namespace) -> int:
@@ -172,9 +188,7 @@ def cmd_css(args: argparse.Namespace) -> int:
     doc: dict = {"n": g.n, "methods": descriptions}
     exit_code = EXIT_OK
     if args.method == "all":  # peps_css refuses n > DENSE_OP_CAP, so the group sum exists
-        errs = _css_errors(
-            built["stabilizer"].components, built["group_sum"], built["peps"].dense, built["noise"].dense
-        )
+        errs = _css_errors(built["stabilizer"].components, built["group_sum"], built["peps"], built["noise"])
         equal = all(v < DENSE_TOL for v in errs.values())
         doc["verdict"] = "equal" if equal else "unequal"
         doc["max_errors"] = errs
@@ -280,8 +294,8 @@ def run_verification(g: Graph, report, seed: int = 0):
     errs = _css_errors(  # noise's components are g's own stabilizer CSS
         noise.components,
         measures.css_stabilizer_form(g, alpha),
-        separable.peps_css(g, alpha).dense,
-        noise.dense,
+        separable.peps_css(g, alpha),
+        noise,
     )
     names = ("group_sum_equals_mixture", "peps_equals_stabilizer", "noise_equals_stabilizer")
     for name, err in zip(names, errs.values()):

@@ -4,7 +4,9 @@ Two independent constructions, which `verify` and `css --method all` compare
 entrywise against the stabilized-basis mixture: a virtual-qubit
 (projected-pairs style) assembly over maximally correlated two-qubit separable
 edge states, and dephasing of the vertex-cover qubits by averaged relative
-phases.
+phases.  Each returns its state as a thin factor and a divisor, not as a
+2^n x 2^n matrix: the comparison forms rows of rho in blocks
+(`dense.gram_rows`), with the bits the full product would give.
 """
 
 from __future__ import annotations
@@ -20,13 +22,19 @@ from . import dense
 
 @dataclass(frozen=True)
 class CssConstruction:
-    """Dense separable state plus its explicit product-projector mixture.
+    """Separable state rho = factor^T factor / divisor, plus its explicit
+    product-projector mixture.
 
-    dense is float64: both constructions are real (real edge states and
-    projectors; a real graph state dephased by signs).
+    factor is K x 2^n and float64: both constructions are real (real edge
+    states and projectors; a real graph state dephased by signs).  Nothing
+    forms rho: `cli._css_errors` builds it dense.ROW_BLOCK rows at a time
+    with `dense.gram_rows` and divides each block by divisor, so that no
+    2^n x 2^n array exists from n = 7 on.  Every entry is the one the full
+    product and division give (see gram_rows).
     """
 
-    dense: np.ndarray
+    factor: np.ndarray
+    divisor: float
     components: tuple[str, ...]
     weight: float
 
@@ -102,10 +110,12 @@ def peps_css(g: Graph, alpha=None) -> CssConstruction:
     end.  Tensor these over 2|E| virtual qubits, apply the repetition projector
     at cover sites and the parity projector at independent-set sites
     (degree-1 sites are identified with their lone virtual qubit), and
-    renormalize.  The parity projector never vanishes and the repetition
-    projector vanishes unless a cover site's blue virtuals agree, so for a
-    maximal alpha the surviving edge strings are t(k) with t_e = k_b, b the
-    blue end of e: one row for each k in {0,1}^beta, in ascending t.
+    renormalize: the surviving rows are the factor and their trace, the sum
+    of their squared entries, the divisor.  The parity projector never
+    vanishes and the repetition projector vanishes unless a cover site's
+    blue virtuals agree, so for a maximal alpha the surviving edge strings
+    are t(k) with t_e = k_b, b the blue end of e: one row for each k in
+    {0,1}^beta, in ascending t.
     """
     if alpha is None:
         alpha = max_independent_set(g)
@@ -141,15 +151,15 @@ def peps_css(g: Graph, alpha=None) -> CssConstruction:
     components = tuple(map("".join, zip(*site_chars)))
     if any("?" in c for c in components):
         raise RuntimeError("projected component did not land on an axis state")
-    rho = block.T @ block
-    trace = float(np.trace(rho))
+    # trace(block^T block) without the product: each diagonal entry is its
+    # column's one nonzero square, and the diagonal is summed as np.trace does
+    trace = float(np.square(block).sum(axis=0).sum())
     if trace <= 0:
         raise RuntimeError("virtual assembly produced a zero state")
     norms = np.linalg.norm(block, axis=1)
     if norms.max() - norms.min() > 1e-9 * norms.max():
         raise RuntimeError("surviving components are not uniformly weighted")
-    rho /= trace
-    return CssConstruction(rho, components, 1.0 / len(components))
+    return CssConstruction(block, trace, components, 1.0 / len(components))
 
 
 def noise_css(g: Graph, beta=None) -> CssConstruction:
@@ -159,9 +169,9 @@ def noise_css(g: Graph, beta=None) -> CssConstruction:
     two-point average phi in {0, pi} per qubit (cross terms carry e^{+-i phi}),
     i.e. the uniform mixture of Z^S|G> over subsets S of the cover.  The 2^m
     copies Z^S|G> are the rows of one real array Phi (a graph state has real
-    amplitudes), so the average is the one real product Phi^T Phi / 2^m.  The
-    components are the stabilizer CSS's; callers compare rho with their
-    mixture (entrywise, to 1e-12).
+    amplitudes), so the average is Phi^T Phi / 2^m: Phi is the factor and
+    2^m the divisor.  The components are the stabilizer CSS's; callers
+    compare rho with their mixture (entrywise, to 1e-12).
     """
     if beta is None:
         beta = frozenset(range(1, g.n + 1)) - max_independent_set(g)
@@ -177,10 +187,8 @@ def noise_css(g: Graph, beta=None) -> CssConstruction:
     for pos, b in enumerate(sorted(beta)):
         flip ^= ((subsets >> pos) & 1) & ((idx >> (g.n - b)) & 1)
     phi = np.where(flip, -psi, psi)
-    rho = phi.T @ phi
-    rho /= subsets.size
     css = closest_separable_state(g, alpha)
-    return CssConstruction(rho, css.components, css.weight)
+    return CssConstruction(phi, float(subsets.size), css.components, css.weight)
 
 
 __all__ = [

@@ -59,6 +59,12 @@ def ring(n: int) -> Graph:
     return Graph.from_edges(n, [(i, i % n + 1) for i in range(1, n + 1)])
 
 
+def write_graph(g: Graph, path) -> str:
+    """Write g to path as an edge list; returns the path as a string."""
+    path.write_text(f"{g.n} {len(g.edges())}\n" + "".join(f"{u} {v}\n" for u, v in g.edges()))
+    return str(path)
+
+
 def random_connected(n: int, rng: random.Random, p: float = 0.5) -> Graph:
     """Seeded random connected graph on n vertices."""
     pairs = list(itertools.combinations(range(1, n + 1), 2))

@@ -148,6 +148,34 @@ def noise_css_quadrature(g: Graph, beta=None, points: int = 64) -> np.ndarray:
     return rho / total
 
 
+def construction_density(construction) -> np.ndarray:
+    """The full rho of a separable.CssConstruction, as the constructions built
+    it before the row blocks: factor^T factor, then divided in place by the
+    divisor (the trace of that product for peps_css, 2^m for noise_css)."""
+    rho = construction.factor.T @ construction.factor
+    rho /= construction.divisor
+    return rho
+
+
+def full_mixture(components) -> np.ndarray:
+    """The uniform mixture as one product A A^dagger of the dim x K factor
+    (numpy's symmetric path when A is real), as the oracle built it before
+    the row blocks."""
+    a = dense.mixture_factor(components).T
+    return a @ a.T if a.dtype == np.float64 else a @ a.conj().T
+
+
+def full_css_errors(basis, group_sum, peps, noise) -> dict[str, float]:
+    """cli._css_errors from full 2^n x 2^n matrices: the largest entrywise
+    distance of the group sum, the PEPS assembly and dephasing from the
+    mixture over basis."""
+    mixture = full_mixture(basis)
+    group = dense.pauli_sum(group_sum.elements)
+    group *= group_sum.scale
+    built = {"stabilizer_sum": group, "peps": construction_density(peps), "noise": construction_density(noise)}
+    return {name: float(np.abs(rho - mixture).max()) for name, rho in built.items()}
+
+
 # Whether each bound-equality classification predicts coinciding bounds.
 _PREDICTS_EQUAL = {
     ALPHA_LT_HALF: False,

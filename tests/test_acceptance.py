@@ -27,6 +27,7 @@ from graphent import (
     gap_formula,
     generate_lattice,
     is_bipartite,
+    max_independent_set,
     minimal_decomposition,
     restricted_subgroup,
     stabilized_product_basis,
@@ -39,7 +40,14 @@ from graphent.separable import noise_css, peps_css
 
 from bell import BellSearchError, _apply_bell_move, bell_extraction
 from conftest import complete, random_connected, record_criterion, star
-from oracles import all_connected_graphs, brute_matching, brute_mis, entangles_check, predicts_equal
+from oracles import (
+    all_connected_graphs,
+    brute_matching,
+    brute_mis,
+    construction_density,
+    entangles_check,
+    predicts_equal,
+)
 
 FIG6 = Graph.from_edges(6, [(1, 6), (2, 6), (3, 5), (4, 5), (5, 6)])
 
@@ -145,13 +153,14 @@ def test_criterion_05_three_way_css_agreement():
     t0 = time.monotonic()
 
     def check(g):
-        alpha = None
-        ref = css_density(closest_separable_state(g))
-        form = css_stabilizer_form(g)
+        alpha = max_independent_set(g)
+        ref = css_density(closest_separable_state(g, alpha))
+        form = css_stabilizer_form(g, alpha)
         eq6 = sum(dense.pauli_dense(p) for p in form.elements) * form.scale
         assert np.abs(eq6 - ref).max() < DENSE_TOL, g.edges()
-        assert np.abs(peps_css(g).dense - ref).max() < DENSE_TOL, g.edges()
-        assert np.abs(noise_css(g).dense - ref).max() < DENSE_TOL, g.edges()
+        assert np.abs(construction_density(peps_css(g, alpha)) - ref).max() < DENSE_TOL, g.edges()
+        beta = frozenset(range(1, g.n + 1)) - alpha
+        assert np.abs(construction_density(noise_css(g, beta)) - ref).max() < DENSE_TOL, g.edges()
 
     count = 0
     for n in range(2, 7):
@@ -166,7 +175,7 @@ def test_criterion_05_three_way_css_agreement():
     p4 = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
     result = peps_css(p4, {1, 3})
     assert sorted(result.components) == ["+0+0", "+0-1", "-1+1", "-1-0"]
-    assert np.abs(result.dense - css_density(closest_separable_state(p4))).max() < DENSE_TOL
+    assert np.abs(construction_density(result) - css_density(closest_separable_state(p4))).max() < DENSE_TOL
     elapsed = time.monotonic() - t0
     assert elapsed < 600.0
     record_criterion(

@@ -5,19 +5,24 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import graphent
-from graphent import measures, separable
-from graphent.cli import main
+from graphent import css_stabilizer_form, dense, max_independent_set, measures, separable
+from graphent.cli import _css_errors, main
 
-from conftest import FIG6_TEXT, complete
+from conftest import FIG6_TEXT, complete, random_connected, ring, write_graph
+from oracles import all_connected_graphs, full_css_errors
 
 C5_TEXT = "5 5\n1 2\n2 3\n3 4\n4 5\n5 1\n"
 STAR4_TEXT = "4 3\n1 2\n1 3\n1 4\n"
@@ -190,17 +195,26 @@ def test_verify_and_css_k8(capsys, tmp_path):
     assert json.loads(out)["verdict"] == "equal"
 
 
-def test_css_disagreement_exits_3_and_fails_verify(capsys, fig6_file, monkeypatch):
-    # a dephasing construction one entry off by 1e-9: css reports it, verify fails on it alone
+def _corrupt_noise_factor(monkeypatch, corrupt):
+    """Make separable.noise_css return its dephasing factor passed through corrupt."""
     real = separable.noise_css
 
-    def one_entry_off(*args, **kwargs):
+    def corrupted(*args, **kwargs):
         result = real(*args, **kwargs)
-        rho = result.dense.copy()
-        rho[0, 0] += 1e-9
-        return dataclasses.replace(result, dense=rho)
+        factor = result.factor.copy()
+        corrupt(factor)
+        return dataclasses.replace(result, factor=factor)
 
-    monkeypatch.setattr(separable, "noise_css", one_entry_off)
+    monkeypatch.setattr(separable, "noise_css", corrupted)
+
+
+def test_css_disagreement_exits_3_and_fails_verify(capsys, fig6_file, monkeypatch):
+    # a dephasing factor one entry off by 1e-9, so a row and a column of rho
+    # are off by 1e-9 / 32: css reports it, verify fails on it alone
+    def one_entry_off(factor):
+        factor[0, 0] += 1e-9
+
+    _corrupt_noise_factor(monkeypatch, one_entry_off)
     code, out, _ = run(capsys, ["css", fig6_file, "--method", "all"])
     assert code == 3
     doc = json.loads(out)
@@ -210,6 +224,87 @@ def test_css_disagreement_exits_3_and_fails_verify(capsys, fig6_file, monkeypatc
     assert code == 4
     failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
     assert failed == ["noise_equals_stabilizer"]
+
+
+def test_nan_in_a_factor_fails_the_css_checks(capsys, tmp_path, monkeypatch):
+    # a NaN in the dephasing factor's last column makes rho's last row and
+    # column NaN, across the 16 row blocks at n = 10: the error is NaN, and
+    # both commands fail on it
+    g = random_connected(10, random.Random(31), p=0.3)
+    path = write_graph(g, tmp_path / "g10.txt")
+
+    def last_column_nan(factor):
+        factor[:, -1] = math.nan
+
+    _corrupt_noise_factor(monkeypatch, last_column_nan)
+    code, out, _ = run(capsys, ["css", path, "--method", "all"])
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["verdict"] == "unequal"
+    assert math.isnan(doc["max_errors"]["noise"])
+    code, out, _ = run(capsys, ["verify", path])
+    assert code == 4
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert [name for name, c in checks.items() if not c["passed"]] == ["noise_equals_stabilizer"]
+    assert checks["noise_equals_stabilizer"]["detail"] == "max_err=nan"
+
+
+def _css_inputs(g):
+    alpha = max_independent_set(g)
+    noise = separable.noise_css(g, frozenset(range(1, g.n + 1)) - alpha)
+    return noise.components, css_stabilizer_form(g, alpha), separable.peps_css(g, alpha), noise
+
+
+def test_row_block_css_errors_equal_the_full_builds():
+    # every connected graph with n <= 5 and seeded graphs with n = 6..10: the
+    # row-blocked errors are the errors of the full matrices, bit for bit, and
+    # the PEPS divisor is the trace of its full product
+    rng = random.Random(31)
+    small = [g for n in range(1, 6) for g in all_connected_graphs(n)]
+    seeded = [random_connected(n, rng, p) for n in range(6, 11) for p in (0.3, 0.5, 0.8) for _ in range(2)]
+    for g in small + seeded:
+        basis, group_sum, peps, noise = _css_inputs(g)
+        assert peps.divisor == np.trace(peps.factor.T @ peps.factor), g.edges()
+        assert _css_errors(basis, group_sum, peps, noise) == full_css_errors(basis, group_sum, peps, noise), g.edges()
+
+
+def test_css_row_blocks_cover_every_row_once(monkeypatch):
+    # the mixture, the group sum and both constructions are formed over the
+    # same blocks, which tile the rows once, each shorter than 2^n from n = 7
+    for g in (ring(7), random_connected(10, random.Random(33))):
+        seen = {"gram_rows": [], "pauli_sum_rows": []}
+        for name in seen:
+            kernel = getattr(dense, name)
+
+            def recording(*args, _kernel=kernel, _seen=seen[name]):
+                _seen.append(args[-2:])
+                return _kernel(*args)
+
+            monkeypatch.setattr(dense, name, recording)
+        _css_errors(*_css_inputs(g))
+        monkeypatch.undo()
+        blocks = seen["pauli_sum_rows"]
+        assert seen["gram_rows"] == [b for b in blocks for _ in range(3)]
+        assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+        assert blocks[-1][1] == 1 << g.n
+        assert all(stop - start < 1 << g.n for start, stop in blocks)
+
+
+def test_css_and_verify_form_no_full_matrix_from_n_7(tmp_path):
+    # at n = 10 one 2^n x 2^n float64 matrix takes 8 MiB; both commands stay
+    # below that in all, so none is allocated
+    rng = random.Random(32)
+    full = 8 << (2 * 10)
+    for g in (ring(10), random_connected(10, rng, p=0.3), random_connected(10, rng, p=0.5)):
+        path = write_graph(g, tmp_path / "g.txt")
+        for argv in (["css", path, "--method", "all"], ["verify", path]):
+            tracemalloc.start()
+            try:
+                assert main(argv + ["--out", str(tmp_path / "out.json")]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < full, (argv[0], g.edges(), peak)
 
 
 def test_css_single_method(capsys, tmp_path):

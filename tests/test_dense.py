@@ -14,7 +14,7 @@ from graphent.pauli import PauliOperator, generators_from_graph, group_elements
 from graphent.separable import noise_css
 
 from conftest import FIG6, complete, random_connected, ring, star
-from oracles import all_connected_graphs, brute_matching, brute_mis
+from oracles import all_connected_graphs, brute_matching, brute_mis, construction_density
 
 
 def test_statevector_p2(p2):
@@ -310,7 +310,7 @@ def test_noise_css_is_the_subset_loop():
     rng = random.Random(5)
     for g in (FIG6, ring(5), random_connected(7, rng), random_connected(7, rng)):
         beta = frozenset(range(1, g.n + 1)) - max_independent_set(g)
-        assert np.allclose(noise_css(g, beta).dense, _subset_noise(g, beta), atol=1e-14), g.edges()
+        assert np.allclose(construction_density(noise_css(g, beta)), _subset_noise(g, beta), atol=1e-14), g.edges()
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from graphent import Graph, evaluate
 from graphent.cli import _json, main
 from graphent.lattices import LatticeSpec, generate_lattice
 
-from conftest import FIG6, complete, random_connected, ring, star
+from conftest import FIG6, complete, random_connected, ring, star, write_graph
 
 K33 = Graph.from_edges(6, [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)])
 
@@ -49,11 +49,6 @@ def test_analyze_report_digest(graph, cap, digest):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
-def _write_graph(g: Graph, path) -> str:
-    path.write_text(f"{g.n} {len(g.edges())}\n" + "".join(f"{u} {v}\n" for u, v in g.edges()))
-    return str(path)
-
-
 # (name, graph, orbit cap or None for the default, SHA-256 of `graphent orbit`
 # stdout): three whole orbits of 8,140, 22,484 and 27,368 members, and two
 # that the cap cuts off, one of them at 62 vertices
@@ -71,7 +66,7 @@ ORBIT_GOLDEN = [
 
 @pytest.mark.parametrize("graph,cap,digest", [case[1:] for case in ORBIT_GOLDEN], ids=[case[0] for case in ORBIT_GOLDEN])
 def test_orbit_command_digest(graph, cap, digest, tmp_path, capsys):
-    main(["orbit", *([] if cap is None else ["--orbit-cap", str(cap)]), _write_graph(graph, tmp_path / "graph.txt")])
+    main(["orbit", *([] if cap is None else ["--orbit-cap", str(cap)]), write_graph(graph, tmp_path / "graph.txt")])
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
@@ -108,5 +103,5 @@ ORACLE_GOLDEN = [
 
 @pytest.mark.parametrize("command,graph,digest", ORACLE_GOLDEN, ids=[f"{c}-{g}" for c, g, _ in ORACLE_GOLDEN])
 def test_oracle_command_digest(command, graph, digest, tmp_path, capsys):
-    main([*ORACLE_COMMANDS[command], _write_graph(ORACLE_GRAPHS[graph], tmp_path / "graph.txt")])
+    main([*ORACLE_COMMANDS[command], write_graph(ORACLE_GRAPHS[graph], tmp_path / "graph.txt")])
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest

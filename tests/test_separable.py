@@ -19,7 +19,7 @@ from graphent import (
 )
 
 from conftest import complete, random_connected, small_graphs_with_alphas
-from oracles import all_connected_graphs, noise_css_quadrature
+from oracles import all_connected_graphs, construction_density, noise_css_quadrature
 
 
 def stab_density(g, alpha=None):
@@ -39,7 +39,7 @@ def test_peps_rejects_non_maximal_alpha(p3):
 
 def test_peps_every_maximal_alpha_small_graphs():
     for g, alpha in small_graphs_with_alphas():
-        assert np.abs(peps_css(g, alpha).dense - stab_density(g, alpha)).max() < 1e-12, (g.edges(), alpha)
+        assert np.abs(construction_density(peps_css(g, alpha)) - stab_density(g, alpha)).max() < 1e-12, (g.edges(), alpha)
 
 
 def test_peps_k8_beyond_24_edges():
@@ -47,7 +47,7 @@ def test_peps_k8_beyond_24_edges():
     assert k8.edge_count() == 28
     result = peps_css(k8)
     assert len(result.components) == 1 << 7
-    assert np.abs(result.dense - stab_density(k8)).max() < 1e-12
+    assert np.abs(construction_density(result) - stab_density(k8)).max() < 1e-12
 
 
 def test_peps_beta_edge_orange_at_lower_end(triangle):
@@ -92,24 +92,24 @@ def test_peps_open_chain_4qubit_example(p4):
     omega4 /= np.trace(omega4)
 
     result = peps_css(p4, {1, 3})
-    assert np.abs(result.dense - omega4).max() < 1e-12
-    assert np.abs(result.dense - stab_density(p4, {1, 3})).max() < 1e-12
+    assert np.abs(construction_density(result) - omega4).max() < 1e-12
+    assert np.abs(construction_density(result) - stab_density(p4, {1, 3})).max() < 1e-12
     assert sorted(result.components) == ["+0+0", "+0-1", "-1+1", "-1-0"]
 
 
 def test_peps_p2_is_edge_state(p2):
     result = peps_css(p2, {1})
     assert result.components == ("+0", "-1")
-    assert np.abs(result.dense - stab_density(p2)).max() < 1e-15
+    assert np.abs(construction_density(result) - stab_density(p2)).max() < 1e-15
 
 
 def test_peps_triangle(triangle):
     result = peps_css(triangle, {1})
-    assert np.abs(result.dense - stab_density(triangle, {1})).max() < 1e-12
+    assert np.abs(construction_density(result) - stab_density(triangle, {1})).max() < 1e-12
 
 
 def test_peps_density_operator_properties(fig6):
-    rho = peps_css(fig6).dense
+    rho = construction_density(peps_css(fig6))
     assert np.abs(rho - rho.conj().T).max() < 1e-12
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert np.linalg.eigvalsh(rho).min() > -1e-12
@@ -125,17 +125,17 @@ def test_peps_components_match_basis(fig6):
 def test_noise_p3(p3):
     result = noise_css(p3, {2})
     assert sorted(result.components) == ["+0+", "-1-"]
-    assert np.abs(result.dense - stab_density(p3)).max() < 1e-12
+    assert np.abs(construction_density(result) - stab_density(p3)).max() < 1e-12
 
 
 def test_noise_p2(p2):
     result = noise_css(p2, {2})
-    assert np.abs(result.dense - stab_density(p2)).max() < 1e-15
+    assert np.abs(construction_density(result) - stab_density(p2)).max() < 1e-15
 
 
 def test_noise_fig6(fig6):
     result = noise_css(fig6, {5, 6})
-    assert np.abs(result.dense - stab_density(fig6)).max() < 1e-12
+    assert np.abs(construction_density(result) - stab_density(fig6)).max() < 1e-12
     assert sorted(result.components) == sorted(closest_separable_state(fig6).components)
 
 
@@ -160,7 +160,7 @@ def test_quadrature_matches_two_point(p3, p2, triangle):
     for g in (p2, p3, triangle):
         beta = frozenset(range(1, g.n + 1)) - max_independent_set(g)
         fine = noise_css_quadrature(g, beta, points=64)
-        assert np.abs(fine - noise_css(g, beta).dense).max() < 1e-9
+        assert np.abs(fine - construction_density(noise_css(g, beta))).max() < 1e-9
 
 
 def test_three_way_exhaustive_n4():
@@ -172,8 +172,8 @@ def test_three_way_exhaustive_n4():
             if not g.is_connected():
                 continue
             ref = stab_density(g)
-            assert np.abs(peps_css(g).dense - ref).max() < 1e-12
-            assert np.abs(noise_css(g).dense - ref).max() < 1e-12
+            assert np.abs(construction_density(peps_css(g)) - ref).max() < 1e-12
+            assert np.abs(construction_density(noise_css(g)) - ref).max() < 1e-12
 
 
 def test_three_way_random_n7_n8():
@@ -181,8 +181,8 @@ def test_three_way_random_n7_n8():
     for _ in range(12):
         g = random_connected(rng.choice([5, 6, 7, 8]), rng, p=0.4)
         ref = stab_density(g)
-        assert np.abs(peps_css(g).dense - ref).max() < 1e-12
-        assert np.abs(noise_css(g).dense - ref).max() < 1e-12
+        assert np.abs(construction_density(peps_css(g)) - ref).max() < 1e-12
+        assert np.abs(construction_density(noise_css(g)) - ref).max() < 1e-12
 
 
 def _complex_noise(g, beta):
@@ -206,8 +206,8 @@ def test_real_constructions_are_the_complex_builds():
     for g in graphs + [random_connected(n, rng) for n in (8, 9, 10) for _ in range(2)]:
         alpha = max_independent_set(g)
         beta = frozenset(range(1, g.n + 1)) - alpha
-        noise = noise_css(g, beta).dense
-        peps = peps_css(g, alpha).dense
+        noise = construction_density(noise_css(g, beta))
+        peps = construction_density(peps_css(g, alpha))
         assert noise.dtype == peps.dtype == np.float64
         complex_noise = _complex_noise(g, beta)
         assert np.array_equal(noise, complex_noise), g.edges()
