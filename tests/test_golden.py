@@ -1,6 +1,7 @@
 """Golden outputs: the SHA-256 of the analyze report JSON on fixed graphs, of
 `graphent orbit` stdout on whole and capped orbits, and of the oracle
-commands' stdout (verify, css --method all, analyze --oracle).
+commands' stdout (verify, css with each --method and with all, analyze
+--oracle).
 
 The digests pin the reports byte for byte, tie-breaks and float formatting
 included.  K_{3,3} at orbit cap 2 reports the interval [2, 3]: a truncated
@@ -81,6 +82,9 @@ ORACLE_GRAPHS = {"fig6": FIG6, "C5": ring(5), "K4": complete(4), "G10": G10}
 ORACLE_COMMANDS = {
     "verify": ["verify", "--seed", "3"],
     "css": ["css", "--method", "all"],
+    "css-stabilizer": ["css", "--method", "stabilizer"],
+    "css-peps": ["css", "--method", "peps"],
+    "css-noise": ["css", "--method", "noise"],
     "analyze-oracle": ["analyze", "--oracle"],
 }
 
@@ -98,6 +102,16 @@ ORACLE_GOLDEN = [
     ("verify", "G10", "ad40c6f80b18d41f069419b8577debb5143e10bcbc59bbf706f9882af5508f75"),
     ("css", "G10", "f2f252b2c87e6e402d8fdb293b25253a892d1ecc90d3cb293235b8edac670c98"),
     ("analyze-oracle", "G10", "9a4bd31d967e95ce6e1d957f25e3411e06803b5486728e28064d78411b484f55"),
+    # each css method alone
+    ("css-stabilizer", "fig6", "4df65a74eaa27857806adc133e6f760055a8aa634b18e0be8ddd4548d4f940a2"),
+    ("css-stabilizer", "C5", "1f958fdbbee97cf16fdbda4dce6fecf8284c0040c42772d781bfd575a4b04efd"),
+    ("css-stabilizer", "G10", "f3d54e34fa26a573662ca3d4ee5465a955fa42b11e0cd63bb495b2e74b0f82e2"),
+    ("css-peps", "fig6", "ab69e92720509a3940991783095c649156795c1feadcbea7558392f74cfd476f"),
+    ("css-peps", "C5", "1bc09051de6f53d238769c2935fb4d9440037696fda6d23d204474e2946541fc"),
+    ("css-peps", "G10", "e399c58d99bd109582151f8e0c5e31988cb9a60cfa0e12875739e5b202bb1b7f"),
+    ("css-noise", "fig6", "f8897e030f96e9021d13ec01989430c976c88f491cb23e915e35e893a95dd8e1"),
+    ("css-noise", "C5", "b1e6b1ca71c42ac0c15d4fff090871f6a79b75489b7772cc441f0d367a3d599c"),
+    ("css-noise", "G10", "5df68177275cb24f5d29c6b98c06f4de322ea690e4de6b726f7567d1dd4b8d2f"),
 ]
 
 
