@@ -170,7 +170,7 @@ def cmd_css(args: argparse.Namespace) -> int:
     methods = ("stabilizer", "peps", "noise") if args.method == "all" else (args.method,)
     built = {}
     if "noise" in methods:  # its components are the stabilizer CSS's: one basis serves both
-        built["noise"] = separable.noise_css(g, beta=frozenset(range(1, g.n + 1)) - alpha)
+        built["noise"] = separable.noise_css(g, alpha)
     descriptions = []
     for method in methods:
         if method == "stabilizer":
@@ -290,7 +290,7 @@ def run_verification(g: Graph, report, seed: int = 0):
     ree, passed = figures["ree"]
     checks.append(("relative_entropy_equals_upper", passed, f"ree={ree:.12f} upper={report.bounds.upper}"))
 
-    noise = separable.noise_css(g, frozenset(range(1, g.n + 1)) - alpha)
+    noise = separable.noise_css(g, alpha)
     errs = _css_errors(  # noise's components are g's own stabilizer CSS
         noise.components,
         measures.css_stabilizer_form(g, alpha),

@@ -84,12 +84,12 @@ def _mask_of(vertices, n: int) -> int:
     return mask
 
 
-def _independent_mask(g: Graph, vertices, what: str = "alpha") -> int:
+def _independent_mask(g: Graph, vertices) -> int:
     """Bit mask of vertices; ValueError unless no edge of g joins two of them."""
     mask = _mask_of(vertices, g.n)
     for v in _bits(mask):
         if g.adj[v] & mask:
-            raise ValueError(f"{what} is not an independent set")
+            raise ValueError("alpha is not an independent set")
     return mask
 
 
@@ -140,19 +140,6 @@ class Graph:
             adj[v - 1] |= 1 << (u - 1)
         return Graph(n, tuple(adj))
 
-    def neighbors(self, a: int) -> frozenset[int]:
-        self._check_vertex(a)
-        return _vertices_of(self.adj[a - 1])
-
-    def degree(self, a: int) -> int:
-        self._check_vertex(a)
-        return self.adj[a - 1].bit_count()
-
-    def has_edge(self, a: int, b: int) -> bool:
-        self._check_vertex(a)
-        self._check_vertex(b)
-        return bool((self.adj[a - 1] >> (b - 1)) & 1)
-
     def edges(self) -> list[tuple[int, int]]:
         """Sorted list of edges as (u, v) with u < v, 1-indexed."""
         out = []
@@ -161,9 +148,6 @@ class Graph:
                 if j > i:
                     out.append((i + 1, j + 1))
         return out
-
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
 
     def is_connected(self) -> bool:
         seen = 1
@@ -175,29 +159,6 @@ class Graph:
             frontier = nxt & ~seen
             seen |= frontier
         return seen == (1 << self.n) - 1
-
-    def to_graph6(self) -> str:
-        """Standard graph6 encoding (0-indexed externally)."""
-        n = self.n
-        if n <= 62:
-            head = chr(n + 63)
-        else:
-            head = chr(126) + "".join(
-                chr(((n >> shift) & 0x3F) + 63) for shift in (12, 6, 0)
-            )
-        bits = []
-        for j in range(1, n):
-            for i in range(j):
-                bits.append((self.adj[i] >> j) & 1)
-        while len(bits) % 6:
-            bits.append(0)
-        chars = []
-        for k in range(0, len(bits), 6):
-            val = 0
-            for b in bits[k : k + 6]:
-                val = (val << 1) | b
-            chars.append(chr(val + 63))
-        return head + "".join(chars)
 
     def _check_vertex(self, a: int):
         if not 1 <= a <= self.n:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import Graph, _matching_max_size, _mis_size
+from .graphs import MAX_VERTICES, Graph, _matching_max_size, _mis_size
 
 KINDS = ("triangular", "kagome", "hexa-triangular", "hexagonal")
 
@@ -152,8 +152,8 @@ def lattice_vertex_count(kind: str, size: int) -> int:
 def generate_lattice(spec: LatticeSpec) -> Graph:
     """Build the open-boundary patch as a Graph (row-major vertex numbering)."""
     n = _VERTEX_COUNTS[spec.kind](spec.size)
-    if n > 64:
-        raise ValueError(f"{spec.kind} size {spec.size} yields {n} > 64 vertices")
+    if n > MAX_VERTICES:
+        raise ValueError(f"{spec.kind} size {spec.size} yields {n} > {MAX_VERTICES} vertices")
     g = Graph.from_edges(*_BUILDERS[spec.kind](spec.size))
     if not g.is_connected():
         raise ValueError(f"{spec.kind} size {spec.size} patch is not connected")

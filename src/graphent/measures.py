@@ -22,6 +22,16 @@ summary carries the values bounds needs; then one maximum independent set
 gives one stabilized basis, of which the decomposition, the CSS and the CPS
 are views.
 
+E_R and E_G are one value on a graph state |G>, so one interval serves both.
+For a product state |phi>, the twirl sigma_phi = 2^-n sum_s s|phi><phi|s over
+the 2^n stabilizer elements s is separable (each s|phi> is a product state)
+and diagonal in the basis Z^k|G>: each s has every Z^k|G> as an eigenvector,
+and the signs of two distinct k average out.  Its k = 0 entry is
+|<G|phi>|^2, so S(G||sigma_phi) = -log2 |<G|phi>|^2 and E_R <= E_G.  E_R >= E_G
+holds for every pure state: -<G|log2 sigma|G> >= -log2 <G|sigma|G> (log is
+concave), and no separable sigma has <G|sigma|G> above the best product
+overlap.  The twirl of the CPS is the CSS mixture.
+
 The basis stays one pauli label buffer through signs and transport: the
 decomposition's signs are read from its beta columns taken as integers
 (_signs), so this module, like pauli, needs no numpy.
@@ -47,7 +57,7 @@ from .graphs import (
     max_independent_set,
 )
 from .pauli import _MAX_LISTED_BETA, _basis_codes, _decode_states, _transport_step, stabilized_product_basis
-from .pauli import generators_from_graph, group_elements, restricted_subgroup
+from .pauli import group_elements, restricted_subgroup
 
 # Classification labels for the bound-equality statements.
 ALPHA_LT_HALF = "ALPHA_LT_HALF"
@@ -79,6 +89,9 @@ class BoundsReport:
     Briegel, quant-ph/0307130), so E_S, E_R (the entropy across the cut;
     Vedral and Plenio, PRA 57, 1619 (1998)) and E_G (no product overlap
     beats 2^-r) are at least r, on every LC-orbit member and at any cap.
+    E_R and E_G share each bound: the twirl sigma_phi = 2^-n sum_s
+    s|phi><phi|s of a product state is separable and diagonal in the basis
+    Z^k|G>, so S(G||sigma_phi) = -log2 |<G|phi>|^2 (see the module docstring).
     upper is the least |beta| over the orbit members solved; truncated says
     the cap cut the orbit off.
     """
@@ -201,9 +214,6 @@ class Decomposition:
     terms: tuple[tuple[int, str], ...]
     normalization: float
 
-    def size(self) -> int:
-        return len(self.terms)
-
 
 @dataclass(frozen=True)
 class SeparableStateDescription:
@@ -221,18 +231,14 @@ class CssStabilizerSum:
     scale: float
 
 
-def _alpha_or_default(g: Graph, alpha):
-    return max_independent_set(g) if alpha is None else frozenset(alpha)
-
-
-def minimal_decomposition(g: Graph, alpha=None) -> Decomposition:
+def minimal_decomposition(g: Graph, alpha) -> Decomposition:
     """Signed product-state decomposition of |g> over the alpha-stabilized basis.
 
     2^{|beta|} terms; each state's k is the set of beta vertices carrying 1,
     and its sign is sign_function of that k.  Reconstructs the statevector
     exactly (an oracle-checked invariant).
     """
-    amask = _independent_mask(g, _alpha_or_default(g, alpha))
+    amask = _independent_mask(g, alpha)
     buf = _basis_codes(g, amask)
     basis = _decode_states(buf)
     # a list first: tuple(zip(...)) grows its result by resizing, and CPython
@@ -243,22 +249,23 @@ def minimal_decomposition(g: Graph, alpha=None) -> Decomposition:
     return Decomposition(tuple(pairs), 1.0 / math.sqrt(len(basis)))
 
 
-def closest_separable_state(g: Graph, alpha=None) -> SeparableStateDescription:
+def closest_separable_state(g: Graph, alpha) -> SeparableStateDescription:
     """Uniform mixture over the stabilized product basis (the CSS certificate)."""
-    basis = stabilized_product_basis(g, _alpha_or_default(g, alpha))
+    basis = stabilized_product_basis(g, alpha)
     return SeparableStateDescription(basis, 1.0 / len(basis))
 
 
-def css_stabilizer_form(g: Graph, alpha=None) -> CssStabilizerSum:
+def css_stabilizer_form(g: Graph, alpha) -> CssStabilizerSum:
     """The same CSS as the normalized sum over the alpha-subgroup elements."""
-    sub = restricted_subgroup(generators_from_graph(g), _alpha_or_default(g, alpha))
+    _independent_mask(g, alpha)
+    sub = restricted_subgroup(g, alpha)
     return CssStabilizerSum(tuple(group_elements(sub)), 1.0 / (1 << g.n))
 
 
-def closest_product_state(g: Graph, alpha=None) -> str:
+def closest_product_state(g: Graph, alpha) -> str:
     """|+> on alpha and |0> on beta: the k = 0 basis state, first under the
     canonical ordering (the CPS certificate)."""
-    amask = _independent_mask(g, _alpha_or_default(g, alpha))
+    amask = _independent_mask(g, alpha)
     return "".join("+" if (amask >> v) & 1 else "0" for v in range(g.n))
 
 
@@ -271,9 +278,9 @@ def _transport_components(g: Graph, lc_sequence, buf: bytearray) -> Graph:
     return h
 
 
-def transport_css(g: Graph, lc_sequence, alpha=None) -> SeparableStateDescription:
+def transport_css(g: Graph, lc_sequence, alpha) -> SeparableStateDescription:
     """CSS of the graph state reached from g by the given local complementations."""
-    buf = _basis_codes(g, _independent_mask(g, _alpha_or_default(g, alpha)))
+    buf = _basis_codes(g, _independent_mask(g, alpha))
     _transport_components(g, tuple(lc_sequence), buf)
     basis = _decode_states(buf)
     return SeparableStateDescription(basis, 1.0 / len(basis))

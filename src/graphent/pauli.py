@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, _bits, _independent_mask
+from .graphs import Graph, _bits, _independent_mask, _mask_of
 
 STATE_ALPHABET = "01+-ij"
 
-_LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
-_XZ_TO_LETTER = {v: k for k, v in _LETTER_TO_XZ.items()}
+_XZ_TO_LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 
 # Action of X^x Z^z on the six labels: (x, z) -> {label: (i-exponent, new label)}.
 # Built from Z|1> = -|1>, Z swapping +/- and i/j, X swapping 0/1 and i/j
@@ -92,13 +91,6 @@ class PauliOperator:
             raise ValueError("Pauli support outside qubit range")
         object.__setattr__(self, "phase", self.phase % 4)
 
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0 and self.phase == 0
-
-    def is_hermitian(self) -> bool:
-        # (i^p X^x Z^z)^dagger = (-1)^(p + |x&z|) i^p X^x Z^z
-        return (self.phase + (self.x & self.z).bit_count()) % 2 == 0
-
     def text(self) -> str:
         """Letter form with Y for overlapping X,Z; sign folded into a prefix."""
         # X^x Z^z = (-i)^{|x&z|} (letter form), so the prefix is i^{phase-|x&z|}
@@ -108,34 +100,6 @@ class PauliOperator:
             _XZ_TO_LETTER[((self.x >> b) & 1, (self.z >> b) & 1)] for b in range(self.n)
         )
         return prefix + letters
-
-    @staticmethod
-    def from_text(text: str) -> "PauliOperator":
-        """Parse e.g. 'XZI', '-IIZZXZ' (unicode minus accepted)."""
-        s = text.strip().replace("−", "-")
-        phase = 0
-        # lowercase i is the imaginary prefix; uppercase I is the identity letter
-        if s[:2] == "-i":
-            phase, s = 3, s[2:]
-        elif s[:1] == "-":
-            phase, s = 2, s[1:]
-        elif s[:2] == "+i":
-            phase, s = 1, s[2:]
-        elif s[:1] == "i":
-            phase, s = 1, s[1:]
-        elif s[:1] == "+":
-            s = s[1:]
-        x = z = 0
-        for b, letter in enumerate(s):
-            try:
-                xb, zb = _LETTER_TO_XZ[letter]
-            except KeyError:
-                raise ValueError(f"bad Pauli letter {letter!r} in {text!r}") from None
-            x |= xb << b
-            z |= zb << b
-            if xb and zb:
-                phase += 1  # Y = i * XZ
-        return PauliOperator(len(s), x, z, phase)
 
 
 def identity(n: int) -> PauliOperator:
@@ -152,32 +116,21 @@ def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
 
 @dataclass(frozen=True)
 class StabilizerGroup:
-    """Independent commuting generators, tagged with the vertex indices kept."""
+    """Independent commuting generators on n qubits."""
 
     n: int
     generators: tuple[PauliOperator, ...]
-    support: frozenset[int]
-
-    def order(self) -> int:
-        return 1 << len(self.generators)
 
 
 def generators_from_graph(g: Graph) -> StabilizerGroup:
     """The n graph-state generators: X on vertex a, Z on its neighbourhood."""
-    gens = tuple(
-        PauliOperator(g.n, 1 << (a - 1), g.adj[a - 1], 0) for a in range(1, g.n + 1)
-    )
-    return StabilizerGroup(g.n, gens, frozenset(range(1, g.n + 1)))
+    return restricted_subgroup(g, range(1, g.n + 1))
 
 
-def restricted_subgroup(s: StabilizerGroup, keep) -> StabilizerGroup:
-    """Keep only the generators whose vertex index lies in keep."""
-    keep_set = frozenset(keep)
-    if keep_set - s.support:
-        raise ValueError("keep contains indices outside the group support")
-    ordered = sorted(s.support)
-    gens = tuple(s.generators[ordered.index(a)] for a in sorted(keep_set))
-    return StabilizerGroup(s.n, gens, keep_set)
+def restricted_subgroup(g: Graph, keep) -> StabilizerGroup:
+    """The graph-state generators X_a Z_N(a) of the vertices a in keep, ascending."""
+    gens = tuple(PauliOperator(g.n, 1 << v, g.adj[v]) for v in _bits(_mask_of(keep, g.n)))
+    return StabilizerGroup(g.n, gens)
 
 
 def group_elements(s: StabilizerGroup) -> list[PauliOperator]:

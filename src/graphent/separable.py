@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, _independent_mask, _mask_of, max_independent_set
+from .graphs import Graph, _independent_mask
 from .measures import closest_separable_state
 from . import dense
 
@@ -101,7 +101,7 @@ def _axis_label(vec) -> str:
     return "?"
 
 
-def peps_css(g: Graph, alpha=None) -> CssConstruction:
+def peps_css(g: Graph, alpha) -> CssConstruction:
     """Closest separable state assembled from virtual-qubit edge mixtures.
 
     Each edge (u, v) carries the two-qubit separable state mixing |+0> with
@@ -117,8 +117,6 @@ def peps_css(g: Graph, alpha=None) -> CssConstruction:
     are t(k) with t_e = k_b, b the blue end of e: one row for each k in
     {0,1}^beta, in ascending t.
     """
-    if alpha is None:
-        alpha = max_independent_set(g)
     amask = _independent_mask(g, alpha)
     if any(not g.adj[v] & amask for v in range(g.n) if not (amask >> v) & 1):
         raise ValueError("alpha is not a maximal independent set")
@@ -162,8 +160,8 @@ def peps_css(g: Graph, alpha=None) -> CssConstruction:
     return CssConstruction(block, trace, components, 1.0 / len(components))
 
 
-def noise_css(g: Graph, beta=None) -> CssConstruction:
-    """Closest separable state by dephasing the cover qubits.
+def noise_css(g: Graph, alpha) -> CssConstruction:
+    """Closest separable state by dephasing the cover qubits, beta = V \\ alpha.
 
     The continuous phase average over the cover qubits reduces exactly to the
     two-point average phi in {0, pi} per qubit (cross terms carry e^{+-i phi}),
@@ -173,19 +171,16 @@ def noise_css(g: Graph, beta=None) -> CssConstruction:
     2^m the divisor.  The components are the stabilizer CSS's; callers
     compare rho with their mixture (entrywise, to 1e-12).
     """
-    if beta is None:
-        beta = frozenset(range(1, g.n + 1)) - max_independent_set(g)
-    _mask_of(beta, g.n)
-    alpha = frozenset(range(1, g.n + 1)) - frozenset(beta)
-    _independent_mask(g, alpha, "complement of beta")
+    amask = _independent_mask(g, alpha)
     if g.n > dense.DENSE_OP_CAP:
         raise ValueError(f"dense assembly limited to n <= {dense.DENSE_OP_CAP}")
     psi = dense.statevector(g).real
     idx = np.arange(psi.size)
+    beta = [v for v in range(g.n) if not (amask >> v) & 1]
     subsets = np.arange(1 << len(beta))[:, None]
     flip = np.zeros((subsets.size, psi.size), dtype=np.int64)
-    for pos, b in enumerate(sorted(beta)):
-        flip ^= ((subsets >> pos) & 1) & ((idx >> (g.n - b)) & 1)
+    for pos, v in enumerate(beta):  # qubit v + 1 is index bit n - 1 - v
+        flip ^= ((subsets >> pos) & 1) & ((idx >> (g.n - 1 - v)) & 1)
     phi = np.where(flip, -psi, psi)
     css = closest_separable_state(g, alpha)
     return CssConstruction(phi, float(subsets.size), css.components, css.weight)

@@ -91,7 +91,7 @@ def bell_extraction(g: Graph, matching) -> BellExtraction:
     medges = tuple(sorted((min(u, v), max(u, v)) for u, v in matching))
     used = set()
     for u, v in medges:
-        if not g.has_edge(u, v):
+        if not (g.adj[u - 1] >> (v - 1)) & 1:
             raise ValueError(f"matched pair ({u},{v}) is not an edge")
         if u in used or v in used:
             raise ValueError("matching edges share a vertex")

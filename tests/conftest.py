@@ -79,9 +79,9 @@ def maximal_independent_sets(g: Graph):
     """Every maximal independent set of g, by brute force over vertex subsets."""
     for mask in range(1 << g.n):
         members = [v for v in range(1, g.n + 1) if (mask >> (v - 1)) & 1]
-        if any(g.has_edge(u, v) for u in members for v in members if u < v):
+        if any((g.adj[u - 1] >> (v - 1)) & 1 for u in members for v in members if u < v):
             continue
-        if all(any(g.has_edge(u, v) for u in members) for v in range(1, g.n + 1) if v not in members):
+        if all(any((g.adj[u - 1] >> (v - 1)) & 1 for u in members) for v in range(1, g.n + 1) if v not in members):
             yield frozenset(members)
 
 
@@ -122,7 +122,7 @@ def kernel_cases():
             order = rng.sample(range(1, n + 1), n)
             greedy = set()
             for v in order:
-                if not any(g.has_edge(u, v) for u in greedy):
+                if not any((g.adj[u - 1] >> (v - 1)) & 1 for u in greedy):
                     greedy.add(v)
             head = [rng.randrange(1, n + 1) for _ in range(4)]
             for alpha in (max_independent_set(g), frozenset(greedy)):

@@ -22,7 +22,7 @@ from graphent.measures import (
     ALPHA_LT_HALF,
     BIPARTITE_KONIG,
 )
-from graphent.pauli import PauliOperator, StabilizerGroup
+from graphent.pauli import PauliOperator, StabilizerGroup, generators_from_graph, group_elements
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -77,17 +77,78 @@ def lc_unitary_dense(g: Graph, a: int) -> np.ndarray:
     _check_cap(g.n, DENSE_OP_CAP, "dense LC unitary")
     sx = (np.eye(2) - 1j * _X) / math.sqrt(2)
     sz = (np.eye(2) + 1j * _Z) / math.sqrt(2)
-    nb = g.neighbors(a)
     mat = np.array([[1.0 + 0.0j]])
     for v in range(1, g.n + 1):
         if v == a:
             local = sx
-        elif v in nb:
+        elif (g.adj[a - 1] >> (v - 1)) & 1:
             local = sz
         else:
             local = np.eye(2, dtype=complex)
         mat = np.kron(mat, local)
     return mat
+
+
+def to_graph6(g: Graph) -> str:
+    """Standard graph6 encoding (0-indexed externally)."""
+    n = g.n
+    if n <= 62:
+        head = chr(n + 63)
+    else:
+        head = chr(126) + "".join(chr(((n >> shift) & 0x3F) + 63) for shift in (12, 6, 0))
+    bits = []
+    for j in range(1, n):
+        for i in range(j):
+            bits.append((g.adj[i] >> j) & 1)
+    while len(bits) % 6:
+        bits.append(0)
+    chars = []
+    for k in range(0, len(bits), 6):
+        val = 0
+        for b in bits[k : k + 6]:
+            val = (val << 1) | b
+        chars.append(chr(val + 63))
+    return head + "".join(chars)
+
+
+_LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
+
+
+def pauli_from_text(text: str) -> PauliOperator:
+    """Parse the letter form PauliOperator.text writes, e.g. 'XZI', '-IIZZXZ'
+    (unicode minus accepted)."""
+    s = text.strip().replace("\u2212", "-")
+    phase = 0
+    # lowercase i is the imaginary prefix; uppercase I is the identity letter
+    if s[:2] == "-i":
+        phase, s = 3, s[2:]
+    elif s[:1] == "-":
+        phase, s = 2, s[1:]
+    elif s[:2] == "+i":
+        phase, s = 1, s[2:]
+    elif s[:1] == "i":
+        phase, s = 1, s[1:]
+    elif s[:1] == "+":
+        s = s[1:]
+    x = z = 0
+    for b, letter in enumerate(s):
+        try:
+            xb, zb = _LETTER_TO_XZ[letter]
+        except KeyError:
+            raise ValueError(f"bad Pauli letter {letter!r} in {text!r}") from None
+        x |= xb << b
+        z |= zb << b
+        if xb and zb:
+            phase += 1  # Y = i * XZ
+    return PauliOperator(len(s), x, z, phase)
+
+
+def twirl(g: Graph, phi: np.ndarray) -> np.ndarray:
+    """sigma_phi = 2^-n sum_s s|phi><phi|s^dagger over the 2^n elements s of
+    g's stabilizer group, as V^T conj(V) / 2^n for the rows s|phi> of V
+    (dense.apply_pauli): no group element is formed as a matrix."""
+    vecs = np.array([dense.apply_pauli(s, phi) for s in group_elements(generators_from_graph(g))])
+    return vecs.T @ vecs.conj() / len(vecs)
 
 
 def all_connected_graphs(n: int):

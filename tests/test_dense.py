@@ -14,7 +14,7 @@ from graphent.pauli import PauliOperator, generators_from_graph, group_elements
 from graphent.separable import noise_css
 
 from conftest import FIG6, complete, random_connected, ring, star
-from oracles import all_connected_graphs, brute_matching, brute_mis, construction_density
+from oracles import all_connected_graphs, brute_matching, brute_mis, construction_density, pauli_from_text
 
 
 def test_statevector_p2(p2):
@@ -67,7 +67,7 @@ def test_graph_basis_eigenvalues(p3):
 
 
 def test_pauli_dense_spot():
-    p = PauliOperator.from_text("XZI")
+    p = pauli_from_text("XZI")
     mat = dense.pauli_dense(p)
     assert mat.shape == (8, 8)
     x = np.array([[0, 1], [1, 0]])
@@ -281,7 +281,7 @@ def test_pauli_sum_is_the_operator_by_operator_sum():
     rng = random.Random(27)
     small = [g for n in range(1, 6) for g in all_connected_graphs(n)]
     for g in small + [random_connected(n, rng) for n in (8, 9, 10) for _ in range(2)]:
-        elements = css_stabilizer_form(g).elements
+        elements = css_stabilizer_form(g, max_independent_set(g)).elements
         mat = dense.pauli_sum(elements)
         assert mat.dtype == np.float64
         assert np.array_equal(mat, _operator_by_operator(elements)), g.edges()
@@ -290,7 +290,7 @@ def test_pauli_sum_is_the_operator_by_operator_sum():
         elements = list(group_elements(generators_from_graph(g)))
         assert np.array_equal(dense.pauli_sum(elements), _operator_by_operator(elements)), g.edges()
     # an odd phase keeps the complex matrix
-    odd = [PauliOperator.from_text("XZ"), PauliOperator(2, 0b11, 0b01, 1)]
+    odd = [pauli_from_text("XZ"), PauliOperator(2, 0b11, 0b01, 1)]
     mat = dense.pauli_sum(odd)
     assert mat.dtype == np.complex128
     assert np.array_equal(mat, sum(_kron_pauli(p) for p in odd))
@@ -309,8 +309,9 @@ def test_mixture_density_is_the_outer_product_sum():
 def test_noise_css_is_the_subset_loop():
     rng = random.Random(5)
     for g in (FIG6, ring(5), random_connected(7, rng), random_connected(7, rng)):
-        beta = frozenset(range(1, g.n + 1)) - max_independent_set(g)
-        assert np.allclose(construction_density(noise_css(g, beta)), _subset_noise(g, beta), atol=1e-14), g.edges()
+        alpha = max_independent_set(g)
+        beta = frozenset(range(1, g.n + 1)) - alpha
+        assert np.allclose(construction_density(noise_css(g, alpha)), _subset_noise(g, beta), atol=1e-14), g.edges()
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +355,7 @@ def test_apply_pauli_is_the_matrix_product():
 
 def test_apply_pauli_refuses_a_vector_of_another_size():
     with pytest.raises(ValueError, match="for a Pauli on 3 qubits"):
-        dense.apply_pauli(PauliOperator.from_text("XZI"), np.ones(4))
+        dense.apply_pauli(pauli_from_text("XZI"), np.ones(4))
 
 
 def _overlap_graphs():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from graphent import (
     BoundsReport,
     Graph,
+    PauliOperator,
     bounds,
     classify,
     closest_product_state,
@@ -45,7 +46,7 @@ from graphent.graphs import _matching_max_size, _pack, _unpack
 
 from bell import BellSearchError, _apply_bell_move, bell_extraction
 from conftest import complete, kernel_cases, random_connected, ring, small_graphs_with_alphas, star
-from oracles import all_connected_graphs, brute_matching, predicts_equal
+from oracles import all_connected_graphs, brute_matching, predicts_equal, twirl
 
 FIG4 = Graph.from_edges(7, [(1, 7), (2, 7), (3, 6), (4, 5), (5, 6), (5, 7), (6, 7)])
 
@@ -195,7 +196,7 @@ def test_sign_function_bipartite_colour_class_all_zero(fig6, p3):
     for g, alpha in ((p3, {1, 3}), (fig6, {1, 2, 3, 4})):
         beta = sorted(set(range(1, g.n + 1)) - alpha)
         m = len(beta)
-        if not any(g.has_edge(u, v) for u in beta for v in beta if u < v):
+        if not any((g.adj[u - 1] >> (v - 1)) & 1 for u in beta for v in beta if u < v):
             for k in range(1 << m):
                 bits = [(k >> (m - 1 - i)) & 1 for i in range(m)]
                 assert sign_function(bits, g, beta) == 0
@@ -206,7 +207,7 @@ def test_sign_function_matches_dense_amplitudes():
     rng = random.Random(13)
     for _ in range(30):
         g = random_connected(rng.randrange(2, 9), rng)
-        dec = minimal_decomposition(g)
+        dec = minimal_decomposition(g, max_independent_set(g))
         assert np.abs(reconstruct(dec) - dense.statevector(g)).max() < 1e-12
 
 
@@ -216,7 +217,7 @@ def test_decomposition_signs_equal_sign_function():
         beta = sorted(set(range(1, g.n + 1)) - alpha)
         m = len(beta)
         dec = minimal_decomposition(g, alpha)
-        assert dec.size() == 1 << m
+        assert len(dec.terms) == 1 << m
         for idx, (sign, _) in enumerate(dec.terms):
             kbits = [(idx >> (m - 1 - pos)) & 1 for pos in range(m)]
             assert sign == (-1 if sign_function(kbits, g, beta) else 1), (g.adj, alpha, idx)
@@ -244,7 +245,7 @@ def test_decomposition_is_the_per_state_loop():
 
 
 def test_decomposition_fig6(fig6):
-    dec = minimal_decomposition(fig6)
+    dec = minimal_decomposition(fig6, {1, 2, 3, 4})
     assert dec.terms == (
         (1, "++++00"),
         (1, "--++01"),
@@ -255,16 +256,16 @@ def test_decomposition_fig6(fig6):
 
 
 def test_decomposition_p3_p2(p3, p2):
-    dec3 = minimal_decomposition(p3)
+    dec3 = minimal_decomposition(p3, {1, 3})
     assert dec3.terms == ((1, "+0+"), (1, "-1-"))
-    dec2 = minimal_decomposition(p2)
+    dec2 = minimal_decomposition(p2, {1})
     assert dec2.terms == ((1, "+0"), (1, "-1"))
     assert abs(dec2.normalization - 1 / math.sqrt(2)) < 1e-15
 
 
 def test_decomposition_reconstructs_exactly(fig6, p3, c5):
     for g in (fig6, p3, c5, FIG4):
-        dec = minimal_decomposition(g)
+        dec = minimal_decomposition(g, max_independent_set(g))
         assert np.abs(reconstruct(dec) - dense.statevector(g)).max() < 1e-12
 
 
@@ -274,49 +275,50 @@ def test_decomposition_reconstructs_exactly(fig6, p3, c5):
 
 def test_css_values(p2, p3, fig6):
     for g, value in ((p2, 1.0), (p3, 1.0), (fig6, 2.0)):
-        css = closest_separable_state(g)
+        css = closest_separable_state(g, max_independent_set(g))
         ree = dense.relative_entropy_pure(dense.statevector(g), css_density(css))
         assert abs(ree - value) < 1e-9
 
 
 def test_css_p2_components(p2):
-    css = closest_separable_state(p2)
+    css = closest_separable_state(p2, {1})
     assert css.components == ("+0", "-1") and css.weight == 0.5
 
 
 def test_css_stabilizer_form_p3(p3):
-    form = css_stabilizer_form(p3)
+    form = css_stabilizer_form(p3, {1, 3})
     assert [p.text() for p in form.elements] == ["III", "XZI", "IZX", "XIX"]
     assert form.scale == 1 / 8
 
 
 def test_css_sum_equals_mixture(p3, fig6, triangle):
     for g in (p3, fig6, triangle):
-        form = css_stabilizer_form(g)
+        alpha = max_independent_set(g)
+        form = css_stabilizer_form(g, alpha)
         eq6 = sum(dense.pauli_dense(p) for p in form.elements) * form.scale
-        eq5 = css_density(closest_separable_state(g))
+        eq5 = css_density(closest_separable_state(g, alpha))
         assert np.abs(eq6 - eq5).max() < 1e-12
 
 
 def test_css_trivial_group_is_maximally_mixed():
     # keeping no generators leaves {I}: the single-qubit maximally mixed state
     g = Graph.from_edges(1, [])
-    form = css_stabilizer_form(g, alpha=[])
+    form = css_stabilizer_form(g, [])
     assert [p.text() for p in form.elements] == ["I"]
     mat = sum(dense.pauli_dense(p) for p in form.elements) * form.scale
     assert np.allclose(mat, np.eye(2) / 2.0, atol=1e-15)
     # with the natural alpha = {1} the state is |+><+| (E = 0 certificate)
-    full = css_stabilizer_form(g)
+    full = css_stabilizer_form(g, {1})
     mat = sum(dense.pauli_dense(p) for p in full.elements) * full.scale
     assert np.allclose(mat, np.array([[0.5, 0.5], [0.5, 0.5]]), atol=1e-15)
 
 
 def test_cps(fig6, p3, p2):
-    assert closest_product_state(fig6) == "++++00"
-    assert closest_product_state(p3) == "+0+"
-    assert closest_product_state(p2) == "+0"
+    assert closest_product_state(fig6, {1, 2, 3, 4}) == "++++00"
+    assert closest_product_state(p3, {1, 3}) == "+0+"
+    assert closest_product_state(p2, {1}) == "+0"
     for g, want in ((fig6, 0.25), (p3, 0.5), (p2, 0.5)):
-        got = dense.overlap2(dense.statevector(g), closest_product_state(g))
+        got = dense.overlap2(dense.statevector(g), closest_product_state(g, max_independent_set(g)))
         assert abs(got - want) < 1e-12
 
 
@@ -330,6 +332,61 @@ def test_cps_rejects_dependent_alpha(p3, fig6):
         closest_product_state(p3, [1, 2])
     with pytest.raises(ValueError, match="independent"):
         closest_product_state(fig6, [5, 6])
+
+
+def test_certificates_refuse_a_dependent_alpha(p3):
+    # {1, 2} is an edge of P3
+    from graphent.separable import noise_css, peps_css
+
+    builds = (
+        minimal_decomposition,
+        closest_separable_state,
+        css_stabilizer_form,
+        closest_product_state,
+        lambda g, alpha: transport_css(g, [2], alpha),
+        peps_css,
+        noise_css,
+    )
+    for build in builds:
+        with pytest.raises(ValueError, match="alpha is not an independent set"):
+            build(p3, [1, 2])
+
+
+# ---------------------------------------------------------------------------
+# E_R = E_G: the twirl of a product state over the stabilizer group
+
+
+def _random_product_state(n: int, rng: np.random.Generator) -> np.ndarray:
+    vec = np.ones(1, dtype=complex)
+    for _ in range(n):
+        qubit = rng.normal(size=2) + 1j * rng.normal(size=2)
+        vec = np.kron(vec, qubit / np.linalg.norm(qubit))
+    return vec
+
+
+def test_twirl_relative_entropy_is_the_product_overlap():
+    # sigma_phi is diagonal in the basis Z^k|G>, so S(G||sigma_phi) = -log2 |<G|phi>|^2
+    rng = np.random.default_rng(40)
+    for g in (ring(5), ring(6)):
+        psi = dense.statevector(g)
+        graph_basis = np.array([dense.apply_pauli(PauliOperator(g.n, 0, k), psi) for k in range(1 << g.n)])
+        for _ in range(40):
+            phi = _random_product_state(g.n, rng)
+            sigma = twirl(g, phi)
+            in_basis = graph_basis.conj() @ sigma @ graph_basis.T
+            assert np.abs(in_basis - np.diag(np.diag(in_basis))).max() < 1e-12
+            want = -math.log2(abs(np.vdot(psi, phi)) ** 2)
+            assert abs(dense.relative_entropy_pure(psi, sigma) - want) < 1e-9
+
+
+def test_twirl_of_the_cps_is_the_css_mixture():
+    rng = random.Random(41)
+    small = [g for n in range(1, 6) for g in all_connected_graphs(n)]
+    for g in small + [random_connected(n, rng) for n in (6, 7, 8) for _ in range(3)]:
+        alpha = max_independent_set(g)
+        sigma = twirl(g, dense.product_state_vector(closest_product_state(g, alpha)))
+        mixture = dense.mixture_density(closest_separable_state(g, alpha).components)
+        assert np.abs(sigma - mixture).max() < 1e-12, g.edges()
 
 
 # ---------------------------------------------------------------------------
@@ -420,18 +477,18 @@ def test_bell_above_n6_is_refused_at_once():
 
 
 def test_transport_star_to_k4():
-    css = transport_css(star(4), [1])
+    css = transport_css(star(4), [1], {2, 3, 4})
     assert css.components == ("jjjj", "iiii")
     psi_k4 = dense.statevector(complete(4))
     assert abs(dense.relative_entropy_pure(psi_k4, css_density(css)) - 1.0) < 1e-9
 
 
 def test_transport_empty_sequence(fig6):
-    assert transport_css(fig6, []) == closest_separable_state(fig6)
+    assert transport_css(fig6, [], {1, 2, 3, 4}) == closest_separable_state(fig6, {1, 2, 3, 4})
 
 
 def test_transport_p3_to_triangle(p3, triangle):
-    css = transport_css(p3, [2])
+    css = transport_css(p3, [2], {1, 3})
     psi_tri = dense.statevector(triangle)
     assert abs(dense.relative_entropy_pure(psi_tri, css_density(css)) - 1.0) < 1e-9
 

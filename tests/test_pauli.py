@@ -33,7 +33,7 @@ from graphent.measures import _transport_components
 from graphent.pauli import _basis_codes, _decode_states, _encode_state, group_elements, identity
 
 from conftest import kernel_cases, random_connected
-from oracles import commutes, entangles_check, lc_unitary_dense
+from oracles import commutes, entangles_check, lc_unitary_dense, pauli_from_text
 from test_golden import GOLDEN
 
 
@@ -67,23 +67,23 @@ def test_generators_commute(fig6):
 
 def test_text_parse_round_trip():
     for text in ["XZI", "-IIZZXZ", "Y", "-iXY", "iZZ", "IIII"]:
-        p = PauliOperator.from_text(text)
-        assert PauliOperator.from_text(p.text()).__eq__(p)
+        p = pauli_from_text(text)
+        assert pauli_from_text(p.text()).__eq__(p)
     # unicode minus accepted
-    assert PauliOperator.from_text("−IIZZXZ").phase == 2
+    assert pauli_from_text("−IIZZXZ").phase == 2
 
 
 def test_multiply_example():
-    p = PauliOperator.from_text("XZI")
-    q = PauliOperator.from_text("ZXZ")
+    p = pauli_from_text("XZI")
+    q = pauli_from_text("ZXZ")
     prod = multiply(p, q)
     assert prod.text() == "YYZ"
-    assert prod.is_hermitian()
+    assert (prod.phase + (prod.x & prod.z).bit_count()) % 2 == 0  # Hermitian
 
 
 def test_multiply_self_inverse(fig6):
     for gen in generators_from_graph(fig6).generators:
-        assert multiply(gen, gen).is_identity()
+        assert multiply(gen, gen) == identity(6)
 
 
 def test_multiply_identity(p3):
@@ -123,30 +123,29 @@ def test_multiply_associative():
 
 
 def test_restricted_subgroup_p3(p3):
-    full = generators_from_graph(p3)
-    sub = restricted_subgroup(full, [1, 3])
+    sub = restricted_subgroup(p3, [3, 1])
     assert [p.text() for p in sub.generators] == ["XZI", "IZX"]
-    assert sub.support == {1, 3}
-    assert sub.order() == 4
+    assert len(group_elements(sub)) == 4
+    with pytest.raises(ValueError, match="vertex 4 out of range 1..3"):
+        restricted_subgroup(p3, [4])
 
 
 def test_restricted_subgroup_empty(p3):
-    sub = restricted_subgroup(generators_from_graph(p3), [])
+    sub = restricted_subgroup(p3, [])
     assert sub.generators == ()
     assert [p.text() for p in group_elements(sub)] == ["III"]
 
 
 def test_restricted_subgroup_fig6(fig6):
-    sub = restricted_subgroup(generators_from_graph(fig6), [1, 2, 3, 4])
+    sub = restricted_subgroup(fig6, [1, 2, 3, 4])
     assert len(sub.generators) == 4
     assert all(gen.text()[4:] != "XX" for gen in sub.generators)
 
 
 def test_entangles_check_example1(p3):
-    full = generators_from_graph(p3)
-    assert entangles_check(restricted_subgroup(full, [1, 2]))
-    assert not entangles_check(restricted_subgroup(full, [1, 3]))
-    assert not entangles_check(restricted_subgroup(full, [2]))
+    assert entangles_check(restricted_subgroup(p3, [1, 2]))
+    assert not entangles_check(restricted_subgroup(p3, [1, 3]))
+    assert not entangles_check(restricted_subgroup(p3, [2]))
 
 
 def test_basis_example2(fig6):
@@ -191,7 +190,7 @@ def test_basis_states_fixed_by_alpha_subgroup():
         from graphent import max_independent_set
 
         alpha = max_independent_set(g)
-        sub = restricted_subgroup(generators_from_graph(g), alpha)
+        sub = restricted_subgroup(g, alpha)
         basis = stabilized_product_basis(g, alpha)
         for state in basis:
             for el in group_elements(sub):
@@ -239,7 +238,7 @@ def test_apply_pauli_matches_dense():
 
 def test_basis_dense_eigenvectors(fig6):
     # every basis state is a +1 eigenvector of every S_alpha element, densely
-    sub = restricted_subgroup(generators_from_graph(fig6), [1, 2, 3, 4])
+    sub = restricted_subgroup(fig6, [1, 2, 3, 4])
     for state in stabilized_product_basis(fig6, [1, 2, 3, 4]):
         vec = dense.product_state_vector(state)
         for el in group_elements(sub):
@@ -342,7 +341,7 @@ def loop_lc_transport(g: Graph, a: int, state: str) -> str:
     out = list(state)
     out[a - 1] = LOOP_SQRT_MINUS_IX[out[a - 1]]
     for b in range(1, g.n + 1):
-        if g.has_edge(a, b):
+        if (g.adj[a - 1] >> (b - 1)) & 1:
             out[b - 1] = LOOP_SQRT_PLUS_IZ[out[b - 1]]
     return "".join(out)
 

@@ -22,7 +22,7 @@ from conftest import complete, random_connected, small_graphs_with_alphas
 from oracles import all_connected_graphs, construction_density, noise_css_quadrature
 
 
-def stab_density(g, alpha=None):
+def stab_density(g, alpha):
     return dense.mixture_density(closest_separable_state(g, alpha).components)
 
 
@@ -44,10 +44,11 @@ def test_peps_every_maximal_alpha_small_graphs():
 
 def test_peps_k8_beyond_24_edges():
     k8 = complete(8)
-    assert k8.edge_count() == 28
-    result = peps_css(k8)
+    assert len(k8.edges()) == 28
+    alpha = max_independent_set(k8)
+    result = peps_css(k8, alpha)
     assert len(result.components) == 1 << 7
-    assert np.abs(construction_density(result) - stab_density(k8)).max() < 1e-12
+    assert np.abs(construction_density(result) - stab_density(k8, alpha)).max() < 1e-12
 
 
 def test_peps_beta_edge_orange_at_lower_end(triangle):
@@ -100,7 +101,7 @@ def test_peps_open_chain_4qubit_example(p4):
 def test_peps_p2_is_edge_state(p2):
     result = peps_css(p2, {1})
     assert result.components == ("+0", "-1")
-    assert np.abs(construction_density(result) - stab_density(p2)).max() < 1e-15
+    assert np.abs(construction_density(result) - stab_density(p2, {1})).max() < 1e-15
 
 
 def test_peps_triangle(triangle):
@@ -109,45 +110,46 @@ def test_peps_triangle(triangle):
 
 
 def test_peps_density_operator_properties(fig6):
-    rho = construction_density(peps_css(fig6))
+    rho = construction_density(peps_css(fig6, max_independent_set(fig6)))
     assert np.abs(rho - rho.conj().T).max() < 1e-12
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert np.linalg.eigvalsh(rho).min() > -1e-12
 
 
 def test_peps_components_match_basis(fig6):
-    result = peps_css(fig6)
-    stab = closest_separable_state(fig6)
+    alpha = max_independent_set(fig6)
+    result = peps_css(fig6, alpha)
+    stab = closest_separable_state(fig6, alpha)
     assert sorted(result.components) == sorted(stab.components)
     assert abs(result.weight - stab.weight) < 1e-15
 
 
 def test_noise_p3(p3):
-    result = noise_css(p3, {2})
+    result = noise_css(p3, {1, 3})
     assert sorted(result.components) == ["+0+", "-1-"]
-    assert np.abs(construction_density(result) - stab_density(p3)).max() < 1e-12
+    assert np.abs(construction_density(result) - stab_density(p3, {1, 3})).max() < 1e-12
 
 
 def test_noise_p2(p2):
-    result = noise_css(p2, {2})
-    assert np.abs(construction_density(result) - stab_density(p2)).max() < 1e-15
+    result = noise_css(p2, {1})
+    assert np.abs(construction_density(result) - stab_density(p2, {1})).max() < 1e-15
 
 
 def test_noise_fig6(fig6):
-    result = noise_css(fig6, {5, 6})
-    assert np.abs(construction_density(result) - stab_density(fig6)).max() < 1e-12
-    assert sorted(result.components) == sorted(closest_separable_state(fig6).components)
+    result = noise_css(fig6, {1, 2, 3, 4})
+    assert np.abs(construction_density(result) - stab_density(fig6, {1, 2, 3, 4})).max() < 1e-12
+    assert sorted(result.components) == sorted(closest_separable_state(fig6, {1, 2, 3, 4}).components)
 
 
 def test_noise_rejects_bad_beta(p4):
     with pytest.raises(ValueError):
-        noise_css(p4, {4})  # complement {1,2,3} is not independent
+        noise_css(p4, {1, 2, 3})  # the alpha of beta {4} is not independent
 
 
-@pytest.mark.parametrize("beta, bad", [({2, 4, 9}, 9), ({0, 2, 4}, 0), ({-1, 2, 4}, -1)])
-def test_noise_rejects_out_of_range_beta(p4, beta, bad):
+@pytest.mark.parametrize("alpha, bad", [({1, 3, 9}, 9), ({0, 1, 3}, 0), ({-1, 1, 3}, -1)])
+def test_noise_rejects_out_of_range_alpha(p4, alpha, bad):
     with pytest.raises(ValueError, match=f"vertex {bad} out of range 1..4"):
-        noise_css(p4, beta)
+        noise_css(p4, alpha)
 
 
 @pytest.mark.parametrize("beta, bad", [({9}, 9), ({0}, 0)])
@@ -158,9 +160,9 @@ def test_quadrature_rejects_out_of_range_beta(p3, beta, bad):
 
 def test_quadrature_matches_two_point(p3, p2, triangle):
     for g in (p2, p3, triangle):
-        beta = frozenset(range(1, g.n + 1)) - max_independent_set(g)
-        fine = noise_css_quadrature(g, beta, points=64)
-        assert np.abs(fine - construction_density(noise_css(g, beta))).max() < 1e-9
+        alpha = max_independent_set(g)
+        fine = noise_css_quadrature(g, frozenset(range(1, g.n + 1)) - alpha, points=64)
+        assert np.abs(fine - construction_density(noise_css(g, alpha))).max() < 1e-9
 
 
 def test_three_way_exhaustive_n4():
@@ -171,18 +173,20 @@ def test_three_way_exhaustive_n4():
             g = Graph.from_edges(n, edges)
             if not g.is_connected():
                 continue
-            ref = stab_density(g)
-            assert np.abs(construction_density(peps_css(g)) - ref).max() < 1e-12
-            assert np.abs(construction_density(noise_css(g)) - ref).max() < 1e-12
+            alpha = max_independent_set(g)
+            ref = stab_density(g, alpha)
+            assert np.abs(construction_density(peps_css(g, alpha)) - ref).max() < 1e-12
+            assert np.abs(construction_density(noise_css(g, alpha)) - ref).max() < 1e-12
 
 
 def test_three_way_random_n7_n8():
     rng = random.Random(21)
     for _ in range(12):
         g = random_connected(rng.choice([5, 6, 7, 8]), rng, p=0.4)
-        ref = stab_density(g)
-        assert np.abs(construction_density(peps_css(g)) - ref).max() < 1e-12
-        assert np.abs(construction_density(noise_css(g)) - ref).max() < 1e-12
+        alpha = max_independent_set(g)
+        ref = stab_density(g, alpha)
+        assert np.abs(construction_density(peps_css(g, alpha)) - ref).max() < 1e-12
+        assert np.abs(construction_density(noise_css(g, alpha)) - ref).max() < 1e-12
 
 
 def _complex_noise(g, beta):
@@ -206,7 +210,7 @@ def test_real_constructions_are_the_complex_builds():
     for g in graphs + [random_connected(n, rng) for n in (8, 9, 10) for _ in range(2)]:
         alpha = max_independent_set(g)
         beta = frozenset(range(1, g.n + 1)) - alpha
-        noise = construction_density(noise_css(g, beta))
+        noise = construction_density(noise_css(g, alpha))
         peps = construction_density(peps_css(g, alpha))
         assert noise.dtype == peps.dtype == np.float64
         complex_noise = _complex_noise(g, beta)
