@@ -40,7 +40,6 @@ from .measures import (
 )
 from .pauli import (
     PauliOperator,
-    StabilizerGroup,
     apply_generator,
     apply_pauli,
     generators_from_graph,

@@ -3,8 +3,7 @@
 Exit codes: 0 success; 1 input error (malformed graph, unreadable path, bad
 option value or command-line usage); 2 bounds do not coincide (analyze; the
 interval report is still emitted); 3 CSS construction disagreement; 4 verify
-failures.  Identical arguments yield byte-identical output; --seed (verify
-only) picks the random cuts of the cut-rank check.
+failures.  Identical arguments yield byte-identical output.
 
 numpy is imported only by the dense oracle: verify, css and analyze
 --oracle import it (with dense and separable) when they run, so analyze,
@@ -245,7 +244,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if g.n > dense.DENSE_OP_CAP:
         raise GraphFormatError(f"verify needs n <= {dense.DENSE_OP_CAP}")
     report = measures.evaluate(g, orbit_cap=args.orbit_cap)
-    checks = run_verification(g, report, seed=args.seed)
+    checks = run_verification(g, report)
     doc = {
         "n": g.n,
         "measures": report.to_dict()["measures"],
@@ -260,7 +259,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if doc["all_passed"] else EXIT_VERIFY_FAILED
 
 
-def run_verification(g: Graph, report, seed: int = 0):
+def run_verification(g: Graph, report):
     """Oracle cross-checks of g's evaluate report; returns (name, passed, detail) triples.
 
     The decomposition the report ships is checked against the dense
@@ -279,7 +278,7 @@ def run_verification(g: Graph, report, seed: int = 0):
     alpha = max_independent_set(g)
 
     fix_err = 0.0
-    for gen in generators_from_graph(g).generators:
+    for gen in generators_from_graph(g):
         fix_err = max(fix_err, float(np.abs(dense.apply_pauli(gen, psi) - psi).max()))
     checks.append(("generators_fix_statevector", fix_err < DENSE_TOL, f"max_err={fix_err:.3e}"))
 
@@ -304,7 +303,7 @@ def run_verification(g: Graph, report, seed: int = 0):
     cps_overlap, passed = figures["cps_overlap2"]
     checks.append(("cps_overlap_certificate", passed, f"overlap2={cps_overlap:.12f}"))
 
-    rng = random.Random(seed)
+    rng = random.Random(0)
     cut_ok = True
     detail = ""
     cuts = []
@@ -323,8 +322,7 @@ def run_verification(g: Graph, report, seed: int = 0):
     checks.append(("cut_rank_equals_entropy", cut_ok, detail or f"{len(cuts)} cuts"))
 
     if g.n <= 6:
-        full = generators_from_graph(g)
-        proj = dense.pauli_sum(group_elements(full)) / (1 << g.n)
+        proj = dense.pauli_sum(group_elements(g.n, generators_from_graph(g))) / (1 << g.n)
         proj_err = float(np.abs(proj - np.outer(psi, psi.conj())).max())
         checks.append(("projector_identity", proj_err < DENSE_TOL, f"max_err={proj_err:.3e}"))
 
@@ -392,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="oracle cross-check suite for one graph")
     add_graph_opts(p)
-    p.add_argument("--seed", type=int, default=0, help="seed of the random cuts in the cut-rank check")
     p.set_defaults(handler=cmd_verify)
     return parser
 

@@ -160,10 +160,6 @@ class Graph:
             seen |= frontier
         return seen == (1 << self.n) - 1
 
-    def _check_vertex(self, a: int):
-        if not 1 <= a <= self.n:
-            raise ValueError(f"vertex {a} out of range 1..{self.n}")
-
 
 def _parse_edgelist(text: str) -> Graph:
     lines = []
@@ -326,7 +322,7 @@ def _lc_key(n: int, key: int, a0: int) -> int:
 
 def local_complement(g: Graph, a: int) -> Graph:
     """Toggle every edge inside the neighbourhood of a (addition mod 2)."""
-    g._check_vertex(a)
+    _mask_of((a,), g.n)
     return Graph(g.n, _unpack(g.n, _lc_key(g.n, _pack(g.adj), a - 1)))
 
 

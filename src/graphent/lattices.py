@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 from .graphs import MAX_VERTICES, Graph, _matching_max_size, _mis_size
 
-KINDS = ("triangular", "kagome", "hexa-triangular", "hexagonal")
-
 
 @dataclass(frozen=True)
 class LatticeSpec:
@@ -127,34 +125,29 @@ def _hexa_triangular_sites_edges(radius: int):
     return len(sites), sorted(edges)
 
 
-_BUILDERS = {
-    "triangular": _triangular_sites_edges,
-    "kagome": _kagome_sites_edges,
-    "hexa-triangular": _hexa_triangular_sites_edges,
-    "hexagonal": _hexagonal_sites_edges,
+# kind -> (closed-form vertex count, builder of (n, edges)) of a patch of that size
+_KIND_TABLE = {
+    "triangular": (lambda L: L * L, _triangular_sites_edges),
+    "kagome": (lambda cells: 3 * cells * cells + 3 * cells - 1, _kagome_sites_edges),
+    "hexa-triangular": (lambda radius: 3 * radius * (radius + 1), _hexa_triangular_sites_edges),
+    "hexagonal": (lambda cells: 2 * (2 * cells + 1), _hexagonal_sites_edges),
 }
-
-
-_VERTEX_COUNTS = {
-    "triangular": lambda L: L * L,
-    "kagome": lambda cells: 3 * cells * cells + 3 * cells - 1,
-    "hexa-triangular": lambda radius: 3 * radius * (radius + 1),
-    "hexagonal": lambda cells: 2 * (2 * cells + 1),
-}
+KINDS = tuple(_KIND_TABLE)
 
 
 def lattice_vertex_count(kind: str, size: int) -> int:
     """Vertex count of the patch in closed form: nothing is built, so any size works."""
     spec = LatticeSpec(kind, size)
-    return _VERTEX_COUNTS[spec.kind](spec.size)
+    return _KIND_TABLE[spec.kind][0](spec.size)
 
 
 def generate_lattice(spec: LatticeSpec) -> Graph:
     """Build the open-boundary patch as a Graph (row-major vertex numbering)."""
-    n = _VERTEX_COUNTS[spec.kind](spec.size)
+    count, build = _KIND_TABLE[spec.kind]
+    n = count(spec.size)
     if n > MAX_VERTICES:
         raise ValueError(f"{spec.kind} size {spec.size} yields {n} > {MAX_VERTICES} vertices")
-    g = Graph.from_edges(*_BUILDERS[spec.kind](spec.size))
+    g = Graph.from_edges(*build(spec.size))
     if not g.is_connected():
         raise ValueError(f"{spec.kind} size {spec.size} patch is not connected")
     return g

@@ -258,8 +258,7 @@ def closest_separable_state(g: Graph, alpha) -> SeparableStateDescription:
 def css_stabilizer_form(g: Graph, alpha) -> CssStabilizerSum:
     """The same CSS as the normalized sum over the alpha-subgroup elements."""
     _independent_mask(g, alpha)
-    sub = restricted_subgroup(g, alpha)
-    return CssStabilizerSum(tuple(group_elements(sub)), 1.0 / (1 << g.n))
+    return CssStabilizerSum(tuple(group_elements(g.n, restricted_subgroup(g, alpha))), 1.0 / (1 << g.n))
 
 
 def closest_product_state(g: Graph, alpha) -> str:

@@ -114,33 +114,25 @@ def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     return PauliOperator(p.n, p.x ^ q.x, p.z ^ q.z, phase)
 
 
-@dataclass(frozen=True)
-class StabilizerGroup:
-    """Independent commuting generators on n qubits."""
-
-    n: int
-    generators: tuple[PauliOperator, ...]
-
-
-def generators_from_graph(g: Graph) -> StabilizerGroup:
+def generators_from_graph(g: Graph) -> tuple[PauliOperator, ...]:
     """The n graph-state generators: X on vertex a, Z on its neighbourhood."""
     return restricted_subgroup(g, range(1, g.n + 1))
 
 
-def restricted_subgroup(g: Graph, keep) -> StabilizerGroup:
+def restricted_subgroup(g: Graph, keep) -> tuple[PauliOperator, ...]:
     """The graph-state generators X_a Z_N(a) of the vertices a in keep, ascending."""
-    gens = tuple(PauliOperator(g.n, 1 << v, g.adj[v]) for v in _bits(_mask_of(keep, g.n)))
-    return StabilizerGroup(g.n, gens)
+    return tuple(PauliOperator(g.n, 1 << v, g.adj[v]) for v in _bits(_mask_of(keep, g.n)))
 
 
-def group_elements(s: StabilizerGroup) -> list[PauliOperator]:
-    """All 2^k products of the generators, in subset-mask order."""
-    elements = []
-    for mask in range(1 << len(s.generators)):
-        acc = identity(s.n)
-        for idx in _bits(mask):
-            acc = multiply(acc, s.generators[idx])
-        elements.append(acc)
+def group_elements(n: int, generators) -> list[PauliOperator]:
+    """All 2^k products of the n-qubit generators, in subset-mask order.
+
+    Built by doubling: after generator j, each element so far times g_j is
+    appended, so element mask is the left fold over the ascending bits of mask.
+    """
+    elements = [identity(n)]
+    for gen in generators:
+        elements += [multiply(acc, gen) for acc in elements]
     return elements
 
 
@@ -205,7 +197,7 @@ def apply_generator(p: PauliOperator, state: str) -> tuple[int, str]:
 
 def _transport_step(g: Graph, a: int, buf: bytearray) -> None:
     """Relabel every row of a label buffer under U_a^tau for g, in place."""
-    g._check_vertex(a)
+    _mask_of((a,), g.n)
     _translate_column(buf, a - 1, g.n, _SQRT_MINUS_IX)
     for v in _bits(g.adj[a - 1]):
         _translate_column(buf, v, g.n, _SQRT_PLUS_IZ)
@@ -220,7 +212,6 @@ def lc_clifford_transport(g: Graph, a: int, state: str) -> str:
 
 __all__ = [
     "PauliOperator",
-    "StabilizerGroup",
     "STATE_ALPHABET",
     "identity",
     "multiply",

@@ -41,12 +41,9 @@ class CssConstruction:
 
 _S2 = 1.0 / math.sqrt(2.0)
 
-_QUBIT_REAL = {
-    "0": (1.0, 0.0),
-    "1": (0.0, 1.0),
-    "+": (_S2, _S2),
-    "-": (_S2, -_S2),
-}
+#: The real qubit vectors 0 1 + - as Python floats, so that _site_table's
+#: arithmetic stays scalar.
+_QUBIT_REAL = {label: tuple(dense.QUBIT_STATES[label].real.tolist()) for label in "01+-"}
 
 
 def _site_table(virtuals: list[str], in_alpha: int, combos):

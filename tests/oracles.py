@@ -22,7 +22,7 @@ from graphent.measures import (
     ALPHA_LT_HALF,
     BIPARTITE_KONIG,
 )
-from graphent.pauli import PauliOperator, StabilizerGroup, generators_from_graph, group_elements
+from graphent.pauli import PauliOperator, generators_from_graph, group_elements
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -147,7 +147,7 @@ def twirl(g: Graph, phi: np.ndarray) -> np.ndarray:
     """sigma_phi = 2^-n sum_s s|phi><phi|s^dagger over the 2^n elements s of
     g's stabilizer group, as V^T conj(V) / 2^n for the rows s|phi> of V
     (dense.apply_pauli): no group element is formed as a matrix."""
-    vecs = np.array([dense.apply_pauli(s, phi) for s in group_elements(generators_from_graph(g))])
+    vecs = np.array([dense.apply_pauli(s, phi) for s in group_elements(g.n, generators_from_graph(g))])
     return vecs.T @ vecs.conj() / len(vecs)
 
 
@@ -255,14 +255,14 @@ def commutes(p: PauliOperator, q: PauliOperator) -> bool:
     return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) % 2 == 0
 
 
-def entangles_check(s: StabilizerGroup) -> bool:
+def entangles_check(generators) -> bool:
     """True when some kept generator has Z on another kept generator's vertex.
 
     For graph stabilizers this means the kept vertex set is not independent,
     so the stabilized set contains entangled states rather than a product
     basis.
     """
-    for p, q in itertools.permutations(s.generators, 2):
+    for p, q in itertools.permutations(generators, 2):
         if p.x & q.z:
             return True
     return False

@@ -80,7 +80,7 @@ G10 = Graph.from_edges(10, [
 
 ORACLE_GRAPHS = {"fig6": FIG6, "C5": ring(5), "K4": complete(4), "G10": G10}
 ORACLE_COMMANDS = {
-    "verify": ["verify", "--seed", "3"],
+    "verify": ["verify"],
     "css": ["css", "--method", "all"],
     "css-stabilizer": ["css", "--method", "stabilizer"],
     "css-peps": ["css", "--method", "peps"],

@@ -684,6 +684,16 @@ MATCHING_ABOVE_BOUND = Graph.from_edges(10, [
 ])
 
 
+ORBIT_SCREEN_G8 = Graph.from_edges(8, [
+    (1, 2), (1, 3), (1, 4), (2, 5), (2, 6), (2, 8), (3, 4), (3, 5), (3, 7), (3, 8),
+    (4, 5), (4, 6), (4, 7), (4, 8), (6, 7),
+])
+ORBIT_SCREEN_G10 = Graph.from_edges(10, [
+    (1, 2), (1, 3), (1, 4), (1, 5), (2, 6), (2, 7), (2, 10), (3, 7), (3, 9), (3, 10),
+    (4, 5), (4, 6), (4, 10), (5, 6), (5, 8), (5, 10), (7, 8),
+])
+
+
 def test_orbit_summary_equals_solving_every_member_random():
     rng = random.Random(23)
     cases = [(random_connected(n, rng), 3000) for n in (6, 7, 8, 9, 10) for _ in range(2)]
@@ -692,6 +702,14 @@ def test_orbit_summary_equals_solving_every_member_random():
     # members mostly cannot be ruled out by the cut rank, only by their
     # clique covers or an independent-set search
     cases.append((ring(9), DEFAULT_ORBIT_CAP))
+    # lc_orbit passes over the keys above the best one only once that best has
+    # both the proved least cover and the matching r.  On these two orbits the
+    # input itself has the least cover but a matching above r, and a larger
+    # key with the same cover has the matching r, so a screen on the cover
+    # alone reads the input's matching and an empty LC path: on G8
+    # min_matching 4, not 3, and a perfect alpha = n/2.  G10 has 5,244 members.
+    cases.append((ORBIT_SCREEN_G8, DEFAULT_ORBIT_CAP))
+    cases.append((ORBIT_SCREEN_G10, DEFAULT_ORBIT_CAP))
     for g, cap in cases:
         assert _summary_fields(g, cap) == _reference_summary(g, cap), g.edges()
 

@@ -6,7 +6,7 @@ import pytest
 
 from graphent import LatticeSpec, gap_formula, gap_scan, generate_lattice, lattices
 from graphent.graphs import _matching_max_size
-from graphent.lattices import _BUILDERS, KINDS, _solve_gap, lattice_vertex_count
+from graphent.lattices import _KIND_TABLE, KINDS, _solve_gap, lattice_vertex_count
 
 
 def test_spec_validation():
@@ -147,7 +147,7 @@ def test_gap_scan_builds_only_exact_patches(monkeypatch):
 
 
 def test_vertex_counts_match_the_builders():
-    for kind, build in _BUILDERS.items():
+    for kind, (_, build) in _KIND_TABLE.items():
         for size in range(1, 41):
             assert lattice_vertex_count(kind, size) == build(size)[0], (kind, size)
 

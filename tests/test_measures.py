@@ -47,6 +47,7 @@ from graphent.graphs import _matching_max_size, _pack, _unpack
 from bell import BellSearchError, _apply_bell_move, bell_extraction
 from conftest import complete, kernel_cases, random_connected, ring, small_graphs_with_alphas, star
 from oracles import all_connected_graphs, brute_matching, predicts_equal, twirl
+from test_graphs import ORBIT_SCREEN_G8
 
 FIG4 = Graph.from_edges(7, [(1, 7), (2, 7), (3, 6), (4, 5), (5, 6), (5, 7), (6, 7)])
 
@@ -107,6 +108,13 @@ def test_bounds_c5_do_not_coincide(c5):
     assert (b.lower, b.upper) == (2, 3)
     assert not b.coincide
     assert b.classification == ALPHA_LT_HALF
+
+
+def test_bounds_g8_reaches_the_smaller_matching_past_the_cover_floor():
+    # G8 has the orbit's least cover but a matching above the cut rank; a
+    # larger key with the same cover has the smaller matching, so alpha = n/2
+    # is imperfect (see test_graphs.test_orbit_summary_equals_solving_every_member_random)
+    assert bounds(ORBIT_SCREEN_G8).classification == ALPHA_EQ_HALF_IMPERFECT
 
 
 def test_bounds_requires_connected():

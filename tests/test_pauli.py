@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import random
@@ -33,17 +34,17 @@ from graphent.measures import _transport_components
 from graphent.pauli import _basis_codes, _decode_states, _encode_state, group_elements, identity
 
 from conftest import kernel_cases, random_connected
-from oracles import commutes, entangles_check, lc_unitary_dense, pauli_from_text
+from oracles import all_connected_graphs, commutes, entangles_check, lc_unitary_dense, pauli_from_text
 from test_golden import GOLDEN
 
 
 def test_generators_p3(p3):
-    gens = generators_from_graph(p3).generators
+    gens = generators_from_graph(p3)
     assert [p.text() for p in gens] == ["XZI", "ZXZ", "IZX"]
 
 
 def test_generators_fig6(fig6):
-    gens = generators_from_graph(fig6).generators
+    gens = generators_from_graph(fig6)
     assert [p.text() for p in gens] == [
         "XIIIIZ",
         "IXIIIZ",
@@ -56,11 +57,11 @@ def test_generators_fig6(fig6):
 
 def test_generators_single_vertex():
     g = Graph.from_edges(1, [])
-    assert [p.text() for p in generators_from_graph(g).generators] == ["X"]
+    assert [p.text() for p in generators_from_graph(g)] == ["X"]
 
 
 def test_generators_commute(fig6):
-    gens = generators_from_graph(fig6).generators
+    gens = generators_from_graph(fig6)
     for p, q in itertools.combinations(gens, 2):
         assert commutes(p, q)
 
@@ -82,12 +83,12 @@ def test_multiply_example():
 
 
 def test_multiply_self_inverse(fig6):
-    for gen in generators_from_graph(fig6).generators:
+    for gen in generators_from_graph(fig6):
         assert multiply(gen, gen) == identity(6)
 
 
 def test_multiply_identity(p3):
-    g1 = generators_from_graph(p3).generators[0]
+    g1 = generators_from_graph(p3)[0]
     assert multiply(g1, identity(3)) == g1
 
 
@@ -101,7 +102,7 @@ def test_multiply_matches_dense():
     for _ in range(25):
         n = rng.randrange(2, 6)
         g = random_connected(n, rng)
-        gens = generators_from_graph(g).generators
+        gens = generators_from_graph(g)
         a = rng.choice(gens)
         b = rng.choice(gens)
         ab = multiply(a, b)
@@ -113,7 +114,7 @@ def test_multiply_matches_dense():
 def test_multiply_associative():
     rng = random.Random(1)
     g = random_connected(4, rng)
-    gens = generators_from_graph(g).generators
+    gens = generators_from_graph(g)
     for a, b, c in itertools.permutations(gens, 3):
         assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
 
@@ -124,22 +125,38 @@ def test_multiply_associative():
 
 def test_restricted_subgroup_p3(p3):
     sub = restricted_subgroup(p3, [3, 1])
-    assert [p.text() for p in sub.generators] == ["XZI", "IZX"]
-    assert len(group_elements(sub)) == 4
+    assert [p.text() for p in sub] == ["XZI", "IZX"]
+    assert len(group_elements(3, sub)) == 4
     with pytest.raises(ValueError, match="vertex 4 out of range 1..3"):
         restricted_subgroup(p3, [4])
 
 
 def test_restricted_subgroup_empty(p3):
     sub = restricted_subgroup(p3, [])
-    assert sub.generators == ()
-    assert [p.text() for p in group_elements(sub)] == ["III"]
+    assert sub == ()
+    assert [p.text() for p in group_elements(3, sub)] == ["III"]
 
 
 def test_restricted_subgroup_fig6(fig6):
     sub = restricted_subgroup(fig6, [1, 2, 3, 4])
-    assert len(sub.generators) == 4
-    assert all(gen.text()[4:] != "XX" for gen in sub.generators)
+    assert len(sub) == 4
+    assert all(gen.text()[4:] != "XX" for gen in sub)
+
+
+def test_group_elements_are_left_folds():
+    # element mask is the product of the generators on the ascending bits of
+    # mask, multiplied left to right from the identity (x, z and phase alike)
+    for n in range(1, 6):
+        for g in all_connected_graphs(n):
+            for keep in (range(1, n + 1), max_independent_set(g), ()):
+                gens = restricted_subgroup(g, keep)
+                elements = group_elements(n, gens)
+                assert len(elements) == 1 << len(gens)
+                for mask, element in enumerate(elements):
+                    fold = functools.reduce(
+                        multiply, [gens[i] for i in range(len(gens)) if (mask >> i) & 1], identity(n)
+                    )
+                    assert element == fold, (g.edges(), keep, mask)
 
 
 def test_entangles_check_example1(p3):
@@ -193,14 +210,14 @@ def test_basis_states_fixed_by_alpha_subgroup():
         sub = restricted_subgroup(g, alpha)
         basis = stabilized_product_basis(g, alpha)
         for state in basis:
-            for el in group_elements(sub):
+            for el in group_elements(g.n, sub):
                 sign, out = apply_generator(el, state)
                 assert (sign, out) == (1, state)
 
 
 def test_beta_generators_permute_basis(fig6):
     basis = stabilized_product_basis(fig6, [1, 2, 3, 4])
-    gens = generators_from_graph(fig6).generators
+    gens = generators_from_graph(fig6)
     for k in (4, 5):  # beta generators g5, g6
         for state in basis:
             sign, out = apply_generator(gens[k], state)
@@ -209,8 +226,8 @@ def test_beta_generators_permute_basis(fig6):
 
 def test_apply_generator_cover_actions(fig6):
     basis = stabilized_product_basis(fig6, [1, 2, 3, 4])
-    g5 = generators_from_graph(fig6).generators[4]
-    g6 = generators_from_graph(fig6).generators[5]
+    g5 = generators_from_graph(fig6)[4]
+    g6 = generators_from_graph(fig6)[5]
     assert apply_generator(g5, basis[0]) == (1, basis[2])
     assert apply_generator(g5, basis[1]) == (-1, basis[3])
     assert apply_generator(g6, basis[0]) == (1, basis[1])
@@ -241,7 +258,7 @@ def test_basis_dense_eigenvectors(fig6):
     sub = restricted_subgroup(fig6, [1, 2, 3, 4])
     for state in stabilized_product_basis(fig6, [1, 2, 3, 4]):
         vec = dense.product_state_vector(state)
-        for el in group_elements(sub):
+        for el in group_elements(6, sub):
             assert np.allclose(dense.pauli_dense(el) @ vec, vec, atol=1e-12)
 
 
