@@ -13,7 +13,7 @@ import argparse
 
 import numpy as np
 
-from graphent.lattices import KINDS, LatticeSpec, gap_scan, lattice_vertex_count
+from graphent.lattices import KINDS, gap_scan, lattice_vertex_count
 
 
 def sizes_within(kind: str, max_n: int) -> list[int]:

@@ -5,9 +5,9 @@ option value or command-line usage); 2 bounds do not coincide (analyze; the
 interval report is still emitted); 3 CSS construction disagreement; 4 verify
 failures.  Identical arguments yield byte-identical output.
 
-numpy is imported only by the dense oracle: verify, css and analyze
---oracle import it (with dense and separable) when they run, so analyze,
-orbit and lattice never load it.
+numpy is imported only by the dense oracle: verify and css import it (with
+dense and separable) when they run, so analyze, orbit and lattice never
+load it.
 """
 
 from __future__ import annotations
@@ -66,40 +66,8 @@ def _json(obj) -> str:
 def cmd_analyze(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     report = measures.evaluate(g, orbit_cap=args.orbit_cap)
-    doc = report.to_dict()
-    if args.oracle:
-        doc["oracle"] = _oracle_block(g, report)
-    _emit(args, _json(doc))
+    _emit(args, _json(report.to_dict()))
     return EXIT_OK if report.bounds.coincide else EXIT_BOUNDS_OPEN
-
-
-def _oracle_block(g: Graph, report) -> dict:
-    from . import dense
-
-    if g.n > dense.DENSE_OP_CAP:
-        return {"skipped": f"dense oracle limited to n <= {dense.DENSE_OP_CAP}"}
-    figures = _dense_figures(g, report, dense.statevector(g))
-    block = {key: value for key, (value, _) in figures.items()}
-    block["verified"] = all(passed for _, passed in figures.values())
-    return block
-
-
-def _dense_figures(g: Graph, report, psi) -> dict[str, tuple[float, bool]]:
-    """(value, within tolerance) of each dense figure of report, psi being
-    g's statevector: the REE of its CSS against the upper bound, the
-    reconstruction error of its decomposition, and its CPS overlap against
-    2^-upper."""
-    from . import dense
-
-    upper = report.bounds.upper
-    ree = dense.mixture_relative_entropy(psi, report.css.components)
-    rec_err = _reconstruction_error(g, report, psi)
-    cps_overlap = dense.overlap2(psi, report.cps)
-    return {
-        "ree": (ree, abs(ree - upper) < REE_TOL),
-        "reconstruction_max_err": (rec_err, rec_err < DENSE_TOL),
-        "cps_overlap2": (cps_overlap, abs(cps_overlap - 2.0**-upper) < DENSE_TOL),
-    }
 
 
 def _reconstruction_error(g: Graph, report, psi) -> float:
@@ -282,12 +250,13 @@ def run_verification(g: Graph, report):
         fix_err = max(fix_err, float(np.abs(dense.apply_pauli(gen, psi) - psi).max()))
     checks.append(("generators_fix_statevector", fix_err < DENSE_TOL, f"max_err={fix_err:.3e}"))
 
-    figures = _dense_figures(g, report, psi)
-    rec_err, passed = figures["reconstruction_max_err"]
-    checks.append(("decomposition_reconstructs", passed, f"max_err={rec_err:.3e}"))
+    rec_err = _reconstruction_error(g, report, psi)
+    checks.append(("decomposition_reconstructs", rec_err < DENSE_TOL, f"max_err={rec_err:.3e}"))
 
-    ree, passed = figures["ree"]
-    checks.append(("relative_entropy_equals_upper", passed, f"ree={ree:.12f} upper={report.bounds.upper}"))
+    upper = report.bounds.upper
+    ree = dense.mixture_relative_entropy(psi, report.css.components)
+    checks.append(("relative_entropy_equals_upper", abs(ree - upper) < REE_TOL,
+                   f"ree={ree:.12f} upper={upper}"))
 
     noise = separable.noise_css(g, alpha)
     errs = _css_errors(  # noise's components are g's own stabilizer CSS
@@ -296,12 +265,16 @@ def run_verification(g: Graph, report):
         separable.peps_css(g, alpha),
         noise,
     )
-    names = ("group_sum_equals_mixture", "peps_equals_stabilizer", "noise_equals_stabilizer")
-    for name, err in zip(names, errs.values()):
-        checks.append((name, err < DENSE_TOL, f"max_err={err:.3e}"))
+    for name, key in (
+        ("group_sum_equals_mixture", "stabilizer_sum"),
+        ("peps_equals_stabilizer", "peps"),
+        ("noise_equals_stabilizer", "noise"),
+    ):
+        checks.append((name, errs[key] < DENSE_TOL, f"max_err={errs[key]:.3e}"))
 
-    cps_overlap, passed = figures["cps_overlap2"]
-    checks.append(("cps_overlap_certificate", passed, f"overlap2={cps_overlap:.12f}"))
+    cps_overlap = dense.overlap2(psi, report.cps)
+    checks.append(("cps_overlap_certificate", abs(cps_overlap - 2.0**-upper) < DENSE_TOL,
+                   f"overlap2={cps_overlap:.12f}"))
 
     rng = random.Random(0)
     cut_ok = True
@@ -369,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full entanglement report (JSON)")
     add_graph_opts(p)
-    p.add_argument("--oracle", action="store_true", help="attach dense oracle checks (n <= 10)")
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("css", help="closest separable state constructions (JSON)")

@@ -1,10 +1,9 @@
 """Dense linear algebra: the desk-scale oracle and the product-overlap search.
 
 Explicit statevectors, Pauli matrices and density matrices, against which
-`verify`, `css` and `analyze --oracle` check the fast modules' claims, plus
-the heuristic search for the best product-state overlap.  Qubit 1 is the
-most significant bit of the computational-basis index, so state strings
-read left to right.
+`verify` and `css` check the fast modules' claims, plus the heuristic
+search for the best product-state overlap.  Qubit 1 is the most significant
+bit of the computational-basis index, so state strings read left to right.
 
 The CSS checks compare 2^n x 2^n matrices entry by entry without forming
 any of them: each entry rule has a row-block kernel, and the caller walks
@@ -275,9 +274,7 @@ def overlap2(psi: np.ndarray, phi: str) -> float:
     return float(abs(np.vdot(vec, psi)) ** 2)
 
 
-def best_product_overlap(
-    psi: np.ndarray, restarts: int = 200, iterations: int = 100, seed: int = 0
-) -> float:
+def best_product_overlap(psi: np.ndarray, *, restarts: int, iterations: int, seed: int) -> float:
     """Heuristic max product overlap via alternating single-site optimisation.
 
     A lower bound witness only: used to check that no product state found by

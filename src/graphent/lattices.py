@@ -199,7 +199,7 @@ class GapRow:
     """Always False, as the solver has no deadline; kept because perfbench's gap check reads it."""
 
 
-def gap_scan(kind: str, sizes, exact: bool = True):
+def gap_scan(kind: str, sizes, *, exact: bool):
     """Per-size gap table rows.
 
     Only exact rows build the patch, so formula-only rows have no vertex cap.

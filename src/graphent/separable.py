@@ -39,8 +39,6 @@ class CssConstruction:
     weight: float
 
 
-_S2 = 1.0 / math.sqrt(2.0)
-
 #: The real qubit vectors 0 1 + - as Python floats, so that _site_table's
 #: arithmetic stays scalar.
 _QUBIT_REAL = {label: tuple(dense.QUBIT_STATES[label].real.tolist()) for label in "01+-"}
@@ -66,13 +64,13 @@ def _site_table(virtuals: list[str], in_alpha: int, combos):
             prod_sum = 1.0
             prod_diff = 1.0
             for q0, q1 in qubits:
-                up = (q0 + q1) * _S2  # <+|q>
-                um = (q0 - q1) * _S2  # <-|q>
+                up = (q0 + q1) * dense._S2  # <+|q>
+                um = (q0 - q1) * dense._S2  # <-|q>
                 prod_sum *= up + um
                 prod_diff *= up - um
             c_plus = (prod_sum + prod_diff) / 2.0
             c_minus = (prod_sum - prod_diff) / 2.0
-            vec = ((c_plus + c_minus) * _S2, (c_plus - c_minus) * _S2)
+            vec = ((c_plus + c_minus) * dense._S2, (c_plus - c_minus) * dense._S2)
         else:
             c0 = 1.0
             c1 = 1.0

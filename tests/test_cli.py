@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import graphent
-from graphent import css_stabilizer_form, dense, max_independent_set, measures, separable
+from graphent import cli, css_stabilizer_form, dense, max_independent_set, measures, separable
 from graphent.cli import _css_errors, main
 
 from conftest import FIG6_TEXT, complete, random_connected, ring, write_graph
@@ -146,11 +146,13 @@ def test_analyze_refuses_a_decomposition_too_large_to_list(capsys, tmp_path):
     assert "Traceback" not in err
 
 
-def test_analyze_oracle_block(capsys, fig6_file):
-    code, out, _ = run(capsys, ["analyze", fig6_file, "--oracle"])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["oracle"]["verified"] is True
+def test_analyze_oracle_is_a_usage_error(capsys, fig6_file):
+    # the dense cross-checks of a report are verify's alone
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", fig6_file, "--oracle"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --oracle" in err and "Traceback" not in err
 
 
 def test_analyze_graph6_format(capsys, tmp_path):
@@ -169,9 +171,10 @@ def test_analyze_out_file(capsys, fig6_file, tmp_path):
 
 
 def test_byte_identical_reruns(capsys, fig6_file):
-    _, first, _ = run(capsys, ["analyze", fig6_file, "--oracle"])
-    _, second, _ = run(capsys, ["analyze", fig6_file, "--oracle"])
-    assert first == second
+    for command in ("analyze", "verify"):
+        _, first, _ = run(capsys, [command, fig6_file])
+        _, second, _ = run(capsys, [command, fig6_file])
+        assert first == second
 
 
 def test_css_all_fig6(capsys, fig6_file):
@@ -195,9 +198,10 @@ def test_verify_and_css_k8(capsys, tmp_path):
     assert json.loads(out)["verdict"] == "equal"
 
 
-def _corrupt_noise_factor(monkeypatch, corrupt):
-    """Make separable.noise_css return its dephasing factor passed through corrupt."""
-    real = separable.noise_css
+def _corrupt_factor(monkeypatch, construction, corrupt):
+    """Make separable's construction ("noise_css" or "peps_css") return its
+    factor passed through corrupt."""
+    real = getattr(separable, construction)
 
     def corrupted(*args, **kwargs):
         result = real(*args, **kwargs)
@@ -205,7 +209,7 @@ def _corrupt_noise_factor(monkeypatch, corrupt):
         corrupt(factor)
         return dataclasses.replace(result, factor=factor)
 
-    monkeypatch.setattr(separable, "noise_css", corrupted)
+    monkeypatch.setattr(separable, construction, corrupted)
 
 
 def test_css_disagreement_exits_3_and_fails_verify(capsys, fig6_file, monkeypatch):
@@ -214,7 +218,7 @@ def test_css_disagreement_exits_3_and_fails_verify(capsys, fig6_file, monkeypatc
     def one_entry_off(factor):
         factor[0, 0] += 1e-9
 
-    _corrupt_noise_factor(monkeypatch, one_entry_off)
+    _corrupt_factor(monkeypatch, "noise_css", one_entry_off)
     code, out, _ = run(capsys, ["css", fig6_file, "--method", "all"])
     assert code == 3
     doc = json.loads(out)
@@ -236,7 +240,7 @@ def test_nan_in_a_factor_fails_the_css_checks(capsys, tmp_path, monkeypatch):
     def last_column_nan(factor):
         factor[:, -1] = math.nan
 
-    _corrupt_noise_factor(monkeypatch, last_column_nan)
+    _corrupt_factor(monkeypatch, "noise_css", last_column_nan)
     code, out, _ = run(capsys, ["css", path, "--method", "all"])
     assert code == 3
     doc = json.loads(out)
@@ -247,6 +251,23 @@ def test_nan_in_a_factor_fails_the_css_checks(capsys, tmp_path, monkeypatch):
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert [name for name, c in checks.items() if not c["passed"]] == ["noise_equals_stabilizer"]
     assert checks["noise_equals_stabilizer"]["detail"] == "max_err=nan"
+
+
+def test_peps_disagreement_exits_3_and_fails_verify(capsys, fig6_file, monkeypatch):
+    # a PEPS factor one entry off by 1e-6: only the PEPS check fails, under
+    # its own label, so the checks cannot swap their names unseen
+    def one_entry_off(factor):
+        factor[0, 0] += 1e-6
+
+    _corrupt_factor(monkeypatch, "peps_css", one_entry_off)
+    code, out, _ = run(capsys, ["css", fig6_file, "--method", "all"])
+    assert code == 3
+    errs = json.loads(out)["max_errors"]
+    assert [name for name, err in errs.items() if not err < 1e-12] == ["peps"]
+    code, out, _ = run(capsys, ["verify", fig6_file])
+    assert code == 4
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+    assert failed == ["peps_equals_stabilizer"]
 
 
 def _css_inputs(g):
@@ -492,6 +513,44 @@ def test_verify_checks_the_decomposition_of_g_itself(capsys, fig6_file, monkeypa
     assert code == 4
     failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
     assert failed == ["decomposition_reconstructs"]
+
+
+def _verify_failures(capsys, path):
+    """verify's exit code and the (name, detail) of each check that failed."""
+    code, out, _ = run(capsys, ["verify", path])
+    return code, [(c["name"], c["detail"]) for c in json.loads(out)["checks"] if not c["passed"]]
+
+
+def _patch_report(monkeypatch, corrupt):
+    """Make measures.evaluate return its report passed through corrupt."""
+    real = measures.evaluate
+    monkeypatch.setattr(measures, "evaluate", lambda *args, **kwargs: corrupt(real(*args, **kwargs)))
+
+
+def test_verify_checks_the_shipped_css(capsys, fig6_file, monkeypatch):
+    # the CSS list repeats its first component: |G> leaves the mixture's
+    # support and the relative entropy is infinite
+    def repeated(report):
+        first, *rest = report.css.components
+        css = dataclasses.replace(report.css, components=(first, first, *rest[1:]))
+        return dataclasses.replace(report, css=css)
+
+    _patch_report(monkeypatch, repeated)
+    assert _verify_failures(capsys, fig6_file) == (4, [("relative_entropy_equals_upper", "ree=inf upper=2")])
+
+
+def test_verify_checks_the_shipped_cps(capsys, fig6_file, monkeypatch):
+    # |<000000|G>|^2 = 2^-6, not 2^-upper = 1/4
+    _patch_report(monkeypatch, lambda report: dataclasses.replace(report, cps="0" * report.graph.n))
+    assert _verify_failures(capsys, fig6_file) == (4, [("cps_overlap_certificate", "overlap2=0.015625000000")])
+
+
+def test_verify_checks_the_cut_ranks(capsys, fig6_file, monkeypatch):
+    real = cli.cut_rank
+    monkeypatch.setattr(cli, "cut_rank", lambda g, cut: real(g, cut) + 1)
+    assert _verify_failures(capsys, fig6_file) == (
+        4, [("cut_rank_equals_entropy", "cut=[1] rank=2 entropy=1.000000000")]
+    )
 
 
 # analyze, orbit and lattice, then verify, in one fresh interpreter: only

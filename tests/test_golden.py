@@ -1,7 +1,6 @@
 """Golden outputs: the SHA-256 of the analyze report JSON on fixed graphs, of
 `graphent orbit` stdout on whole and capped orbits, and of the oracle
-commands' stdout (verify, css with each --method and with all, analyze
---oracle).
+commands' stdout (verify, css with each --method and with all).
 
 The digests pin the reports byte for byte, tie-breaks and float formatting
 included.  K_{3,3} at orbit cap 2 reports the interval [2, 3]: a truncated
@@ -85,23 +84,18 @@ ORACLE_COMMANDS = {
     "css-stabilizer": ["css", "--method", "stabilizer"],
     "css-peps": ["css", "--method", "peps"],
     "css-noise": ["css", "--method", "noise"],
-    "analyze-oracle": ["analyze", "--oracle"],
 }
 
-# (command, graph, SHA-256 of its stdout); K4's analyze report has a nonempty lc_path
+# (command, graph, SHA-256 of its stdout); K4's report has a nonempty lc_path
 ORACLE_GOLDEN = [
     ("verify", "fig6", "74924d0776e0f7045ef0151a1c73196dd8bec4cbe4de0869590c95b6342760b7"),
     ("css", "fig6", "4cf0a30765488f1cab948be35794d9c717a50b0b6006765a89352b6671f64bf5"),
-    ("analyze-oracle", "fig6", "5f876fd18c7d82997c1252a97c61de41d0a99d7a444f938dade2ee2a3d0d6c6f"),
     ("verify", "C5", "05c04d75d532b1879a99efeab58ca663e8698eaf57f28049ea29c23e54c600d7"),
     ("css", "C5", "bb0fc1df544e816238aff733aaafd978864576a74fa851f52382779bda98d681"),
-    ("analyze-oracle", "C5", "a0e4d4a6c1e28240ac8cd54e3c92622b0591930f77f88651215f2d1325ce9ddd"),
     ("verify", "K4", "7d97479e6d617e50fc897bdc46cf09ae04467090273b1b99868aa6cbb16a295e"),
     ("css", "K4", "e71cc879c724d530e94dbf3bde5da9eafc3c2cae18fa35004129f22005ea0a08"),
-    ("analyze-oracle", "K4", "41eb8e77925f11dca74ff05e0452359e5b7adc21cc4c8c6ddff310a5e9805a9b"),
     ("verify", "G10", "ad40c6f80b18d41f069419b8577debb5143e10bcbc59bbf706f9882af5508f75"),
     ("css", "G10", "f2f252b2c87e6e402d8fdb293b25253a892d1ecc90d3cb293235b8edac670c98"),
-    ("analyze-oracle", "G10", "9a4bd31d967e95ce6e1d957f25e3411e06803b5486728e28064d78411b484f55"),
     # each css method alone
     ("css-stabilizer", "fig6", "4df65a74eaa27857806adc133e6f760055a8aa634b18e0be8ddd4548d4f940a2"),
     ("css-stabilizer", "C5", "1f958fdbbee97cf16fdbda4dce6fecf8284c0040c42772d781bfd575a4b04efd"),
