@@ -97,7 +97,8 @@ def _css_errors(basis, group_sum, peps, noise) -> dict[str, float]:
 
     Walks dense.ROW_BLOCK rows at a time: for each block it forms the
     mixture's rows, the group sum's rows and each construction's rows from
-    its factor, and their distances, while the block is in cache, so no
+    the factor rows that are nonzero on the block (dense.gram_rows), and
+    their distances, while the block is in cache, so no
     2^n x 2^n array exists from n = 7 on.  Every entry is the one the full
     matrices give (see dense).  The block maxima are reduced with np.max,
     which keeps a NaN.
@@ -137,7 +138,7 @@ def cmd_css(args: argparse.Namespace) -> int:
     methods = ("stabilizer", "peps", "noise") if args.method == "all" else (args.method,)
     built = {}
     if "noise" in methods:  # its components are the stabilizer CSS's: one basis serves both
-        built["noise"] = separable.noise_css(g, alpha)
+        built["noise"] = separable.noise_css(g, alpha, dense.statevector(g))
     descriptions = []
     for method in methods:
         if method == "stabilizer":
@@ -258,7 +259,7 @@ def run_verification(g: Graph, report):
     checks.append(("relative_entropy_equals_upper", abs(ree - upper) < REE_TOL,
                    f"ree={ree:.12f} upper={upper}"))
 
-    noise = separable.noise_css(g, alpha)
+    noise = separable.noise_css(g, alpha, psi)
     errs = _css_errors(  # noise's components are g's own stabilizer CSS
         noise.components,
         measures.css_stabilizer_form(g, alpha),

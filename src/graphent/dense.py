@@ -4,16 +4,23 @@ Explicit statevectors, Pauli matrices and density matrices, against which
 `verify` and `css` check the fast modules' claims, plus the heuristic
 search for the best product-state overlap.  Qubit 1 is the most significant
 bit of the computational-basis index, so state strings read left to right.
+`statevector` builds |G> by doubling over the vertices, one sign flip per
+edge on half the amplitudes so far, instead of a pass over all 2^n
+amplitudes per edge; each amplitude is +-1/sqrt(2^n) negated exactly, so the
+real parts are those of CZ applied edge by edge.
 
 The CSS checks compare 2^n x 2^n matrices entry by entry without forming
 any of them: each entry rule has a row-block kernel, and the caller walks
 ROW_BLOCK rows at a time.  `gram_rows` gives rows of F^T G for thin factors
-(a mixture, the PEPS assembly, dephasing), as one plain GEMM; numpy's
-symmetric path for A @ A.T computes one triangle and copies it across with
-strided writes: 7.0 ms at 1024 x 64, against 2.8 ms for a GEMM with a
-contiguous copy of the transpose, which gives the same bits.
-`pauli_sum_rows` gives rows of a Pauli group sum, each operator adding its
-one nonzero entry per row.
+(a mixture, the PEPS assembly, dephasing), as one plain GEMM over the rows
+of F that are nonzero on the block's columns.  A left-out row adds only
+exact zeros; every mixture and PEPS entry is one product, so its bits do
+not depend on which zeros are summed, and Phi, which has no zero row, keeps
+the product over all its rows.  numpy's symmetric path for A @ A.T computes
+one triangle and copies it across with strided writes: 7.0 ms at 1024 x 64,
+against 2.8 ms for a GEMM with a contiguous copy of the transpose, which
+gives the same bits.  `pauli_sum_rows` gives rows of a Pauli group sum,
+each operator adding its one nonzero entry per row.
 `mixture_density` and `pauli_sum` are their whole-range cases.  A single
 Pauli acts on a vector (`apply_pauli`) without a matrix.
 
@@ -31,7 +38,7 @@ import math
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _bits, _mask_of
 
 STATEVECTOR_CAP = 14
 DENSE_OP_CAP = 10
@@ -68,18 +75,25 @@ def _check_cap(n: int, cap: int, what: str):
 
 
 def statevector(g: Graph) -> np.ndarray:
-    """Graph state vector: CZ along every edge applied to the all-plus state."""
+    """Graph state vector: CZ along every edge applied to the all-plus state.
+
+    Built by doubling over the vertices, as pauli._basis_codes builds the
+    basis: last vertex first, each vertex v becomes the most significant
+    index bit, and the amplitudes with v's bit 1 are those so far with CZ
+    from v to its later neighbours applied, a sign flip wherever such a
+    neighbour's bit is 1.  Each amplitude is +-1/sqrt(2^n), negated exactly,
+    with imaginary part +0.0: the real parts of CZ applied edge by edge.
+    """
     _check_cap(g.n, STATEVECTOR_CAP, "dense statevector")
     n = g.n
-    dim = 1 << n
-    amp = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
-    idx = np.arange(dim)
-    for (u, v) in g.edges():
-        bu = n - u  # qubit 1 is the most significant bit
-        bv = n - v
-        both = ((idx >> bu) & 1) & ((idx >> bv) & 1)
-        amp[both == 1] *= -1.0
-    return amp
+    amp = np.full(1, 1.0 / math.sqrt(1 << n))
+    for v in range(n - 1, -1, -1):  # qubit v + 1 is index bit n - 1 - v
+        upper = amp.copy()
+        for w in _bits(g.adj[v] >> (v + 1) << (v + 1)):
+            half = upper.reshape(-1, 2, 1 << (n - 1 - w))[:, 1]
+            np.negative(half, out=half)
+        amp = np.concatenate([amp, upper])
+    return amp.astype(complex)
 
 
 def product_state_vector(state: str) -> np.ndarray:
@@ -216,17 +230,28 @@ def mixture_factor(components) -> np.ndarray:
 
 
 def gram_rows(factor: np.ndarray, other: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Rows start:stop of factor^T other, for K x dim factors: one GEMM.
+    """Rows start:stop of factor^T other, for K x dim factors: one GEMM over
+    the factor rows that are nonzero on columns start:stop.
 
-    Pass other = conj(factor) for the rows of a Gram matrix; a real factor
-    may be passed as its own other.  The whole range of one buffer would
-    take numpy's symmetric path, so mixture_density passes a copy there.
-    For a stabilized basis each entry of the mixture and of the PEPS
-    assembly is one product (the beta labels of its row pin the one term),
-    and each dephased entry sums +-psi_i psi_j in BLAS's order for the
-    inner dimension, which row blocks and the symmetric path share.
+    A row that is zero on those columns adds only exact zero products to
+    the block (for finite other), so it is left out; a 64-row block of the
+    mixture or PEPS factor keeps about 35% of its rows on n = 7..10 graphs
+    with 2n edges.  Each entry of those two is one product (the beta labels
+    of its row pin the one term), the same bits in any summation order.
+    An entry of several nonzero products keeps its bits while BLAS sums
+    the inner dimension in one pass (OpenBLAS does up to a few hundred
+    rows); past that, the pass boundaries move with the left-out rows.
+    A factor with no zero row there (Phi, whose dephased entries sum
+    +-psi_i psi_j in BLAS's order) takes the plain product.  Pass
+    other = conj(factor) for the rows of a Gram matrix; a real factor may
+    be passed as its own other.  The whole range of one buffer would take
+    numpy's symmetric path, so mixture_density passes a copy there.
     """
-    return factor[:, start:stop].T @ other
+    cols = factor[:, start:stop]
+    keep = np.flatnonzero(cols.any(axis=1))
+    if keep.size == len(factor):
+        return cols.T @ other
+    return cols[keep].T @ other[keep]
 
 
 def mixture_density(components) -> np.ndarray:
@@ -268,8 +293,19 @@ def mixture_relative_entropy(psi: np.ndarray, components) -> float:
     return float(-(weights_psi[keep] * np.log2(evals[keep])).sum()) + 0.0
 
 
+def _qubit_count(psi: np.ndarray) -> int:
+    """n for a statevector of 2^n entries; ValueError for any other length."""
+    n = psi.size.bit_length() - 1
+    if psi.ndim != 1 or n < 0 or psi.size != 1 << n:
+        raise ValueError(f"statevector of shape {psi.shape}, not of length 2^n")
+    return n
+
+
 def overlap2(psi: np.ndarray, phi: str) -> float:
     """Squared overlap of a dense state with a product state string."""
+    n = _qubit_count(psi)
+    if len(phi) != n:
+        raise ValueError(f"product state {phi!r} has {len(phi)} labels for a statevector on {n} qubits")
     vec = product_state_vector(phi)
     return float(abs(np.vdot(vec, psi)) ** 2)
 
@@ -287,9 +323,7 @@ def best_product_overlap(psi: np.ndarray, *, restarts: int, iterations: int, see
     a sweep changes its overlap by less than 1e-13 and keeps the overlap from
     before that sweep.
     """
-    n = int(round(math.log2(psi.size)))
-    if 1 << n != psi.size:
-        raise ValueError("statevector length is not a power of two")
+    n = _qubit_count(psi)
     _check_cap(n, 8, "product-overlap search")
     rng = np.random.default_rng(seed)
     # the same numbers as drawing real then imaginary parts restart by restart
@@ -312,7 +346,12 @@ def best_product_overlap(psi: np.ndarray, *, restarts: int, iterations: int, see
 
 def _overlap_sweep(psi: np.ndarray, locs: np.ndarray) -> np.ndarray:
     """One Gauss-Seidel sweep over the sites of every restart in locs (R, n, 2),
-    in place; returns each restart's squared overlap after the sweep."""
+    in place; returns each restart's squared overlap after the sweep.
+
+    A site is updated only where its environment's norm exceeds 1e-15.  The
+    contractions stay einsum: a batched matmul rounds them otherwise (its
+    best overlaps differ in the last bit), for 9% less time in the search.
+    """
     r, n, _ = locs.shape
     # right[a]: product of the conjugate site vectors after a, before the sweep
     right = [np.ones((r, 1), dtype=complex)]
@@ -324,18 +363,18 @@ def _overlap_sweep(psi: np.ndarray, locs: np.ndarray) -> np.ndarray:
     for a in range(n):
         block = left.reshape(r, 2, -1)
         env = np.einsum("rij,rj->ri", block, right[a])
-        norm = np.linalg.norm(env, axis=1)
-        ok = norm > 1e-15
-        locs[ok, a] = env[ok] / norm[ok, None]
+        # np.linalg.norm(env, axis=1) without its dispatch: the same reduction
+        norm = np.sqrt((env.conj() * env).real.sum(axis=1))[:, None]
+        np.divide(env, norm, out=locs[:, a], where=norm > 1e-15)
         left = np.einsum("ri,rij->rj", locs[:, a].conj(), block)
     return np.abs(left[:, 0]) ** 2
 
 
 def reduced_entropy(psi: np.ndarray, a) -> float:
     """Entanglement entropy (bits) across the cut (a, complement) of an n-qubit psi."""
-    n = int(round(math.log2(psi.size)))
+    n = _qubit_count(psi)
     part = sorted(set(a))
-    if not part or len(part) >= n:
+    if not 0 < _mask_of(part, n).bit_count() < n:
         raise ValueError("cut requires a proper nonempty vertex subset")
     rest = [v for v in range(1, n + 1) if v not in part]
     tensor = psi.reshape((2,) * n)

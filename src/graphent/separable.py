@@ -6,7 +6,8 @@ entrywise against the stabilized-basis mixture: a virtual-qubit
 edge states, and dephasing of the vertex-cover qubits by averaged relative
 phases.  Each returns its state as a thin factor and a divisor, not as a
 2^n x 2^n matrix: the comparison forms rows of rho in blocks
-(`dense.gram_rows`), with the bits the full product would give.
+(`dense.gram_rows`), with the bits the full product would give.  Dephasing
+takes g's statevector from its caller, which builds it once per command.
 """
 
 from __future__ import annotations
@@ -25,12 +26,15 @@ class CssConstruction:
     """Separable state rho = factor^T factor / divisor, plus its explicit
     product-projector mixture.
 
-    factor is K x 2^n and float64: both constructions are real (real edge
-    states and projectors; a real graph state dephased by signs).  Nothing
-    forms rho: `cli._css_errors` builds it dense.ROW_BLOCK rows at a time
-    with `dense.gram_rows` and divides each block by divisor, so that no
-    2^n x 2^n array exists from n = 7 on.  Every entry is the one the full
-    product and division give (see gram_rows).
+    factor is K x 2^n, float64 and C-contiguous: both constructions are
+    real (real edge states and projectors; a real graph state dephased by
+    signs).  Nothing forms rho: `cli._css_errors` builds it dense.ROW_BLOCK
+    rows at a time with `dense.gram_rows`, over the factor rows that are
+    nonzero on the block (every PEPS row is zero on most blocks, no Phi row
+    on any), and divides each block by divisor, so that no 2^n x 2^n array
+    exists from n = 7 on.  Every entry is the one the full product and
+    division give: a PEPS entry is one product, and Phi keeps all its rows
+    (see gram_rows).
     """
 
     factor: np.ndarray
@@ -155,30 +159,37 @@ def peps_css(g: Graph, alpha) -> CssConstruction:
     return CssConstruction(block, trace, components, 1.0 / len(components))
 
 
-def noise_css(g: Graph, alpha) -> CssConstruction:
+def noise_css(g: Graph, alpha, psi: np.ndarray) -> CssConstruction:
     """Closest separable state by dephasing the cover qubits, beta = V \\ alpha.
 
-    The continuous phase average over the cover qubits reduces exactly to the
-    two-point average phi in {0, pi} per qubit (cross terms carry e^{+-i phi}),
-    i.e. the uniform mixture of Z^S|G> over subsets S of the cover.  The 2^m
-    copies Z^S|G> are the rows of one real array Phi (a graph state has real
-    amplitudes), so the average is Phi^T Phi / 2^m: Phi is the factor and
-    2^m the divisor.  The components are the stabilizer CSS's; callers
+    psi is g's statevector (dense.statevector(g)), which the caller has
+    built already.  The continuous phase average over the cover qubits
+    reduces exactly to the two-point average phi in {0, pi} per qubit (cross
+    terms carry e^{+-i phi}), i.e. the uniform mixture of Z^S|G> over subsets
+    S of the cover.  The 2^m copies Z^S|G> are the rows of one real array
+    Phi (a graph state has real amplitudes), so the average is
+    Phi^T Phi / 2^m: Phi is the factor and 2^m the divisor.  Phi is built by
+    doubling over beta, ascending: the rows for S + b are a copy of the rows
+    so far with the sign of every entry whose b bit is 1 flipped, so row S
+    is psi negated exactly at the indices with an odd number of 1 bits on
+    S, the bits of the flip-matrix build.  The components are the
+    stabilizer CSS's; callers
     compare rho with their mixture (entrywise, to 1e-12).
     """
     amask = _independent_mask(g, alpha)
     if g.n > dense.DENSE_OP_CAP:
         raise ValueError(f"dense assembly limited to n <= {dense.DENSE_OP_CAP}")
-    psi = dense.statevector(g).real
-    idx = np.arange(psi.size)
-    beta = [v for v in range(g.n) if not (amask >> v) & 1]
-    subsets = np.arange(1 << len(beta))[:, None]
-    flip = np.zeros((subsets.size, psi.size), dtype=np.int64)
-    for pos, v in enumerate(beta):  # qubit v + 1 is index bit n - 1 - v
-        flip ^= ((subsets >> pos) & 1) & ((idx >> (g.n - 1 - v)) & 1)
-    phi = np.where(flip, -psi, psi)
+    if psi.shape != (1 << g.n,):
+        raise ValueError(f"statevector of shape {psi.shape} for a graph on {g.n} vertices")
+    phi = np.array([psi.real])
+    for v in range(g.n):  # qubit v + 1 is index bit n - 1 - v
+        if not (amask >> v) & 1:
+            flipped = phi.copy()
+            half = flipped.reshape(len(phi), -1, 2, 1 << (g.n - 1 - v))[:, :, 1]
+            np.negative(half, out=half)
+            phi = np.concatenate([phi, flipped])
     css = closest_separable_state(g, alpha)
-    return CssConstruction(phi, float(subsets.size), css.components, css.weight)
+    return CssConstruction(phi, float(len(phi)), css.components, css.weight)
 
 
 __all__ = [

@@ -143,6 +143,22 @@ def pauli_from_text(text: str) -> PauliOperator:
     return PauliOperator(len(s), x, z, phase)
 
 
+def edgewise_statevector(g: Graph) -> np.ndarray:
+    """|G> as CZ applied edge by edge to the all-plus state, in complex128:
+    the per-edge build dense.statevector replaced.  Its complex negations
+    leave -0.0 in the imaginary part of each amplitude negated an even
+    number of times, which np.array_equal counts equal to +0.0."""
+    _check_cap(g.n, dense.STATEVECTOR_CAP, "dense statevector")
+    n = g.n
+    dim = 1 << n
+    amp = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
+    idx = np.arange(dim)
+    for (u, v) in g.edges():
+        both = ((idx >> (n - u)) & 1) & ((idx >> (n - v)) & 1)  # qubit 1 is the most significant bit
+        amp[both == 1] *= -1.0
+    return amp
+
+
 def twirl(g: Graph, phi: np.ndarray) -> np.ndarray:
     """sigma_phi = 2^-n sum_s s|phi><phi|s^dagger over the 2^n elements s of
     g's stabilizer group, as V^T conj(V) / 2^n for the rows s|phi> of V

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,14 @@ from graphent.pauli import PauliOperator, generators_from_graph, group_elements
 from graphent.separable import noise_css
 
 from conftest import FIG6, complete, random_connected, ring, star
-from oracles import all_connected_graphs, brute_matching, brute_mis, construction_density, pauli_from_text
+from oracles import (
+    all_connected_graphs,
+    brute_matching,
+    brute_mis,
+    construction_density,
+    edgewise_statevector,
+    pauli_from_text,
+)
 
 
 def test_statevector_p2(p2):
@@ -44,6 +52,38 @@ def test_statevector_amplitude_signs():
 def test_statevector_cap():
     with pytest.raises(ValueError):
         dense.statevector(star(15))
+
+
+def test_statevector_is_the_edgewise_build():
+    # the doubling build against CZ edge by edge on n = 1, every connected
+    # graph with n <= 6 and seeded graphs with n = 7..14: equal real parts
+    # bit for bit, and +0.0 in every imaginary part
+    rng = random.Random(35)
+    graphs = [g for n in range(1, 7) for g in all_connected_graphs(n)]
+    graphs += [random_connected(n, rng, p) for n in range(7, 15) for p in (0.2, 0.5, 0.8)]
+    for g in graphs:
+        psi = dense.statevector(g)
+        ref = edgewise_statevector(g)
+        assert np.array_equal(psi, ref), g.edges()
+        assert psi.real.tobytes() == ref.real.tobytes(), g.edges()
+        assert not np.signbit(psi.imag).any(), g.edges()
+
+
+def test_dense_helpers_name_a_bad_vertex_or_length(p3):
+    psi = dense.statevector(p3)
+    for bad in (0, 4):
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range 1..3"):
+            dense.reduced_entropy(psi, [bad])
+    with pytest.raises(ValueError, match=re.escape("'0+' has 2 labels for a statevector on 3 qubits")):
+        dense.overlap2(psi, "0+")
+    for call in (
+        lambda v: dense.reduced_entropy(v, [1]),
+        lambda v: dense.overlap2(v, "0+0"),
+        lambda v: dense.best_product_overlap(v, restarts=1, iterations=1, seed=0),
+    ):
+        for vec in (psi[:6], psi.reshape(2, 4), psi[:0]):
+            with pytest.raises(ValueError, match=re.escape(f"statevector of shape {vec.shape},")):
+                call(vec)
 
 
 def _graph_basis_state(g: Graph, zmask: int) -> np.ndarray:
@@ -301,6 +341,32 @@ def test_pauli_sum_refuses_an_empty_list():
         dense.pauli_sum([])
 
 
+def _gram_rows_factors():
+    """A factor with zero rows on the block of columns 64:128, one whose
+    every column has one nonzero (like the mixture and PEPS factors) but
+    column 70 two, and a dense one; each 16 x 256."""
+    rng = np.random.default_rng(37)
+    zero_rows = rng.normal(size=(16, 256))
+    zero_rows[[0, 3, 4, 9, 15], 64:128] = 0.0
+    two_nonzeros = np.zeros((16, 256))
+    two_nonzeros[np.arange(256) % 16, np.arange(256)] = rng.normal(size=256)
+    two_nonzeros[5, 70] = rng.normal()
+    return zero_rows, two_nonzeros, rng.normal(size=(16, 256))
+
+
+def test_gram_rows_is_the_full_product():
+    # leaving out the rows that are zero on a block changes no bit of the
+    # block: every entry sums the same nonzero products (one BLAS pass over
+    # 16 rows)
+    rng = np.random.default_rng(38)
+    for factor in _gram_rows_factors():
+        for other in (factor, rng.normal(size=factor.shape)):
+            for start in range(0, 256, 64):
+                got = dense.gram_rows(factor, other, start, start + 64)
+                want = factor[:, start:start + 64].T @ other
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), start
+
+
 def test_mixture_density_is_the_outer_product_sum():
     for components in (["+0"], ["0+-", "1i-", "j++"], ["01+-i", "10-+j", "++++0", "ij01-"]):
         assert np.allclose(dense.mixture_density(components), _outer_mixture(components), atol=1e-14)
@@ -311,7 +377,7 @@ def test_noise_css_is_the_subset_loop():
     for g in (FIG6, ring(5), random_connected(7, rng), random_connected(7, rng)):
         alpha = max_independent_set(g)
         beta = frozenset(range(1, g.n + 1)) - alpha
-        assert np.allclose(construction_density(noise_css(g, alpha)), _subset_noise(g, beta), atol=1e-14), g.edges()
+        assert np.allclose(construction_density(noise_css(g, alpha, dense.statevector(g))), _subset_noise(g, beta), atol=1e-14), g.edges()
 
 
 # ---------------------------------------------------------------------------

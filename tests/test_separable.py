@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -125,31 +126,31 @@ def test_peps_components_match_basis(fig6):
 
 
 def test_noise_p3(p3):
-    result = noise_css(p3, {1, 3})
+    result = noise_css(p3, {1, 3}, dense.statevector(p3))
     assert sorted(result.components) == ["+0+", "-1-"]
     assert np.abs(construction_density(result) - stab_density(p3, {1, 3})).max() < 1e-12
 
 
 def test_noise_p2(p2):
-    result = noise_css(p2, {1})
+    result = noise_css(p2, {1}, dense.statevector(p2))
     assert np.abs(construction_density(result) - stab_density(p2, {1})).max() < 1e-15
 
 
 def test_noise_fig6(fig6):
-    result = noise_css(fig6, {1, 2, 3, 4})
+    result = noise_css(fig6, {1, 2, 3, 4}, dense.statevector(fig6))
     assert np.abs(construction_density(result) - stab_density(fig6, {1, 2, 3, 4})).max() < 1e-12
     assert sorted(result.components) == sorted(closest_separable_state(fig6, {1, 2, 3, 4}).components)
 
 
 def test_noise_rejects_bad_beta(p4):
     with pytest.raises(ValueError):
-        noise_css(p4, {1, 2, 3})  # the alpha of beta {4} is not independent
+        noise_css(p4, {1, 2, 3}, dense.statevector(p4))  # the alpha of beta {4} is not independent
 
 
 @pytest.mark.parametrize("alpha, bad", [({1, 3, 9}, 9), ({0, 1, 3}, 0), ({-1, 1, 3}, -1)])
 def test_noise_rejects_out_of_range_alpha(p4, alpha, bad):
     with pytest.raises(ValueError, match=f"vertex {bad} out of range 1..4"):
-        noise_css(p4, alpha)
+        noise_css(p4, alpha, dense.statevector(p4))
 
 
 @pytest.mark.parametrize("beta, bad", [({9}, 9), ({0}, 0)])
@@ -162,7 +163,7 @@ def test_quadrature_matches_two_point(p3, p2, triangle):
     for g in (p2, p3, triangle):
         alpha = max_independent_set(g)
         fine = noise_css_quadrature(g, frozenset(range(1, g.n + 1)) - alpha, points=64)
-        assert np.abs(fine - construction_density(noise_css(g, alpha))).max() < 1e-9
+        assert np.abs(fine - construction_density(noise_css(g, alpha, dense.statevector(g)))).max() < 1e-9
 
 
 def test_three_way_exhaustive_n4():
@@ -176,7 +177,7 @@ def test_three_way_exhaustive_n4():
             alpha = max_independent_set(g)
             ref = stab_density(g, alpha)
             assert np.abs(construction_density(peps_css(g, alpha)) - ref).max() < 1e-12
-            assert np.abs(construction_density(noise_css(g, alpha)) - ref).max() < 1e-12
+            assert np.abs(construction_density(noise_css(g, alpha, dense.statevector(g))) - ref).max() < 1e-12
 
 
 def test_three_way_random_n7_n8():
@@ -186,19 +187,44 @@ def test_three_way_random_n7_n8():
         alpha = max_independent_set(g)
         ref = stab_density(g, alpha)
         assert np.abs(construction_density(peps_css(g, alpha)) - ref).max() < 1e-12
-        assert np.abs(construction_density(noise_css(g, alpha)) - ref).max() < 1e-12
+        assert np.abs(construction_density(noise_css(g, alpha, dense.statevector(g))) - ref).max() < 1e-12
 
 
-def _complex_noise(g, beta):
-    """The complex128 dephasing build: Phi^T Phi* / 2^m, Phi's rows Z^S|G>."""
+def _flip_phi(g, beta):
+    """Phi in complex128 from one flip matrix: row S is Z^S|G>, psi negated
+    where the parity of the beta bits S picks is odd."""
     psi = dense.statevector(g)
     idx = np.arange(psi.size)
     subsets = np.arange(1 << len(beta))[:, None]
     flip = np.zeros((subsets.size, psi.size), dtype=np.int64)
     for pos, b in enumerate(sorted(beta)):
         flip ^= ((subsets >> pos) & 1) & ((idx >> (g.n - b)) & 1)
-    phi = np.where(flip, -psi, psi)
-    return phi.T @ phi.conj() / subsets.size
+    return np.where(flip, -psi, psi)
+
+
+def _complex_noise(g, beta):
+    """The complex128 dephasing build: Phi^T Phi* / 2^m, Phi's rows Z^S|G>."""
+    phi = _flip_phi(g, beta)
+    return phi.T @ phi.conj() / len(phi)
+
+
+def test_noise_factor_is_the_flip_matrix():
+    # Phi built by doubling over beta is the real part of the flip-matrix
+    # Phi, bit for bit and C-contiguous (the GEMM's bits depend on layout),
+    # on every connected graph with n <= 5 and seeded graphs with n = 6..10
+    rng = random.Random(36)
+    graphs = [g for n in range(1, 6) for g in all_connected_graphs(n)]
+    for g in graphs + [random_connected(n, rng, p) for n in range(6, 11) for p in (0.3, 0.6)]:
+        alpha = max_independent_set(g)
+        factor = noise_css(g, alpha, dense.statevector(g)).factor
+        want = _flip_phi(g, frozenset(range(1, g.n + 1)) - alpha).real
+        assert np.array_equal(factor, want) and factor.tobytes() == want.tobytes(), g.edges()
+        assert factor.flags.c_contiguous
+
+
+def test_noise_refuses_a_statevector_of_another_size(p3):
+    with pytest.raises(ValueError, match=re.escape("statevector of shape (4,) for a graph on 3 vertices")):
+        noise_css(p3, {1, 3}, dense.statevector(Graph.from_edges(2, [(1, 2)])))
 
 
 def test_real_constructions_are_the_complex_builds():
@@ -210,7 +236,7 @@ def test_real_constructions_are_the_complex_builds():
     for g in graphs + [random_connected(n, rng) for n in (8, 9, 10) for _ in range(2)]:
         alpha = max_independent_set(g)
         beta = frozenset(range(1, g.n + 1)) - alpha
-        noise = construction_density(noise_css(g, alpha))
+        noise = construction_density(noise_css(g, alpha, dense.statevector(g)))
         peps = construction_density(peps_css(g, alpha))
         assert noise.dtype == peps.dtype == np.float64
         complex_noise = _complex_noise(g, beta)
