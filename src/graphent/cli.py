@@ -138,7 +138,7 @@ def cmd_css(args: argparse.Namespace) -> int:
     methods = ("stabilizer", "peps", "noise") if args.method == "all" else (args.method,)
     built = {}
     if "noise" in methods:  # its components are the stabilizer CSS's: one basis serves both
-        built["noise"] = separable.noise_css(g, alpha, dense.statevector(g))
+        built["noise"] = separable.noise_css(g, alpha)
     descriptions = []
     for method in methods:
         if method == "stabilizer":
@@ -259,7 +259,7 @@ def run_verification(g: Graph, report):
     checks.append(("relative_entropy_equals_upper", abs(ree - upper) < REE_TOL,
                    f"ree={ree:.12f} upper={upper}"))
 
-    noise = separable.noise_css(g, alpha, psi)
+    noise = separable.noise_css(g, alpha)
     errs = _css_errors(  # noise's components are g's own stabilizer CSS
         noise.components,
         measures.css_stabilizer_form(g, alpha),

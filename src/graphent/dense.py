@@ -236,20 +236,21 @@ def gram_rows(factor: np.ndarray, other: np.ndarray, start: int, stop: int) -> n
     A row that is zero on those columns adds only exact zero products to
     the block (for finite other), so it is left out; a 64-row block of the
     mixture or PEPS factor keeps about 35% of its rows on n = 7..10 graphs
-    with 2n edges.  Each entry of those two is one product (the beta labels
-    of its row pin the one term), the same bits in any summation order.
-    An entry of several nonzero products keeps its bits while BLAS sums
-    the inner dimension in one pass (OpenBLAS does up to a few hundred
-    rows); past that, the pass boundaries move with the left-out rows.
-    A factor with no zero row there (Phi, whose dephased entries sum
-    +-psi_i psi_j in BLAS's order) takes the plain product.  Pass
+    with 2n edges.  The result has the bits of factor[:, start:stop].T @ other
+    for two kinds of factor only: one with at most one nonzero per column
+    and other finite on the rows left out (the mixture and PEPS factors of a
+    stabilized basis, whose beta labels pin the one term: each entry is one
+    product, the same bits in any summation order), and one with no zero
+    row on the block (Phi, whose dephased entries sum +-psi_i psi_j in
+    BLAS's order), which takes that very product.  For any other factor,
+    leaving rows out may regroup BLAS's sums and move the last bits.  Pass
     other = conj(factor) for the rows of a Gram matrix; a real factor may
     be passed as its own other.  The whole range of one buffer would take
     numpy's symmetric path, so mixture_density passes a copy there.
     """
     cols = factor[:, start:stop]
     keep = np.flatnonzero(cols.any(axis=1))
-    if keep.size == len(factor):
+    if keep.size == len(factor):  # no gathered copies: they double the time of Phi's blocks
         return cols.T @ other
     return cols[keep].T @ other[keep]
 

@@ -6,8 +6,7 @@ entrywise against the stabilized-basis mixture: a virtual-qubit
 edge states, and dephasing of the vertex-cover qubits by averaged relative
 phases.  Each returns its state as a thin factor and a divisor, not as a
 2^n x 2^n matrix: the comparison forms rows of rho in blocks
-(`dense.gram_rows`), with the bits the full product would give.  Dephasing
-takes g's statevector from its caller, which builds it once per command.
+(`dense.gram_rows`), with the bits the full product would give.
 """
 
 from __future__ import annotations
@@ -159,29 +158,25 @@ def peps_css(g: Graph, alpha) -> CssConstruction:
     return CssConstruction(block, trace, components, 1.0 / len(components))
 
 
-def noise_css(g: Graph, alpha, psi: np.ndarray) -> CssConstruction:
+def noise_css(g: Graph, alpha) -> CssConstruction:
     """Closest separable state by dephasing the cover qubits, beta = V \\ alpha.
 
-    psi is g's statevector (dense.statevector(g)), which the caller has
-    built already.  The continuous phase average over the cover qubits
-    reduces exactly to the two-point average phi in {0, pi} per qubit (cross
-    terms carry e^{+-i phi}), i.e. the uniform mixture of Z^S|G> over subsets
-    S of the cover.  The 2^m copies Z^S|G> are the rows of one real array
-    Phi (a graph state has real amplitudes), so the average is
-    Phi^T Phi / 2^m: Phi is the factor and 2^m the divisor.  Phi is built by
-    doubling over beta, ascending: the rows for S + b are a copy of the rows
-    so far with the sign of every entry whose b bit is 1 flipped, so row S
-    is psi negated exactly at the indices with an odd number of 1 bits on
-    S, the bits of the flip-matrix build.  The components are the
-    stabilizer CSS's; callers
-    compare rho with their mixture (entrywise, to 1e-12).
+    The continuous phase average over the cover qubits reduces exactly to the
+    two-point average phi in {0, pi} per qubit (cross terms carry e^{+-i phi}),
+    i.e. the uniform mixture of Z^S|G> over subsets S of the cover.  The 2^m
+    copies Z^S|G> are the rows of one real array Phi (a graph state has real
+    amplitudes), so the average is Phi^T Phi / 2^m: Phi is the factor and
+    2^m the divisor.  Phi is built by doubling over beta, ascending: the rows
+    for S + b are a copy of the rows so far with the sign of every entry whose
+    b bit is 1 flipped, so row S is |G> negated exactly at the indices with an
+    odd number of 1 bits on S, the bits of the flip-matrix build.  The
+    components are the stabilizer CSS's; callers compare rho with their
+    mixture (entrywise, to 1e-12).
     """
     amask = _independent_mask(g, alpha)
     if g.n > dense.DENSE_OP_CAP:
         raise ValueError(f"dense assembly limited to n <= {dense.DENSE_OP_CAP}")
-    if psi.shape != (1 << g.n,):
-        raise ValueError(f"statevector of shape {psi.shape} for a graph on {g.n} vertices")
-    phi = np.array([psi.real])
+    phi = np.array([dense.statevector(g).real])
     for v in range(g.n):  # qubit v + 1 is index bit n - 1 - v
         if not (amask >> v) & 1:
             flipped = phi.copy()

@@ -157,7 +157,7 @@ def test_criterion_05_three_way_css_agreement():
         eq6 = sum(dense.pauli_dense(p) for p in form.elements) * form.scale
         assert np.abs(eq6 - ref).max() < DENSE_TOL, g.edges()
         assert np.abs(construction_density(peps_css(g, alpha)) - ref).max() < DENSE_TOL, g.edges()
-        assert np.abs(construction_density(noise_css(g, alpha, dense.statevector(g))) - ref).max() < DENSE_TOL, g.edges()
+        assert np.abs(construction_density(noise_css(g, alpha)) - ref).max() < DENSE_TOL, g.edges()
 
     count = 0
     for n in range(2, 7):

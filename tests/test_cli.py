@@ -272,7 +272,7 @@ def test_peps_disagreement_exits_3_and_fails_verify(capsys, fig6_file, monkeypat
 
 def _css_inputs(g):
     alpha = max_independent_set(g)
-    noise = separable.noise_css(g, alpha, dense.statevector(g))
+    noise = separable.noise_css(g, alpha)
     return noise.components, css_stabilizer_form(g, alpha), separable.peps_css(g, alpha), noise
 
 

@@ -377,7 +377,7 @@ def test_noise_css_is_the_subset_loop():
     for g in (FIG6, ring(5), random_connected(7, rng), random_connected(7, rng)):
         alpha = max_independent_set(g)
         beta = frozenset(range(1, g.n + 1)) - alpha
-        assert np.allclose(construction_density(noise_css(g, alpha, dense.statevector(g))), _subset_noise(g, beta), atol=1e-14), g.edges()
+        assert np.allclose(construction_density(noise_css(g, alpha)), _subset_noise(g, beta), atol=1e-14), g.edges()
 
 
 # ---------------------------------------------------------------------------

@@ -353,7 +353,7 @@ def test_certificates_refuse_a_dependent_alpha(p3):
         closest_product_state,
         lambda g, alpha: transport_css(g, [2], alpha),
         peps_css,
-        lambda g, alpha: noise_css(g, alpha, dense.statevector(g)),
+        noise_css,
     )
     for build in builds:
         with pytest.raises(ValueError, match="alpha is not an independent set"):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import re
 
 import numpy as np
 import pytest
@@ -126,31 +125,31 @@ def test_peps_components_match_basis(fig6):
 
 
 def test_noise_p3(p3):
-    result = noise_css(p3, {1, 3}, dense.statevector(p3))
+    result = noise_css(p3, {1, 3})
     assert sorted(result.components) == ["+0+", "-1-"]
     assert np.abs(construction_density(result) - stab_density(p3, {1, 3})).max() < 1e-12
 
 
 def test_noise_p2(p2):
-    result = noise_css(p2, {1}, dense.statevector(p2))
+    result = noise_css(p2, {1})
     assert np.abs(construction_density(result) - stab_density(p2, {1})).max() < 1e-15
 
 
 def test_noise_fig6(fig6):
-    result = noise_css(fig6, {1, 2, 3, 4}, dense.statevector(fig6))
+    result = noise_css(fig6, {1, 2, 3, 4})
     assert np.abs(construction_density(result) - stab_density(fig6, {1, 2, 3, 4})).max() < 1e-12
     assert sorted(result.components) == sorted(closest_separable_state(fig6, {1, 2, 3, 4}).components)
 
 
 def test_noise_rejects_bad_beta(p4):
     with pytest.raises(ValueError):
-        noise_css(p4, {1, 2, 3}, dense.statevector(p4))  # the alpha of beta {4} is not independent
+        noise_css(p4, {1, 2, 3})  # the alpha of beta {4} is not independent
 
 
 @pytest.mark.parametrize("alpha, bad", [({1, 3, 9}, 9), ({0, 1, 3}, 0), ({-1, 1, 3}, -1)])
 def test_noise_rejects_out_of_range_alpha(p4, alpha, bad):
     with pytest.raises(ValueError, match=f"vertex {bad} out of range 1..4"):
-        noise_css(p4, alpha, dense.statevector(p4))
+        noise_css(p4, alpha)
 
 
 @pytest.mark.parametrize("beta, bad", [({9}, 9), ({0}, 0)])
@@ -163,7 +162,7 @@ def test_quadrature_matches_two_point(p3, p2, triangle):
     for g in (p2, p3, triangle):
         alpha = max_independent_set(g)
         fine = noise_css_quadrature(g, frozenset(range(1, g.n + 1)) - alpha, points=64)
-        assert np.abs(fine - construction_density(noise_css(g, alpha, dense.statevector(g)))).max() < 1e-9
+        assert np.abs(fine - construction_density(noise_css(g, alpha))).max() < 1e-9
 
 
 def test_three_way_exhaustive_n4():
@@ -177,7 +176,7 @@ def test_three_way_exhaustive_n4():
             alpha = max_independent_set(g)
             ref = stab_density(g, alpha)
             assert np.abs(construction_density(peps_css(g, alpha)) - ref).max() < 1e-12
-            assert np.abs(construction_density(noise_css(g, alpha, dense.statevector(g))) - ref).max() < 1e-12
+            assert np.abs(construction_density(noise_css(g, alpha)) - ref).max() < 1e-12
 
 
 def test_three_way_random_n7_n8():
@@ -187,7 +186,7 @@ def test_three_way_random_n7_n8():
         alpha = max_independent_set(g)
         ref = stab_density(g, alpha)
         assert np.abs(construction_density(peps_css(g, alpha)) - ref).max() < 1e-12
-        assert np.abs(construction_density(noise_css(g, alpha, dense.statevector(g))) - ref).max() < 1e-12
+        assert np.abs(construction_density(noise_css(g, alpha)) - ref).max() < 1e-12
 
 
 def _flip_phi(g, beta):
@@ -216,15 +215,10 @@ def test_noise_factor_is_the_flip_matrix():
     graphs = [g for n in range(1, 6) for g in all_connected_graphs(n)]
     for g in graphs + [random_connected(n, rng, p) for n in range(6, 11) for p in (0.3, 0.6)]:
         alpha = max_independent_set(g)
-        factor = noise_css(g, alpha, dense.statevector(g)).factor
+        factor = noise_css(g, alpha).factor
         want = _flip_phi(g, frozenset(range(1, g.n + 1)) - alpha).real
         assert np.array_equal(factor, want) and factor.tobytes() == want.tobytes(), g.edges()
         assert factor.flags.c_contiguous
-
-
-def test_noise_refuses_a_statevector_of_another_size(p3):
-    with pytest.raises(ValueError, match=re.escape("statevector of shape (4,) for a graph on 3 vertices")):
-        noise_css(p3, {1, 3}, dense.statevector(Graph.from_edges(2, [(1, 2)])))
 
 
 def test_real_constructions_are_the_complex_builds():
@@ -236,7 +230,7 @@ def test_real_constructions_are_the_complex_builds():
     for g in graphs + [random_connected(n, rng) for n in (8, 9, 10) for _ in range(2)]:
         alpha = max_independent_set(g)
         beta = frozenset(range(1, g.n + 1)) - alpha
-        noise = construction_density(noise_css(g, alpha, dense.statevector(g)))
+        noise = construction_density(noise_css(g, alpha))
         peps = construction_density(peps_css(g, alpha))
         assert noise.dtype == peps.dtype == np.float64
         complex_noise = _complex_noise(g, beta)
