@@ -86,7 +86,7 @@ def _reconstruction_error(g: Graph, report, psi) -> float:
             base = local_complement(base, a)
         target = dense.statevector(base)
     decomp = report.decomposition
-    vecs = dense._product_vectors([state for _, state in decomp.terms])
+    vecs = dense._vectors([state for _, state in decomp.terms])
     rec = sum(sign * decomp.normalization * vec for (sign, _), vec in zip(decomp.terms, vecs))
     return float(np.abs(rec - target).max())
 
@@ -210,9 +210,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from . import dense
 
     g = _load_graph(args)
-    if g.n > dense.DENSE_OP_CAP:
-        raise GraphFormatError(f"verify needs n <= {dense.DENSE_OP_CAP}")
-    report = measures.evaluate(g, orbit_cap=args.orbit_cap)
+    dense._check_cap(g.n, dense.DENSE_OP_CAP, "verify")
+    report = measures.evaluate(g)
     checks = run_verification(g, report)
     doc = {
         "n": g.n,
@@ -297,7 +296,7 @@ def run_verification(g: Graph, report):
 
     if g.n <= 6:
         proj = dense.pauli_sum(group_elements(g.n, generators_from_graph(g))) / (1 << g.n)
-        proj_err = float(np.abs(proj - np.outer(psi, psi.conj())).max())
+        proj_err = float(np.abs(proj - np.outer(psi, psi)).max())
         checks.append(("projector_identity", proj_err < DENSE_TOL, f"max_err={proj_err:.3e}"))
 
     return checks
@@ -362,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_lattice)
 
     p = sub.add_parser("verify", help="oracle cross-check suite for one graph")
-    add_graph_opts(p)
+    add_graph_opts(p, orbit_cap=False)
     p.set_defaults(handler=cmd_verify)
     return parser
 

@@ -7,7 +7,7 @@ bit of the computational-basis index, so state strings read left to right.
 `statevector` builds |G> by doubling over the vertices, one sign flip per
 edge on half the amplitudes so far, instead of a pass over all 2^n
 amplitudes per edge; each amplitude is +-1/sqrt(2^n) negated exactly, so the
-real parts are those of CZ applied edge by edge.
+bits are those of CZ applied edge by edge.
 
 The CSS checks compare 2^n x 2^n matrices entry by entry without forming
 any of them: each entry rule has a row-block kernel, and the caller walks
@@ -24,12 +24,13 @@ each operator adding its one nonzero entry per row.
 `mixture_density` and `pauli_sum` are their whole-range cases.  A single
 Pauli acts on a vector (`apply_pauli`) without a matrix.
 
-A graph state has real amplitudes and every element of its stabilizer group
-is a real matrix (even phase), so the CSS checks are float64: a mixture of
-0/1/+/- product states and a group sum of even-phase Paulis come out real.
-Each of their entries is one product or a sum of +-1, exact in either dtype
-and in any summation order, so float64 row blocks give the bits that full
-complex128 matrices give.
+The dtype is chosen in one place, from the labels: `statevector` is
+float64 (a graph state has real amplitudes), and `_vectors` gives float64
+rows when every label is one of 0 1 + -, complex128 only for an i or j.
+The stabilizer elements of a graph state are real (even phase), so its
+group sum is float64 too, and every CSS-check entry is one product or a
+sum of +-1, exact in either dtype: float64 row blocks have the bits of
+full complex128 matrices.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ def statevector(g: Graph) -> np.ndarray:
     basis: last vertex first, each vertex v becomes the most significant
     index bit, and the amplitudes with v's bit 1 are those so far with CZ
     from v to its later neighbours applied, a sign flip wherever such a
-    neighbour's bit is 1.  Each amplitude is +-1/sqrt(2^n), negated exactly,
-    with imaginary part +0.0: the real parts of CZ applied edge by edge.
+    neighbour's bit is 1.  Each amplitude is a float64 +-1/sqrt(2^n),
+    negated exactly: the bits of CZ applied edge by edge.
     """
     _check_cap(g.n, STATEVECTOR_CAP, "dense statevector")
     n = g.n
@@ -93,17 +94,23 @@ def statevector(g: Graph) -> np.ndarray:
             half = upper.reshape(-1, 2, 1 << (n - 1 - w))[:, 1]
             np.negative(half, out=half)
         amp = np.concatenate([amp, upper])
-    return amp.astype(complex)
+    return amp
 
 
 def product_state_vector(state: str) -> np.ndarray:
-    """Dense vector of a product state string over the {0,1,+,-,i,j} alphabet."""
-    return _product_vectors([state])[0]
+    """Dense vector of a product state string over the {0,1,+,-,i,j} alphabet,
+    float64 when every label is one of 0 1 + -."""
+    return _vectors([state])[0]
 
 
-def _product_vectors(states) -> np.ndarray:
-    """(K, 2^n) array of the dense vectors of K product state strings of length n."""
-    return _tensor_rows(_label_codes(states), _QUBIT_TABLE)
+def _vectors(states) -> np.ndarray:
+    """(K, 2^n) array of the dense vectors of K product state strings of
+    length n: rows of _REAL_TABLE (float64) when every label is one of
+    0 1 + -, of _QUBIT_TABLE (complex128) otherwise.  A real row has the
+    bits of the complex row's real part: the same multiplications."""
+    codes = _label_codes(states)
+    real = codes.max(initial=0) < _REAL_CODES
+    return _tensor_rows(codes, _REAL_TABLE if real else _QUBIT_TABLE)
 
 
 def _label_codes(states) -> np.ndarray:
@@ -213,20 +220,12 @@ def apply_pauli(p, vec: np.ndarray) -> np.ndarray:
     return _phase_factor(p.phase) * sign * vec[src]
 
 
-def _mixture_factor(codes: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """dim x K factor A = V^T sqrt(1/K) of the mixture A A^dagger; V's rows
-    are the vectors of the components' label codes."""
-    vecs = _tensor_rows(codes, table)
-    return vecs.T * np.sqrt(1.0 / len(vecs))
-
-
 def mixture_factor(components) -> np.ndarray:
     """K x dim factor F of the uniform mixture F^T conj(F) of K product state
-    strings: row k is component k's vector times sqrt(1/K).  float64 when
-    every label is one of 0 1 + -."""
-    codes = _label_codes(components)
-    real = codes.max(initial=0) < _REAL_CODES
-    return _mixture_factor(codes, _REAL_TABLE if real else _QUBIT_TABLE).T
+    strings: row k is component k's vector (`_vectors`, so float64 when every
+    label is one of 0 1 + -) times sqrt(1/K)."""
+    vecs = _vectors(components)
+    return vecs * np.sqrt(1.0 / len(vecs))
 
 
 def gram_rows(factor: np.ndarray, other: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -279,11 +278,12 @@ def mixture_relative_entropy(psi: np.ndarray, components) -> float:
     """relative_entropy_pure(psi, mixture_density(components)), the uniform
     mixture, from its thin factor without forming or diagonalising omega.
 
-    omega = A A^dagger for the dim x K factor A, so the SVD A = U S W^dagger
-    gives omega's nonzero eigenpairs (S^2, U) at O(dim K^2) cost; every other
-    eigenvector is orthogonal to U, with eigenvalue 0.
+    omega = A A^dagger for the dim x K factor A = mixture_factor(components).T,
+    so the SVD A = U S W^dagger gives omega's nonzero eigenpairs (S^2, U) at
+    O(dim K^2) cost; every other eigenvector is orthogonal to U, with
+    eigenvalue 0.  A is float64 when every label is one of 0 1 + -.
     """
-    u, s, _ = np.linalg.svd(_mixture_factor(_label_codes(components), _QUBIT_TABLE), full_matrices=False)
+    u, s, _ = np.linalg.svd(mixture_factor(components).T, full_matrices=False)
     evals = s**2
     weights_psi = np.abs(u.conj().T @ psi) ** 2
     keep = evals > _EIG_FLOOR

@@ -118,8 +118,7 @@ def peps_css(g: Graph, alpha) -> CssConstruction:
     amask = _independent_mask(g, alpha)
     if any(not g.adj[v] & amask for v in range(g.n) if not (amask >> v) & 1):
         raise ValueError("alpha is not a maximal independent set")
-    if g.n > dense.DENSE_OP_CAP:
-        raise ValueError(f"dense assembly limited to n <= {dense.DENSE_OP_CAP}")
+    dense._check_cap(g.n, dense.DENSE_OP_CAP, "dense assembly")
     edge_ids: list[list[int]] = [[] for _ in range(g.n)]
     virtuals: list[list[str]] = [[] for _ in range(g.n)]
     blue_edges = [0] * g.n
@@ -164,9 +163,9 @@ def noise_css(g: Graph, alpha) -> CssConstruction:
     The continuous phase average over the cover qubits reduces exactly to the
     two-point average phi in {0, pi} per qubit (cross terms carry e^{+-i phi}),
     i.e. the uniform mixture of Z^S|G> over subsets S of the cover.  The 2^m
-    copies Z^S|G> are the rows of one real array Phi (a graph state has real
-    amplitudes), so the average is Phi^T Phi / 2^m: Phi is the factor and
-    2^m the divisor.  Phi is built by doubling over beta, ascending: the rows
+    copies Z^S|G> are the rows of one float64 array Phi (g's statevector as
+    built), so the average is Phi^T Phi / 2^m: Phi is the factor and 2^m
+    the divisor.  Phi is built by doubling over beta, ascending: the rows
     for S + b are a copy of the rows so far with the sign of every entry whose
     b bit is 1 flipped, so row S is |G> negated exactly at the indices with an
     odd number of 1 bits on S, the bits of the flip-matrix build.  The
@@ -174,9 +173,8 @@ def noise_css(g: Graph, alpha) -> CssConstruction:
     mixture (entrywise, to 1e-12).
     """
     amask = _independent_mask(g, alpha)
-    if g.n > dense.DENSE_OP_CAP:
-        raise ValueError(f"dense assembly limited to n <= {dense.DENSE_OP_CAP}")
-    phi = np.array([dense.statevector(g).real])
+    dense._check_cap(g.n, dense.DENSE_OP_CAP, "dense assembly")
+    phi = dense.statevector(g)[None]
     for v in range(g.n):  # qubit v + 1 is index bit n - 1 - v
         if not (amask >> v) & 1:
             flipped = phi.copy()

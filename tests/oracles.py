@@ -159,6 +159,13 @@ def edgewise_statevector(g: Graph) -> np.ndarray:
     return amp
 
 
+def complex_product_vectors(states) -> np.ndarray:
+    """(K, 2^n) complex128 array of the dense vectors of K product state
+    strings, whatever their labels: the reference for dense._vectors, whose
+    float64 rows for labels 0 1 + - must be its real parts."""
+    return dense._tensor_rows(dense._label_codes(states), dense._QUBIT_TABLE)
+
+
 def twirl(g: Graph, phi: np.ndarray) -> np.ndarray:
     """sigma_phi = 2^-n sum_s s|phi><phi|s^dagger over the 2^n elements s of
     g's stabilizer group, as V^T conj(V) / 2^n for the rows s|phi> of V

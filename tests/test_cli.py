@@ -114,19 +114,37 @@ def test_usage_error_exits_1(capsys, fig6_file):
 
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_orbit_cap_below_1_exits_1(capsys, fig6_file, cap):
-    # fig6 is settled at its own cover, so analyze and verify do no orbit work on it
-    for command in ("analyze", "orbit", "verify"):
+    # fig6 is settled at its own cover, so analyze does no orbit work on it
+    for command in ("analyze", "orbit"):
         code, out, err = run(capsys, [command, fig6_file, "--orbit-cap", cap])
         assert code == 1 and out == ""
         assert "orbit cap" in err
 
 
 def test_css_orbit_cap_is_a_usage_error(capsys, fig6_file):
-    # css never enumerates an orbit, so it takes no --orbit-cap
-    with pytest.raises(SystemExit) as exc:
-        main(["css", fig6_file, "--orbit-cap", "5"])
-    assert exc.value.code == 1
-    assert "unrecognized arguments: --orbit-cap" in capsys.readouterr().err
+    # css never enumerates an orbit, and verify takes n <= 10, whose labelled
+    # orbits have at most 3^10 = 59,049 members, below the default cap: a cap
+    # could only truncate, so neither takes --orbit-cap
+    for command in ("css", "verify"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, fig6_file, "--orbit-cap", "5"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --orbit-cap" in capsys.readouterr().err
+
+
+def test_dense_commands_refuse_more_than_10_vertices(capsys, tmp_path):
+    # verify and the dense CSS routes name the cap in one error line; the
+    # stabilizer CSS alone needs no dense matrix and lists its components
+    path = write_graph(ring(11), tmp_path / "ring11.txt")
+    for argv in (["verify"], ["css", "--method", "all"], ["css", "--method", "peps"], ["css", "--method", "noise"]):
+        code, out, err = run(capsys, [argv[0], path, *argv[1:]])
+        assert code == 1 and out == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+        assert "limited to n <= 10, got n = 11" in err and "Traceback" not in err, argv
+    code, out, _ = run(capsys, ["css", path, "--method", "stabilizer"])
+    assert code == 0
+    (desc,) = json.loads(out)["methods"]
+    assert desc["method"] == "stabilizer" and "group_sum" not in desc
 
 
 def test_analyze_disconnected_exits_1(capsys, tmp_path):

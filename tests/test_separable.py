@@ -18,8 +18,8 @@ from graphent import (
     peps_css,
 )
 
-from conftest import complete, random_connected, small_graphs_with_alphas
-from oracles import all_connected_graphs, construction_density, noise_css_quadrature
+from conftest import complete, random_connected, ring, small_graphs_with_alphas
+from oracles import all_connected_graphs, complex_product_vectors, construction_density, noise_css_quadrature
 
 
 def stab_density(g, alpha):
@@ -141,6 +141,13 @@ def test_noise_fig6(fig6):
     assert sorted(result.components) == sorted(closest_separable_state(fig6, {1, 2, 3, 4}).components)
 
 
+@pytest.mark.parametrize("construct", [peps_css, noise_css])
+def test_dense_assemblies_refuse_more_than_10_vertices(construct):
+    g = ring(11)
+    with pytest.raises(ValueError, match="limited to n <= 10, got n = 11"):
+        construct(g, max_independent_set(g))
+
+
 def test_noise_rejects_bad_beta(p4):
     with pytest.raises(ValueError):
         noise_css(p4, {1, 2, 3})  # the alpha of beta {4} is not independent
@@ -192,7 +199,7 @@ def test_three_way_random_n7_n8():
 def _flip_phi(g, beta):
     """Phi in complex128 from one flip matrix: row S is Z^S|G>, psi negated
     where the parity of the beta bits S picks is odd."""
-    psi = dense.statevector(g)
+    psi = dense.statevector(g).astype(complex)
     idx = np.arange(psi.size)
     subsets = np.arange(1 << len(beta))[:, None]
     flip = np.zeros((subsets.size, psi.size), dtype=np.int64)
@@ -236,7 +243,7 @@ def test_real_constructions_are_the_complex_builds():
         complex_noise = _complex_noise(g, beta)
         assert np.array_equal(noise, complex_noise), g.edges()
         components = closest_separable_state(g, alpha).components
-        factor = dense._product_vectors(components).T * np.sqrt(1.0 / len(components))
+        factor = complex_product_vectors(components).T * np.sqrt(1.0 / len(components))
         complex_mixture = factor @ factor.conj().T
         mixture = dense.mixture_density(components)
         assert np.abs(noise - mixture).max() == np.abs(complex_noise - complex_mixture).max()
