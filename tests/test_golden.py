@@ -1,6 +1,8 @@
 """Golden outputs: the SHA-256 of the analyze report JSON on fixed graphs, of
 `graphent orbit` stdout on whole and capped orbits, and of the oracle
-commands' stdout (verify, css with each --method and with all).
+commands' stdout (verify, css with each --method and with all), and of
+`graphent lattice` stdout on every exact patch of each kind within 64
+vertices and on two formula-only ranges.
 
 The digests pin the reports byte for byte, tie-breaks and float formatting
 included.  K_{3,3} at orbit cap 2 reports the interval [2, 3]: a truncated
@@ -112,4 +114,23 @@ ORACLE_GOLDEN = [
 @pytest.mark.parametrize("command,graph,digest", ORACLE_GOLDEN, ids=[f"{c}-{g}" for c, g, _ in ORACLE_GOLDEN])
 def test_oracle_command_digest(command, graph, digest, tmp_path, capsys):
     main([*ORACLE_COMMANDS[command], write_graph(ORACLE_GRAPHS[graph], tmp_path / "graph.txt")])
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+# (kind, size range, --exact, SHA-256 of `graphent lattice` stdout)
+LATTICE_GOLDEN = [
+    ("triangular", "1..8", True, "55219f202e41f9a1aa8f984747f29f93b4a946508a55a65eddfc0ecd8af321b4"),
+    ("kagome", "1..4", True, "df8f6e012ba1eb24c91c564a26673629f63d4449914658bf7b03a67c50a1df1b"),
+    ("hexa-triangular", "1..4", True, "efcef4e8060522f43c35bfdc38ce8a137860832c13c758d3ead28d92de0e465b"),
+    ("hexagonal", "1..15", True, "ae3e600335b1e2cf2a0b93b8fd1b5e3876a98152cad2578116fc0ebdd73b7b86"),
+    # formula-only rows, past 64 vertices
+    ("triangular", "4..9", False, "f1e0512d5cb6bed8aa03a91b9cfc49ca5b9d0f1c1edddc8c432cee9e50d6b0a8"),
+    ("kagome", "1..30", False, "682a568d1742bc5e4e40faad67e5e8117c77eaabd78b58116cebb9bbd4fa462f"),
+]
+
+
+@pytest.mark.parametrize("kind,sizes,exact,digest", LATTICE_GOLDEN,
+                         ids=[f"{k}-{s}{'-exact' if e else ''}" for k, s, e, _ in LATTICE_GOLDEN])
+def test_lattice_command_digest(kind, sizes, exact, digest, capsys):
+    assert main(["lattice", kind, sizes, *(["--exact"] if exact else [])]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest

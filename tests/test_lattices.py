@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from graphent import LatticeSpec, gap_formula, gap_scan, generate_lattice, lattices
@@ -147,9 +149,26 @@ def test_gap_scan_builds_only_exact_patches(monkeypatch):
 
 
 def test_vertex_counts_match_the_builders():
+    # the digest pins every builder's numbering and bond list, byte for byte
+    digest = hashlib.sha256()
     for kind, (_, build) in _KIND_TABLE.items():
         for size in range(1, 41):
-            assert lattice_vertex_count(kind, size) == build(size)[0], (kind, size)
+            n, edges = build(size)
+            assert lattice_vertex_count(kind, size) == n, (kind, size)
+            digest.update(repr((kind, size, n, sorted(edges))).encode())
+    assert digest.hexdigest() == "c93325d496194adc868ac1fe6641b1607d7f26743e5371ae071ef38fb5267d18"
+
+
+def test_patches_within_the_cap_are_pinned():
+    # the 31 patches with n <= 64, in KINDS order, as generate_lattice builds them
+    digest = hashlib.sha256()
+    for kind in KINDS:
+        size = 1
+        while lattice_vertex_count(kind, size) <= 64:
+            g = generate_lattice(LatticeSpec(kind, size))
+            digest.update(repr((kind, size, g.n, g.edges())).encode())
+            size += 1
+    assert digest.hexdigest() == "b8bb1a7d0c5152383401f479b918cd22bee5028bd2416372cc789cc018df9abc"
 
 
 def test_gap_scan_solves_every_patch_within_the_cap():
