@@ -1,5 +1,14 @@
 """Open-boundary lattice patches and the entanglement-bound gap on them.
 
+A patch is a set of (row, column) sites, numbered 1..n in (row, column)
+order, with one bond rule.  Triangular, kagome and hexa-triangular patches
+are site sets of one triangular lattice, whose bonds run right, down and
+down-right: the L x L rhombus; the (2c+1) x (2c+1) grid without its
+odd-row/even-column sites and its two corners (0, 2c) and (2c, 0), which
+would hang on by one bond; and the disc of axial radius R without its
+centre, with axial (r, q) at row r, column q + r.  The hexagonal patch is a
+two-row brick wall whose bonds run right, and down at even columns.
+
 The gap Delta = |beta| - |M_max| is evaluated two ways: by the printed
 closed-form expressions (with the triangular sum terms clamped at zero) and
 exactly on the generated patch.  Exact boundary geometry is a documented
@@ -25,104 +34,64 @@ class LatticeSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown lattice kind {self.kind!r}")
+        if isinstance(self.size, bool) or not isinstance(self.size, int):
+            raise ValueError(f"lattice size must be an integer, got {self.size!r}")
         if self.size < 1:
             raise ValueError("lattice size must be at least 1")
 
 
-def _triangular_sites_edges(L: int):
-    """L x L rhombus: row-major grid with right, down and down-right bonds."""
-    def vid(i, j):
-        return i * L + j + 1
+def _patch(sites, later):
+    """(n, edges) of a patch: its sites numbered 1..n in (row, column) order,
+    each joined to the sites of later(site) that are in the patch.
 
-    n = L * L
-    edges = []
-    for i in range(L):
-        for j in range(L):
-            if j + 1 < L:
-                edges.append((vid(i, j), vid(i, j + 1)))
-            if i + 1 < L:
-                edges.append((vid(i, j), vid(i + 1, j)))
-            if i + 1 < L and j + 1 < L:
-                edges.append((vid(i, j), vid(i + 1, j + 1)))
-    return n, edges
+    later(site) lists each bond once, from its earlier end, in increasing
+    order, so the edges come out sorted.
+    """
+    index = {site: i for i, site in enumerate(sorted(sites), 1)}
+    return len(index), [(i, index[t]) for s, i in index.items() for t in later(s) if t in index]
+
+
+def _triangular_bonds(site):
+    r, c = site
+    return (r, c + 1), (r + 1, c), (r + 1, c + 1)
+
+
+def _brick_bonds(site):
+    r, c = site
+    return ((r, c + 1), (r + 1, c)) if c % 2 == 0 else ((r, c + 1),)
+
+
+def _triangular_sites_edges(L: int):
+    """L x L rhombus of the triangular lattice."""
+    return _patch([(r, c) for r in range(L) for c in range(L)], _triangular_bonds)
 
 
 def _hexagonal_sites_edges(cells: int):
     """Brick-wall strip of `cells` hexagons: 2 rows, rungs at even columns."""
-    width = 2 * cells + 1
-
-    def vid(r, x):
-        return r * width + x + 1
-
-    n = 2 * width
-    edges = []
-    for r in (0, 1):
-        for x in range(width - 1):
-            edges.append((vid(r, x), vid(r, x + 1)))
-    for x in range(0, width, 2):
-        edges.append((vid(0, x), vid(1, x)))
-    return n, edges
+    return _patch([(r, c) for r in (0, 1) for c in range(2 * cells + 1)], _brick_bonds)
 
 
 def _kagome_sites_edges(cells: int):
-    """Kagome patch: triangular grid minus the odd-row/even-column sublattice.
+    """Kagome patch: the triangular grid minus its odd-row/even-column sites.
 
-    Rows 0..2*cells, columns 0..2*cells, bonds right/down/down-right, then
-    degree-<=1 sites trimmed off (open-boundary artifacts); cells = 1 is the
-    two-triangle bowtie.
+    Rows and columns 0..2*cells; the corners (0, 2*cells) and (2*cells, 0)
+    are left out too, as the only sites of degree <= 1 (open-boundary
+    artifacts).  cells = 1 is the two-triangle bowtie.
     """
-    span = 2 * cells + 1
-    present = {}
-    for r in range(span):
-        for c in range(span):
-            if r % 2 == 1 and c % 2 == 0:
-                continue
-            present[(r, c)] = True
-
-    def nbrs(rc):
-        r, c = rc
-        cand = [(r, c + 1), (r, c - 1), (r + 1, c), (r - 1, c), (r + 1, c + 1), (r - 1, c - 1)]
-        return [p for p in cand if p in present]
-
-    while True:
-        drop = [rc for rc in present if len(nbrs(rc)) <= 1]
-        if not drop:
-            break
-        for rc in drop:
-            del present[rc]
-    order = sorted(present)
-    index = {rc: i + 1 for i, rc in enumerate(order)}
-    edges = []
-    for rc in order:
-        for p in nbrs(rc):
-            if index[p] > index[rc]:
-                edges.append((index[rc], index[p]))
-    return len(order), sorted(edges)
+    span = 2 * cells
+    sites = {(r, c) for r in range(span + 1) for c in range(span + 1) if r % 2 == 0 or c % 2 == 1}
+    return _patch(sites - {(0, span), (span, 0)}, _triangular_bonds)
 
 
 def _hexa_triangular_sites_edges(radius: int):
-    """Hexagonal patch of the triangular lattice with the centre site removed.
+    """Hexagonal disc of the triangular lattice with the centre site removed.
 
-    Axial coordinates within radius; N = 3*radius*(radius+1), so radius 1 is
-    a plain hexagon ring.
+    Axial (r, q) within radius sits at row r, column q + r; N =
+    3*radius*(radius+1), so radius 1 is a plain hexagon ring.
     """
-    sites = []
-    for r in range(-radius, radius + 1):
-        for q in range(-radius, radius + 1):
-            if (q, r) == (0, 0):
-                continue
-            if abs(q + r) <= radius:
-                sites.append((r, q))
-    sites.sort()
-    index = {s: i + 1 for i, s in enumerate(sites)}
-    dirs = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, -1), (-1, 1))
-    edges = []
-    for (r, q) in sites:
-        for dr, dq in dirs:
-            other = (r + dr, q + dq)
-            if other in index and index[other] > index[(r, q)]:
-                edges.append((index[(r, q)], index[other]))
-    return len(sites), sorted(edges)
+    sites = {(r, q + r) for r in range(-radius, radius + 1) for q in range(-radius, radius + 1)
+             if abs(q + r) <= radius}
+    return _patch(sites - {(0, 0)}, _triangular_bonds)
 
 
 # kind -> (closed-form vertex count, builder of (n, edges)) of a patch of that size

@@ -181,6 +181,15 @@ def test_analyze_graph6_format(capsys, tmp_path):
     assert json.loads(out)["measures"]["schmidt"] == 1.0
 
 
+def test_analyze_graph6_over_the_cap_exits_1(capsys, tmp_path):
+    path = tmp_path / "g65.g6"
+    path.write_text("~?@@?\n")  # 65 vertices in graph6's long size form
+    code, out, err = run(capsys, ["analyze", str(path), "--format", "graph6"])
+    lines = err.splitlines()
+    assert code == 1 and out == ""
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_analyze_out_file(capsys, fig6_file, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run(capsys, ["analyze", fig6_file, "--out", str(out_path)])

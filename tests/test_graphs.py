@@ -93,6 +93,9 @@ def test_parse_comments_and_whitespace():
         "2 5\n1 2",  # wrong edge count
         "",
         "65 0",  # over the cap
+        "3 2 1\n1 2\n2 3",  # header of three fields
+        "a b",  # non-integer header
+        "3 2\n1 2 3\n2 3",  # edge line of three fields
     ],
 )
 def test_parse_errors(text):
@@ -123,6 +126,51 @@ def test_graph6_round_trip(g):
 def test_graph6_bad_chars():
     with pytest.raises(GraphFormatError):
         parse_graph("B\x07", fmt="graph6")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        ">>graph6<<",  # header only
+        "~",  # long size field cut short
+        "~?",
+        "?",  # zero vertices
+        "A",  # two vertices, no body
+        "~?@@?",  # 65 vertices, over the cap
+    ],
+)
+def test_graph6_errors(text):
+    with pytest.raises(GraphFormatError):
+        parse_graph(text, fmt="graph6")
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_graph6_long_form_round_trip(n):
+    # from 63 vertices on, graph6 gives the size in the long form '~' plus three characters
+    text = to_graph6(ring(n))
+    assert text[0] == "~" and parse_graph(text, fmt="graph6").adj == ring(n).adj
+
+
+def test_parse_unknown_format():
+    with pytest.raises(ValueError):
+        parse_graph("Bg", fmt="dot")
+
+
+@pytest.mark.parametrize(
+    "n,adj,reason",
+    [
+        (3, (0b010, 0b101), "length"),  # one row short
+        (2, (0b110, 0b001), "out of range"),  # a neighbour bit past n
+        (2, (0b011, 0b001), "self-loop"),
+        (2, (0b10, 0b00), "asymmetric"),  # 1 lists 2, 2 does not list 1
+        (0, (), "outside"),
+        (65, (0,) * 65, "outside"),
+    ],
+)
+def test_graph_rejects_bad_adjacency(n, adj, reason):
+    with pytest.raises(GraphFormatError, match=reason):
+        Graph(n, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -811,6 +859,18 @@ def test_cut_rank_bound_by_ascent_is_sound(n):
         full = (1 << n) - 1
         assert 1 <= r <= max(cut_rank(g, _vertices_of(a)) for a in range(1, full))
         assert r <= _matching_max_size(n, g.adj)
+
+
+@pytest.mark.parametrize("n,seed", [(13, 18), (14, 37)])
+def test_cut_rank_bound_by_a_stalled_ascent_is_sound(n, seed):
+    # sparse graphs on which no move raises the rank before the ceiling, so the
+    # ascent stops below it: at the exact maximum 5 on the first, one short of
+    # the exact maximum 7 on the second; pinned no tighter, as a wider scan may raise r
+    g = random_connected(n, random.Random(seed), 0.2)
+    r = _cut_rank_bound(n, g.adj)
+    assert r < _cut_rank_ceiling(n, g.adj)
+    assert r <= _scanned_max_cut_rank(n, g.adj)
+    assert r <= _matching_max_size(n, g.adj)
 
 
 def _pauli_rank(g: Graph, floor: int | None = None) -> int | None:

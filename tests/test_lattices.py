@@ -18,6 +18,18 @@ def test_spec_validation():
         LatticeSpec("kagome", 0)
 
 
+@pytest.mark.parametrize("size", [2.5, 2.0, True, "3"])
+def test_spec_refuses_a_size_that_is_not_an_integer(size):
+    # a bool is refused too, although Python counts it as an int
+    for kind in ("triangular", "kagome"):
+        with pytest.raises(ValueError, match="integer"):
+            LatticeSpec(kind, size)
+        with pytest.raises(ValueError, match="integer"):
+            lattice_vertex_count(kind, size)
+        with pytest.raises(ValueError, match="integer"):
+            gap_scan(kind, [size], exact=False)
+
+
 def test_triangular_unit_rhombus():
     g = generate_lattice(LatticeSpec("triangular", 2))
     assert g.n == 4 and len(g.edges()) == 5  # rhombus with one diagonal
@@ -118,8 +130,9 @@ def test_exact_gaps_frozen():
 
 
 def test_exact_matches_clamped_formula_on_triangular():
-    # at open boundaries the rhombus patch reproduces the clamped sums exactly
-    for L in (4, 5, 6):
+    # at open boundaries the rhombus patch reproduces the clamped sums exactly,
+    # on every triangular patch within 64 vertices
+    for L in range(4, 9):
         g = generate_lattice(LatticeSpec("triangular", L))
         assert _solve_gap(g)[2] == gap_formula("triangular", g.n)
 
@@ -157,6 +170,17 @@ def test_vertex_counts_match_the_builders():
             assert lattice_vertex_count(kind, size) == n, (kind, size)
             digest.update(repr((kind, size, n, sorted(edges))).encode())
     assert digest.hexdigest() == "c93325d496194adc868ac1fe6641b1607d7f26743e5371ae071ef38fb5267d18"
+
+
+def test_kagome_patches_have_no_site_of_degree_below_2():
+    # the two corners left out are the only open-boundary sites that would hang on by one bond
+    for cells in range(1, 41):
+        n, edges = _KIND_TABLE["kagome"][1](cells)
+        degree = [0] * (n + 1)
+        for u, v in edges:
+            degree[u] += 1
+            degree[v] += 1
+        assert min(degree[1:]) >= 2, cells
 
 
 def test_patches_within_the_cap_are_pinned():
