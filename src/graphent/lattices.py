@@ -44,8 +44,7 @@ def _patch(sites, later):
     """(n, edges) of a patch: its sites numbered 1..n in (row, column) order,
     each joined to the sites of later(site) that are in the patch.
 
-    later(site) lists each bond once, from its earlier end, in increasing
-    order, so the edges come out sorted.
+    later(site) names each bond once, from its earlier end.
     """
     index = {site: i for i, site in enumerate(sorted(sites), 1)}
     return len(index), [(i, index[t]) for s, i in index.items() for t in later(s) if t in index]

@@ -850,27 +850,22 @@ def test_cut_rank_bound_ceiling_keeps_the_full_scan_value():
     assert all(_cut_rank_ceiling(n, complete(n).adj) == 1 for n in range(2, 13))
 
 
+# a sparse G(n, 0.2) seed on which no move raises the rank before the ceiling,
+# so the ascent stops below it: at the exact maximum 5 for n = 13, one short
+# of the exact maximum 7 for n = 14; pinned no tighter, as a wider scan may raise r
+_STALLED_ASCENT_SEED = {13: 18, 14: 37}
+
+
 @pytest.mark.parametrize("n", [13, 14])
 def test_cut_rank_bound_by_ascent_is_sound(n):
     rng = random.Random(n)
-    for _ in range(2):
-        g = random_connected(n, rng)
+    stalled = random_connected(n, random.Random(_STALLED_ASCENT_SEED[n]), 0.2)
+    assert _cut_rank_bound(n, stalled.adj) < _cut_rank_ceiling(n, stalled.adj)
+    for g in [random_connected(n, rng) for _ in range(2)] + [stalled]:
         r = _cut_rank_bound(n, g.adj)
         full = (1 << n) - 1
         assert 1 <= r <= max(cut_rank(g, _vertices_of(a)) for a in range(1, full))
         assert r <= _matching_max_size(n, g.adj)
-
-
-@pytest.mark.parametrize("n,seed", [(13, 18), (14, 37)])
-def test_cut_rank_bound_by_a_stalled_ascent_is_sound(n, seed):
-    # sparse graphs on which no move raises the rank before the ceiling, so the
-    # ascent stops below it: at the exact maximum 5 on the first, one short of
-    # the exact maximum 7 on the second; pinned no tighter, as a wider scan may raise r
-    g = random_connected(n, random.Random(seed), 0.2)
-    r = _cut_rank_bound(n, g.adj)
-    assert r < _cut_rank_ceiling(n, g.adj)
-    assert r <= _scanned_max_cut_rank(n, g.adj)
-    assert r <= _matching_max_size(n, g.adj)
 
 
 def _pauli_rank(g: Graph, floor: int | None = None) -> int | None:
