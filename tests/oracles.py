@@ -241,6 +241,28 @@ def construction_density(construction) -> np.ndarray:
     return rho
 
 
+def parity_projector(d: int) -> np.ndarray:
+    """The PEPS site projector |+><~+| + |-><~-| on d virtual qubits, as a
+    2 x 2^d matrix: every X-basis string of even parity goes to |+>, every
+    one of odd parity to |->."""
+    kets = (dense.QUBIT_STATES["+"].real, dense.QUBIT_STATES["-"].real)
+    proj = np.zeros((2, 1 << d))
+    for signs in itertools.product((0, 1), repeat=d):
+        bra = np.ones(1)
+        for s in signs:
+            bra = np.kron(bra, kets[s])
+        proj += np.outer(kets[sum(signs) & 1], bra)
+    return proj
+
+
+def repetition_projector(d: int) -> np.ndarray:
+    """The PEPS site projector |0><0...0| + |1><1...1| on d virtual qubits,
+    as a 2 x 2^d matrix."""
+    proj = np.zeros((2, 1 << d))
+    proj[0, 0] = proj[1, -1] = 1.0
+    return proj
+
+
 def full_mixture(components) -> np.ndarray:
     """The uniform mixture as one product A A^dagger of the dim x K factor
     (numpy's symmetric path when A is real), as the oracle built it before
