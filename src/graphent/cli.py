@@ -91,9 +91,10 @@ def _reconstruction_error(g: Graph, report, psi) -> float:
     return float(np.abs(rec - target).max())
 
 
-def _css_errors(basis, group_sum, peps, noise) -> dict[str, float]:
+def _css_errors(group_sum, peps, noise) -> dict[str, float]:
     """Largest entrywise distance of each independent CSS construction (the
-    group sum, the PEPS assembly, dephasing) from the uniform mixture over basis.
+    group sum, the PEPS assembly, dephasing) from the uniform mixture over
+    noise.components, g's own stabilized basis.
 
     Walks dense.ROW_BLOCK rows at a time: for each block it forms the
     mixture's rows, the group sum's rows and each construction's rows from
@@ -101,13 +102,14 @@ def _css_errors(basis, group_sum, peps, noise) -> dict[str, float]:
     their distances, while the block is in cache, so no
     2^n x 2^n array exists from n = 7 on.  Every entry is the one the full
     matrices give (see dense).  The block maxima are reduced with np.max,
-    which keeps a NaN.
+    which keeps a NaN.  The basis labels are 0 1 + -, so the mixture
+    factor is real and gram_rows(mixture, mixture, ...) is its Gram matrix.
     """
     import numpy as np
 
     from . import dense
 
-    mixture = dense.mixture_factor(basis)
+    mixture = dense.mixture_factor(noise.components)
     terms = dense.pauli_terms(group_sum.elements)
 
     def constructions(start, stop):  # one block of rows at a time, formed when asked for
@@ -156,7 +158,7 @@ def cmd_css(args: argparse.Namespace) -> int:
     doc: dict = {"n": g.n, "methods": descriptions}
     exit_code = EXIT_OK
     if args.method == "all":  # peps_css refuses n > DENSE_OP_CAP, so the group sum exists
-        errs = _css_errors(built["stabilizer"].components, built["group_sum"], built["peps"], built["noise"])
+        errs = _css_errors(built["group_sum"], built["peps"], built["noise"])
         equal = all(v < DENSE_TOL for v in errs.values())
         doc["verdict"] = "equal" if equal else "unequal"
         doc["max_errors"] = errs
@@ -259,12 +261,7 @@ def run_verification(g: Graph, report):
                    f"ree={ree:.12f} upper={upper}"))
 
     noise = separable.noise_css(g, alpha)
-    errs = _css_errors(  # noise's components are g's own stabilizer CSS
-        noise.components,
-        measures.css_stabilizer_form(g, alpha),
-        separable.peps_css(g, alpha),
-        noise,
-    )
+    errs = _css_errors(measures.css_stabilizer_form(g, alpha), separable.peps_css(g, alpha), noise)
     for name, key in (
         ("group_sum_equals_mixture", "stabilizer_sum"),
         ("peps_equals_stabilizer", "peps"),

@@ -42,58 +42,15 @@ class CssConstruction:
     weight: float
 
 
-#: The real qubit vectors 0 1 + - as Python floats, so that _site_table's
-#: arithmetic stays scalar.
-_QUBIT_REAL = {label: tuple(dense.QUBIT_STATES[label].real.tolist()) for label in "01+-"}
-
-
-def _site_table(virtuals: list[str], in_alpha: int, combos):
-    """Projected 2-vectors (rows of a 2^deg table, zero elsewhere) and axis
-    labels (keyed by combination) of a site's bit combinations in combos.
-
-    ``virtuals[pos]`` is "+-" for an X-basis (orange) virtual qubit and "01"
-    for a Z-basis one; bit pos of the combination is the edge component t and
-    picks the character.  A lone virtual is the site itself; otherwise alpha
-    sites apply the parity projector |+><~+| + |-><~-| and cover sites the
-    repetition projector |0><0...0| + |1><1...1|.
-    """
-    vecs = np.zeros((1 << len(virtuals), 2), dtype=float)
-    labels = {}
-    for combo in combos:
-        qubits = [_QUBIT_REAL[pair[(combo >> pos) & 1]] for pos, pair in enumerate(virtuals)]
-        if len(qubits) == 1:
-            vec = qubits[0]
-        elif in_alpha:
-            prod_sum = 1.0
-            prod_diff = 1.0
-            for q0, q1 in qubits:
-                up = (q0 + q1) * dense._S2  # <+|q>
-                um = (q0 - q1) * dense._S2  # <-|q>
-                prod_sum *= up + um
-                prod_diff *= up - um
-            c_plus = (prod_sum + prod_diff) / 2.0
-            c_minus = (prod_sum - prod_diff) / 2.0
-            vec = ((c_plus + c_minus) * dense._S2, (c_plus - c_minus) * dense._S2)
-        else:
-            c0 = 1.0
-            c1 = 1.0
-            for q0, q1 in qubits:
-                c0 *= q0
-                c1 *= q1
-            vec = (c0, c1)
-        vecs[combo] = vec
-        labels[combo] = _axis_label(vec)
-    return vecs, labels
-
-
 def _axis_label(vec) -> str:
+    """The label of the row of dense._REAL_TABLE that vec is a multiple of, or "?"."""
     norm = math.hypot(vec[0], vec[1])
     if norm < 1e-12:
         return "?"
     a, b = vec[0] / norm, vec[1] / norm
     if a < 0 or (abs(a) < 1e-12 and b < 0):
         a, b = -a, -b
-    for label, (ra, rb) in _QUBIT_REAL.items():
+    for label, (ra, rb) in zip(dense.QUBIT_STATES, dense._REAL_TABLE.tolist()):
         if abs(a - ra) < 1e-9 and abs(b - rb) < 1e-9:
             return label
     return "?"
@@ -106,28 +63,33 @@ def peps_css(g: Graph, alpha) -> CssConstruction:
     |-1>, its X-basis (orange) virtual qubit at the alpha end, or at u when
     both ends are in the cover, so its Z-basis (blue) virtual sits at a cover
     end.  Tensor these over 2|E| virtual qubits, apply the repetition projector
-    at cover sites and the parity projector at independent-set sites
-    (degree-1 sites are identified with their lone virtual qubit), and
-    renormalize: the surviving rows are the factor and their trace, the sum
-    of their squared entries, the divisor.  The parity projector never
-    vanishes and the repetition projector vanishes unless a cover site's
-    blue virtuals agree, so for a maximal alpha the surviving edge strings
-    are t(k) with t_e = k_b, b the blue end of e: one row for each k in
-    {0,1}^beta, in ascending t.
+    |0><0...0| + |1><1...1| at cover sites and the parity projector
+    |+><~+| + |-><~-| at independent-set sites, and renormalize: the
+    surviving rows are the factor and their trace, the sum of their squared
+    entries, the divisor.  One rule builds both: on a product of d real
+    virtual qubits q the repetition projector gives (prod q0, prod q1), and
+    since <+|q> +- <-|q> is sqrt(2) q0 or sqrt(2) q1, the parity projector
+    gives 2^((d-1)/2) times that, a scale the same on every row that the
+    divisor absorbs.  So each site multiplies its virtual qubits' rows of
+    dense._REAL_TABLE, and a lone virtual is the site itself.  The parity
+    projector never vanishes and the repetition projector vanishes unless a
+    cover site's blue virtuals agree, so for a maximal alpha the surviving
+    edge strings are t(k) with t_e = k_b, b the blue end of e: one row for
+    each k in {0,1}^beta, in ascending t.
     """
     amask = _independent_mask(g, alpha)
     if any(not g.adj[v] & amask for v in range(g.n) if not (amask >> v) & 1):
         raise ValueError("alpha is not a maximal independent set")
     dense._check_cap(g.n, dense.DENSE_OP_CAP, "dense assembly")
-    edge_ids: list[list[int]] = [[] for _ in range(g.n)]
-    virtuals: list[list[str]] = [[] for _ in range(g.n)]
+    # each site's virtual qubits: (edge id, _REAL_TABLE row of its 0 bit),
+    # rows 0 1 for a blue virtual and + - for an orange one
+    virtuals: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     blue_edges = [0] * g.n
     for eid, (u, v) in enumerate(g.edges()):
         orange = v if (amask >> (v - 1)) & 1 else u
         blue_edges[(u if orange == v else v) - 1] |= 1 << eid
         for a in (u, v):
-            edge_ids[a - 1].append(eid)
-            virtuals[a - 1].append("+-" if a == orange else "01")
+            virtuals[a - 1].append((eid, 2 if a == orange else 0))
     ts = np.zeros(1, dtype=np.int64)
     for mask in filter(None, blue_edges):  # alpha sites have no blue virtual
         ts = np.concatenate([ts, ts | mask])
@@ -135,14 +97,14 @@ def peps_css(g: Graph, alpha) -> CssConstruction:
 
     block = np.ones((ts.size, 1), dtype=float)
     site_chars = []
-    for site in range(g.n):
-        idx = np.zeros(ts.size, dtype=np.int64)
-        for pos, eid in enumerate(edge_ids[site]):
-            idx |= ((ts >> eid) & 1) << pos
-        combos = idx.tolist()  # only these combinations are read, not all 2^deg
-        vecs, chars = _site_table(virtuals[site], (amask >> site) & 1, set(combos))
-        block = (block[:, :, None] * vecs[idx][:, None, :]).reshape(ts.size, -1)
-        site_chars.append([chars[i] for i in combos])
+    for site_virtuals in virtuals:
+        vecs = np.ones((ts.size, 2))
+        for eid, base in site_virtuals:
+            vecs *= dense._REAL_TABLE[base + ((ts >> eid) & 1)]
+        block = (block[:, :, None] * vecs[:, None, :]).reshape(ts.size, -1)
+        rows = list(map(tuple, vecs.tolist()))
+        labels = {row: _axis_label(row) for row in set(rows)}
+        site_chars.append([labels[row] for row in rows])
     components = tuple(map("".join, zip(*site_chars)))
     if any("?" in c for c in components):
         raise RuntimeError("projected component did not land on an axis state")

@@ -300,7 +300,7 @@ def test_peps_disagreement_exits_3_and_fails_verify(capsys, fig6_file, monkeypat
 def _css_inputs(g):
     alpha = max_independent_set(g)
     noise = separable.noise_css(g, alpha)
-    return noise.components, css_stabilizer_form(g, alpha), separable.peps_css(g, alpha), noise
+    return css_stabilizer_form(g, alpha), separable.peps_css(g, alpha), noise
 
 
 def test_row_block_css_errors_equal_the_full_builds():
@@ -311,9 +311,10 @@ def test_row_block_css_errors_equal_the_full_builds():
     small = [g for n in range(1, 6) for g in all_connected_graphs(n)]
     seeded = [random_connected(n, rng, p) for n in range(6, 11) for p in (0.3, 0.5, 0.8) for _ in range(2)]
     for g in small + seeded:
-        basis, group_sum, peps, noise = _css_inputs(g)
+        group_sum, peps, noise = _css_inputs(g)
         assert peps.divisor == np.trace(peps.factor.T @ peps.factor), g.edges()
-        assert _css_errors(basis, group_sum, peps, noise) == full_css_errors(basis, group_sum, peps, noise), g.edges()
+        want = full_css_errors(noise.components, group_sum, peps, noise)
+        assert _css_errors(group_sum, peps, noise) == want, g.edges()
 
 
 def test_css_row_blocks_cover_every_row_once(monkeypatch):

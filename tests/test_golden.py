@@ -96,8 +96,8 @@ ORACLE_GOLDEN = [
     ("css", "C5", "bb0fc1df544e816238aff733aaafd978864576a74fa851f52382779bda98d681"),
     ("verify", "K4", "7d97479e6d617e50fc897bdc46cf09ae04467090273b1b99868aa6cbb16a295e"),
     ("css", "K4", "e71cc879c724d530e94dbf3bde5da9eafc3c2cae18fa35004129f22005ea0a08"),
-    ("verify", "G10", "ad40c6f80b18d41f069419b8577debb5143e10bcbc59bbf706f9882af5508f75"),
-    ("css", "G10", "f2f252b2c87e6e402d8fdb293b25253a892d1ecc90d3cb293235b8edac670c98"),
+    ("verify", "G10", "7b05e250cafaedd18f40e078669d276635ef959aa7f967068560227ce84a1cee"),
+    ("css", "G10", "b3bcf609d7184c9082c3394896ef4db69c12954be7691f23e2c5897134115e57"),
     # each css method alone
     ("css-stabilizer", "fig6", "4df65a74eaa27857806adc133e6f760055a8aa634b18e0be8ddd4548d4f940a2"),
     ("css-stabilizer", "C5", "1f958fdbbee97cf16fdbda4dce6fecf8284c0040c42772d781bfd575a4b04efd"),

@@ -253,18 +253,29 @@ def _complex_noise(g, beta):
     return phi.T @ phi.conj() / len(phi)
 
 
-def test_noise_factor_is_the_flip_matrix():
-    # Phi built by doubling over beta is the real part of the flip-matrix
-    # Phi, bit for bit and C-contiguous (the GEMM's bits depend on layout),
-    # on every connected graph with n <= 5 and seeded graphs with n = 6..10
+def _layout_graphs():
+    """Every connected graph with n <= 5 and seeded graphs with n = 6..10."""
     rng = random.Random(36)
     graphs = [g for n in range(1, 6) for g in all_connected_graphs(n)]
-    for g in graphs + [random_connected(n, rng, p) for n in range(6, 11) for p in (0.3, 0.6)]:
+    return graphs + [random_connected(n, rng, p) for n in range(6, 11) for p in (0.3, 0.6)]
+
+
+def test_noise_factor_is_the_flip_matrix():
+    # Phi built by doubling over beta is the real part of the flip-matrix
+    # Phi, bit for bit and C-contiguous (the GEMM's bits depend on layout)
+    for g in _layout_graphs():
         alpha = max_independent_set(g)
         factor = noise_css(g, alpha).factor
         want = _flip_phi(g, frozenset(range(1, g.n + 1)) - alpha).real
         assert np.array_equal(factor, want) and factor.tobytes() == want.tobytes(), g.edges()
         assert factor.flags.c_contiguous
+
+
+def test_peps_factor_is_float64_and_c_contiguous():
+    # the layout CssConstruction promises, on which gram_rows' bits depend
+    for g in _layout_graphs():
+        factor = peps_css(g, max_independent_set(g)).factor
+        assert factor.dtype == np.float64 and factor.flags.c_contiguous, g.edges()
 
 
 def test_real_constructions_are_the_complex_builds():
