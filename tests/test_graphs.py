@@ -16,6 +16,7 @@ from graphent import (
     GraphFormatError,
     OrbitSummary,
     cut_rank,
+    graphs,
     is_bipartite,
     lc_orbit,
     lc_orbit_members,
@@ -760,6 +761,37 @@ def test_orbit_summary_equals_solving_every_member_random():
     cases.append((ORBIT_SCREEN_G10, DEFAULT_ORBIT_CAP))
     for g, cap in cases:
         assert _summary_fields(g, cap) == _reference_summary(g, cap), g.edges()
+
+
+# (graph, cap, independent-set solves, matching solves) of lc_orbit given g's
+# root facts, so g's own solves are not counted: a change to the pruning that
+# solves a member more or fewer times fails here, even when the summary holds
+_SOLVE_COUNTS = {
+    "ring9": (ring(9), DEFAULT_ORBIT_CAP, 17, 17),
+    "ring10": (ring(10), DEFAULT_ORBIT_CAP, 14, 0),
+    "G10-seed2": (_WHOLE_ORBITS["G10-seed2"][0], DEFAULT_ORBIT_CAP, 14, 1),
+    "G10-seed20": (_WHOLE_ORBITS["G10-seed20"][0], DEFAULT_ORBIT_CAP, 27, 2),
+    "screen-G8": (ORBIT_SCREEN_G8, DEFAULT_ORBIT_CAP, 12, 23),
+    "screen-G10": (ORBIT_SCREEN_G10, DEFAULT_ORBIT_CAP, 22, 37),
+    "matching-above-bound": (MATCHING_ABOVE_BOUND, 3000, 66, 62),
+}
+
+
+@pytest.mark.parametrize("name", list(_SOLVE_COUNTS))
+def test_orbit_solve_counts_are_pinned(name, monkeypatch):
+    g, cap, mis_calls, matching_calls = _SOLVE_COUNTS[name]
+    root = _root_facts(g)
+    calls = {"_mis_size": 0, "_matching_max_size": 0}
+    for fname in calls:
+        real = getattr(graphs, fname)
+
+        def counted(*args, _real=real, _name=fname, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(graphs, fname, counted)
+    lc_orbit(g, cap, _root=root)
+    assert calls == {"_mis_size": mis_calls, "_matching_max_size": matching_calls}
 
 
 def test_greedy_clique_cover_bounds_every_independent_set():
