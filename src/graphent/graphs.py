@@ -18,17 +18,8 @@ already: local complementations at two non-adjacent vertices commute, and
 one at a keeps a's row (the skip rule of lc_orbit_members).  The members
 and their order stay those of the search that takes every step.
 lc_orbit solves the input graph exactly, and the other members only
-while a solve could still change its summary: the GF(2) rank of a cut is
-the same on every member and bounds every member's |M_max| and |beta| from
-below, so once the running minima reach that rank most members need no
-solve.  Every member's |beta| is also at least the least GF(2)
-rank of a Pauli choice of the input (_min_pauli_rank, a depth-first search
-that enumerates no member), so once the best |beta| reaches that rank only
-the tie-break on the adjacency is left to decide.  Where the best |beta|
-stays above both, n minus a member's greedy clique cover (an independent set
-holds one vertex per clique at most) rules out most of the rest before any
-independent-set search.  The summary is the one that solving every member
-would give.
+while a solve could still change its summary, which is the one that
+solving every member would give; its docstring states the pruning rule.
 
 The Pauli-rank lemma.  For P in {X, Y, Z}^n let M_P be the n x n GF(2)
 matrix whose row v is e_v (Z), A_v (X) or e_v + A_v (Y).  The stabilizer
@@ -469,30 +460,34 @@ def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP, *, _root: _RootFacts | None
     enumeration the minima are only upper bounds and the truncated flag is
     set.  _root is _root_facts(g), for a caller that has worked it out.
 
-    The input graph is solved exactly.  Every other member is solved only as
-    far as it could still change a field of the summary: the GF(2) rank r of
-    a cut of g is the same on every member (local complementation keeps cut
-    ranks) and bounds each member's |M_max| from below, which bounds its
-    |beta| in turn.  So a member's matching is solved only while the running
-    minimum exceeds r.  Its |beta| is also at least m, the least GF(2) rank
-    over the Pauli choices of g (see _min_pauli_rank), when the search
-    proved it; so once the best |beta| reaches m, only a member that could
-    win the tie-break on (|M_max|, adjacency) is looked at further.  A
-    member's independent set is solved only when its cover could still beat
-    the best key, with the search told the size it has to beat.
-    Before that search, n minus the size of the member's greedy clique
-    cover bounds its |beta| from below (an independent set takes at most
-    one vertex of each clique), and a member this bound already rules out
-    is not searched.  On the 9-ring, whose own |beta| 5 is m but one above
-    r = 4, 17 of the 8,140 members besides g are searched.
+    The pruning rule.  g is solved exactly, and every other member only as
+    far as it could still change a field of the summary.  Two floors hold
+    on every member: the GF(2) rank r of a cut of g (local complementation
+    keeps cut ranks) is at most its |M_max|, which is at most its |beta|;
+    and the least Pauli rank m of g (see _min_pauli_rank) is at most its
+    |beta|, with r for m where that search proved nothing.  With
+    (bc, bm, bkey) the best (|beta|, |M_max|, key) so far:
+    - the member's matching is solved first while the least |M_max| so far
+      exceeds r, and mlow is that |M_max|, else r;
+    - the member can become the representative only with a cover below
+      limit = bc + ((mlow, key) < (bm, bkey)): a cover below bc always
+      wins, and a cover of bc only if the tie-break on (|M_max|, adjacency)
+      can still go its way;
+    - it is passed over once max(mlow, m) reaches limit, then once n minus
+      its greedy clique cover does (an independent set takes at most one
+      vertex of each clique), then once its cover does, from an
+      independent-set search told to look only above n - limit;
+    - a member that gets past all three has its matching solved if it was
+      not (r if its cover is r) and replaces the best key if its key is
+      smaller.
     One case is screened before all of that, with one key comparison: once
-    the best |beta| is the proved floor and its |M_max| is r (so that
-    min |M_max| is r too and no matching solve is left), only a member with
-    a smaller key could still win; every other member would be passed over
-    by the first cover test anyway, so the solve counts do not change.
-    Every field equals what solving every member would give.  Members are
-    compared as packed keys, whose order is that of their adjacency tuples,
-    and unpacked only for a solve.
+    bc is m and bm is r (so that min |M_max| is r too and no matching solve
+    is left), a member with a larger key has limit = bc and fails the first
+    test anyway, so it is skipped and the solve counts do not change.  On
+    the 9-ring, whose own |beta| 5 is m but one above r = 4, 17 of the
+    8,140 members besides g are searched.  Every field equals what solving
+    every member would give.  Members are compared as packed keys, whose
+    order is that of their adjacency tuples, and unpacked only for a solve.
     """
     members, truncated = lc_orbit_members(g, cap)
     n = g.n
@@ -514,17 +509,15 @@ def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP, *, _root: _RootFacts | None
             msize = _matching_max_size(n, adj)
             min_match = min(min_match, msize)
         mlow = r if msize is None else msize  # |beta| >= |M_max| >= mlow
-        tie = (mlow, key) < (bm, bkey)  # could a cover equal to bc still win?
-        low = max(mlow, lowest)
-        if low > bc or (low == bc and not tie):
+        limit = bc + ((mlow, key) < (bm, bkey))  # only a cover below limit can win
+        if max(mlow, lowest) >= limit:
             continue
         if adj is None:
             adj = _unpack(n, key)
-        clow = n - _greedy_clique_cover(adj, full)  # one MIS vertex per clique
-        if clow > bc or (clow == bc and not tie):
+        if n - _greedy_clique_cover(adj, full) >= limit:  # one MIS vertex per clique
             continue
-        cover = n - _mis_size(n, adj, floor=n - bc - 1 if tie else n - bc)
-        if cover > bc or (cover == bc and not tie):
+        cover = n - _mis_size(n, adj, floor=n - limit)
+        if cover >= limit:
             continue
         if msize is None:
             msize = r if cover == r else _matching_max_size(n, adj)  # r <= |M_max| <= |beta|

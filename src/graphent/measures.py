@@ -6,11 +6,8 @@ equal log2 of the number of terms in the minimal product decomposition, and
 the closest separable state / closest product state certificates are built
 from the product basis stabilized by the maximum-independent-set subgroup.
 
-bounds and evaluate share one solve, _solve.  r is also a lower bound on
-min |M_max|, and the least GF(2) rank m over the Pauli choices of g
-(graphs._min_pauli_rank) one on min |beta|.  So an input whose own |beta|
-is m and whose own |M_max| is r has both minima as it stands (an own |beta|
-of r is the case m = r): _solve then does no orbit work at any cap, and its
+bounds and evaluate share one solve, _solve, whose docstring states the
+settled rule: an input it settles needs no orbit work at any cap, and its
 bounds and classification are the ones that solving the whole orbit gives.
 truncated thus means one thing: the cap cut off the orbit solve that the
 upper bound rests on.
@@ -114,8 +111,8 @@ def bounds(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> BoundsReport:
     statements are evaluated on the orbit representative.  When the cap cuts
     off the orbit solve, `truncated` is set, and the upper bound and the
     classification rest on the members solved; r holds on every member.
-    The bounds are those of _solve, which evaluate shares, and an input it
-    settles at its own cover is never truncated.
+    The bounds are those of _solve, which evaluate shares; an input that
+    its settled rule settles is never truncated.
     """
     return _solve(g, orbit_cap)[0]
 
@@ -136,14 +133,15 @@ def _solve(g: Graph, orbit_cap: int, *, listed: bool = False) -> tuple[BoundsRep
     to build the certificates on and path the LC vertex sequence from g to it.
     listed refuses, before any orbit work, a g with no listable decomposition.
 
-    root is _root_facts(g): the cut rank r, g's own |beta| and |M_max|, and
-    the proved least Pauli rank m.  r bounds |M_max| of every orbit member
-    from below, and m bounds every member's |beta| from below (see
-    _min_pauli_rank), so when g's own |beta| is m and its own |M_max| is r,
-    g has the least (|beta|, |M_max|) pair of the orbit (an own |beta| of r
-    is the case m = r): the bounds [r, m] and g's classification are proved
-    without the orbit, which is not enumerated at any cap, so the report is
-    never truncated.  Otherwise the orbit is solved with root, and base is g
+    The settled rule.  root is _root_facts(g): the cut rank r, g's own
+    |beta| and |M_max|, and the proved least Pauli rank m.  r bounds |M_max|
+    of every orbit member from below, and m bounds every member's |beta|
+    from below (see _min_pauli_rank), so when g's own |beta| is m and its
+    own |M_max| is r, g has the least (|beta|, |M_max|) pair of the orbit
+    (an own |beta| of r is the case m = r): the bounds [r, m] and g's
+    classification are proved without the orbit, which is not enumerated
+    at any cap, so the report is never truncated.  Otherwise the orbit is
+    solved with root (lc_orbit states how it prunes), and base is g
     whenever its own cover attains the upper bound, else the representative.
     """
     _check_orbit_cap(orbit_cap)
@@ -347,9 +345,8 @@ def evaluate(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> EntanglementReport
 
     The bounds, and the graph base to build the decomposition on, come from
     _solve, which bounds shares: g itself whenever its own vertex cover
-    attains the orbit minimum (an input whose own |beta| is the least Pauli
-    rank m and whose own |M_max| is the cut rank r is settled with no orbit
-    work and never truncated), or else the orbit representative, with the
+    attains the orbit minimum (an input that _solve's settled rule settles
+    needs no orbit work), or else the orbit representative, with the
     CSS/CPS transported back to g's labelling along the LC path.  A
     Pauli-rank search that runs out of nodes proves no m and only leaves
     more members to solve: the report is the same either way.  A cut rank
