@@ -174,9 +174,12 @@ def sign_function(k, g: Graph, beta) -> int:
     before anything downstream relies on it.
     """
     beta_sorted = sorted(set(beta))
+    _mask_of(beta_sorted, g.n)  # every beta vertex in range, whatever its bit
     bits = [int(b) for b in k]
     if len(bits) != len(beta_sorted):
         raise ValueError("k length does not match beta")
+    if not set(bits) <= {0, 1}:
+        raise ValueError(f"k entries must be 0 or 1, got {k!r}")
     return _edge_parity(g, _mask_of((b for bit, b in zip(bits, beta_sorted) if bit), g.n))
 
 

@@ -199,6 +199,21 @@ def test_sign_function_fig6(fig6):
     assert sign_function([0, 0], fig6, beta) == 0
 
 
+def test_sign_function_refuses_a_k_entry_other_than_0_or_1(triangle):
+    assert sign_function("11", triangle, [1, 2]) == 1
+    for k in ("21", "12", [1, -1], [2, 0]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            sign_function(k, triangle, [1, 2])
+
+
+def test_sign_function_refuses_a_beta_vertex_out_of_range_whatever_its_bit(triangle):
+    for k in ("10", "01", "00"):
+        with pytest.raises(ValueError, match="out of range"):
+            sign_function(k, triangle, [1, 99])
+    with pytest.raises(ValueError, match="out of range"):
+        sign_function("1", triangle, [0])
+
+
 def test_sign_function_bipartite_colour_class_all_zero(fig6, p3):
     # alpha a colour class of a bipartite graph: every sign positive
     for g, alpha in ((p3, {1, 3}), (fig6, {1, 2, 3, 4})):
