@@ -166,19 +166,24 @@ def _solve(g: Graph, orbit_cap: int, *, listed: bool = False) -> tuple[BoundsRep
 # Decomposition and the three certificates
 
 
+_K_BITS = {"0": 0, "1": 1, 0: 0, 1: 1}
+
+
 def sign_function(k, g: Graph, beta) -> int:
     """Parity of beta-internal edges whose both endpoints carry k = 1.
 
+    k has one entry per beta vertex, ascending, each 0 or 1 as a digit or a
+    number; any other entry, or a beta vertex out of range, is a ValueError.
     Closed form for the sign exponent in the minimal decomposition; its
     equivalence with the dense amplitude signs is enforced by oracle tests
     before anything downstream relies on it.
     """
     beta_sorted = sorted(set(beta))
     _mask_of(beta_sorted, g.n)  # every beta vertex in range, whatever its bit
-    bits = [int(b) for b in k]
+    bits = [_K_BITS.get(b) for b in k]
     if len(bits) != len(beta_sorted):
         raise ValueError("k length does not match beta")
-    if not set(bits) <= {0, 1}:
+    if None in bits:
         raise ValueError(f"k entries must be 0 or 1, got {k!r}")
     return _edge_parity(g, _mask_of((b for bit, b in zip(bits, beta_sorted) if bit), g.n))
 

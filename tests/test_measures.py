@@ -199,19 +199,15 @@ def test_sign_function_fig6(fig6):
     assert sign_function([0, 0], fig6, beta) == 0
 
 
-def test_sign_function_refuses_a_k_entry_other_than_0_or_1(triangle):
+def test_sign_function_refuses_a_bad_k_entry_or_beta_vertex(triangle):
     assert sign_function("11", triangle, [1, 2]) == 1
-    for k in ("21", "12", [1, -1], [2, 0]):
+    for k in ("21", "12", [1, -1], [2, 0], [0.5, 1]):
         with pytest.raises(ValueError, match="0 or 1"):
             sign_function(k, triangle, [1, 2])
-
-
-def test_sign_function_refuses_a_beta_vertex_out_of_range_whatever_its_bit(triangle):
-    for k in ("10", "01", "00"):
+    # a vertex out of range is refused whatever its bit
+    for k, beta in (("10", [1, 99]), ("01", [1, 99]), ("00", [1, 99]), ("1", [0])):
         with pytest.raises(ValueError, match="out of range"):
-            sign_function(k, triangle, [1, 99])
-    with pytest.raises(ValueError, match="out of range"):
-        sign_function("1", triangle, [0])
+            sign_function(k, triangle, beta)
 
 
 def test_sign_function_bipartite_colour_class_all_zero(fig6, p3):
