@@ -194,16 +194,9 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     rows = gap_scan(args.kind, itertools.chain.from_iterable(ranges), exact=args.exact)
     lines = ["kind,size,n,matching,vertex_cover,gap_exact,gap_formula,difference"]
     for r in rows:
-        matching = "" if r.matching is None else str(r.matching)
-        cover = "" if r.vertex_cover is None else str(r.vertex_cover)
-        exact_gap = "" if r.gap_exact is None else str(r.gap_exact)
-        diff = ""
-        if r.gap_exact is not None and r.gap_formula is not None:
-            diff = repr(r.gap_exact - r.gap_formula)
-        formula = "" if r.gap_formula is None else repr(r.gap_formula)
-        lines.append(
-            f"{r.kind},{r.size},{r.n},{matching},{cover},{exact_gap},{formula},{diff}"
-        )
+        diff = None if r.gap_exact is None or r.gap_formula is None else r.gap_exact - r.gap_formula
+        cells = (r.size, r.n, r.matching, r.vertex_cover, r.gap_exact, r.gap_formula, diff)
+        lines.append(",".join([r.kind] + ["" if c is None else repr(c) for c in cells]))
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -215,10 +208,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     dense._check_cap(g.n, dense.DENSE_OP_CAP, "verify")
     report = measures.evaluate(g)
     checks = run_verification(g, report)
+    full = report.to_dict()
     doc = {
         "n": g.n,
-        "measures": report.to_dict()["measures"],
-        "maximally_entangled": report.maximally_entangled,
+        "measures": full["measures"],
+        "maximally_entangled": full["maximally_entangled"],
         "checks": [
             {"name": name, "passed": passed, "detail": detail}
             for name, passed, detail in checks

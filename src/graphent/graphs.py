@@ -473,21 +473,24 @@ def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP, *, _root: _RootFacts | None
       limit = bc + ((mlow, key) < (bm, bkey)): a cover below bc always
       wins, and a cover of bc only if the tie-break on (|M_max|, adjacency)
       can still go its way;
-    - it is passed over once max(mlow, m) reaches limit, then once n minus
-      its greedy clique cover does (an independent set takes at most one
-      vertex of each clique), then once its cover does, from an
-      independent-set search told to look only above n - limit;
+    - it is passed over once mlow reaches limit, then once n minus its
+      greedy clique cover does (an independent set takes at most one vertex
+      of each clique), then once its cover does, from an independent-set
+      search told to look only above n - limit;
     - a member that gets past all three has its matching solved if it was
       not (r if its cover is r) and replaces the best key if its key is
       smaller.
     One case is screened before all of that, with one key comparison: once
     bc is m and bm is r (so that min |M_max| is r too and no matching solve
     is left), a member with a larger key has limit = bc and fails the first
-    test anyway, so it is skipped and the solve counts do not change.  On
-    the 9-ring, whose own |beta| 5 is m but one above r = 4, 17 of the
-    8,140 members besides g are searched.  Every field equals what solving
-    every member would give.  Members are compared as packed keys, whose
-    order is that of their adjacency tuples, and unpacked only for a solve.
+    test anyway, so it is skipped and the solve counts do not change.  m
+    serves only this screen: as a floor in the first test it could pass
+    over a member only while bc is m and min |M_max| is above r, and on
+    every input searched it saved no solve there.  On the 9-ring, whose
+    own |beta| 5 is m but one above r = 4, 17 of the 8,140 members besides
+    g are searched.  Every field equals what solving every member would
+    give.  Members are compared as packed keys, whose order is that of
+    their adjacency tuples, and unpacked only for a solve.
     """
     members, truncated = lc_orbit_members(g, cap)
     n = g.n
@@ -510,7 +513,7 @@ def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP, *, _root: _RootFacts | None
             min_match = min(min_match, msize)
         mlow = r if msize is None else msize  # |beta| >= |M_max| >= mlow
         limit = bc + ((mlow, key) < (bm, bkey))  # only a cover below limit can win
-        if max(mlow, lowest) >= limit:
+        if mlow >= limit:
             continue
         if adj is None:
             adj = _unpack(n, key)

@@ -90,11 +90,9 @@ class BoundsReport:
     Briegel, quant-ph/0307130), so E_S, E_R (the entropy across the cut;
     Vedral and Plenio, PRA 57, 1619 (1998)) and E_G (no product overlap
     beats 2^-r) are at least r, on every LC-orbit member and at any cap.
-    E_R and E_G share each bound: the twirl sigma_phi = 2^-n sum_s
-    s|phi><phi|s of a product state is separable and diagonal in the basis
-    Z^k|G>, so S(G||sigma_phi) = -log2 |<G|phi>|^2 (see the module docstring).
-    upper is the least |beta| over the orbit members solved; truncated says
-    the cap cut the orbit off.
+    E_R and E_G share each bound, being one value on a graph state (the
+    twirl argument of the module docstring).  upper is the least |beta|
+    over the orbit members solved; truncated says the cap cut the orbit off.
     """
 
     lower: int
@@ -301,7 +299,8 @@ def transport_css(g: Graph, lc_sequence, alpha) -> SeparableStateDescription:
 
 @dataclass(frozen=True)
 class EntanglementReport:
-    """Measures plus certificates; point values only when the bounds coincide.
+    """The certificates of g and the one interval bounds, which E_S, E_R and
+    E_G share (see BoundsReport; E_R = E_G by the module docstring's twirl).
 
     When lc_path is nonempty the decomposition belongs to the LC-transformed
     graph reached along lc_path, while css/cps are transported back to the
@@ -310,40 +309,31 @@ class EntanglementReport:
 
     graph: Graph
     bounds: BoundsReport
-    e_schmidt: object
-    e_relative_entropy: object
-    e_geometric: object
     decomposition: Decomposition
     css: SeparableStateDescription
     cps: str
-    maximally_entangled: bool
     lc_path: tuple[int, ...]
 
     def to_dict(self) -> dict:
-        def measure(v):
-            return list(v) if isinstance(v, tuple) else v
-
+        b = self.bounds
+        value = float(b.upper) if b.coincide else [float(b.lower), float(b.upper)]
         return {
             "graph": {"n": self.graph.n, "edges": [list(e) for e in self.graph.edges()]},
             "n": self.graph.n,
             "bounds": {
-                "lower": self.bounds.lower,
-                "upper": self.bounds.upper,
-                "coincide": self.bounds.coincide,
-                "classification": self.bounds.classification,
-                "truncated": self.bounds.truncated,
+                "lower": b.lower,
+                "upper": b.upper,
+                "coincide": b.coincide,
+                "classification": b.classification,
+                "truncated": b.truncated,
             },
-            "measures": {
-                "schmidt": measure(self.e_schmidt),
-                "ree": measure(self.e_relative_entropy),
-                "geometric": measure(self.e_geometric),
-            },
+            "measures": {"schmidt": value, "ree": value, "geometric": value},
             "decomposition": [
                 {"sign": sign, "state": state} for sign, state in self.decomposition.terms
             ],
             "css": {"components": list(self.css.components), "weight": self.css.weight},
             "cps": self.cps,
-            "maximally_entangled": self.maximally_entangled,
+            "maximally_entangled": b.coincide and b.upper == self.graph.n // 2,
             "lc_path": list(self.lc_path),
         }
 
@@ -360,7 +350,6 @@ def evaluate(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> EntanglementReport
     more members to solve: the report is the same either way.  A cut rank
     above the listing limit _MAX_LISTED_BETA is refused before orbit work.
     """
-    n = g.n
     rep_bounds, base, path = _solve(g, orbit_cap, listed=True)
     alpha = max_independent_set(base)
     decomp = minimal_decomposition(base, alpha)
@@ -372,24 +361,4 @@ def evaluate(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> EntanglementReport
     else:
         basis = tuple(state for _, state in decomp.terms)
     css = SeparableStateDescription(basis, 1.0 / len(basis))
-    cps = css.components[0]
-    if rep_bounds.coincide:
-        value = float(rep_bounds.upper)
-        schmidt = ree = geometric = value
-        maximal = rep_bounds.upper == n // 2
-    else:
-        interval = (float(rep_bounds.lower), float(rep_bounds.upper))
-        schmidt = ree = geometric = interval
-        maximal = False
-    return EntanglementReport(
-        graph=g,
-        bounds=rep_bounds,
-        e_schmidt=schmidt,
-        e_relative_entropy=ree,
-        e_geometric=geometric,
-        decomposition=decomp,
-        css=css,
-        cps=cps,
-        maximally_entangled=maximal,
-        lc_path=tuple(path),
-    )
+    return EntanglementReport(g, rep_bounds, decomp, css, css.components[0], tuple(path))

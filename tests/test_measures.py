@@ -129,7 +129,9 @@ def test_truncated_bounds_k33_cap2_is_an_interval():
     # the two members visited both have a matching of 3; the full orbit gives [2, 2]
     b = bounds(K33, orbit_cap=2)
     assert b.truncated and (b.lower, b.upper) == (2, 3) and not b.coincide
-    assert evaluate(K33, orbit_cap=2).e_schmidt == (2.0, 3.0)
+    interval = [2.0, 3.0]
+    want = {"schmidt": interval, "ree": interval, "geometric": interval}
+    assert evaluate(K33, orbit_cap=2).to_dict()["measures"] == want
 
 
 def test_truncated_bounds_k6_cap1_lower_is_the_cut_rank():
@@ -526,23 +528,29 @@ def test_transport_components_track_graph(p3):
 # evaluate
 
 
+def _interval(report):
+    """The report's one stored interval, as (lower, upper, coincide)."""
+    b = report.bounds
+    return b.lower, b.upper, b.coincide
+
+
 def test_evaluate_fig6(fig6):
     report = evaluate(fig6)
-    assert report.e_schmidt == report.e_relative_entropy == report.e_geometric == 2.0
+    assert _interval(report) == (2, 2, True)
     assert report.lc_path == ()
-    assert not report.maximally_entangled  # value 2 < floor(6/2) = 3
+    assert not report.to_dict()["maximally_entangled"]  # value 2 < floor(6/2) = 3
 
 
 def test_evaluate_ring6():
     report = evaluate(ring(6))
-    assert report.e_schmidt == 3.0
-    assert report.maximally_entangled
+    assert _interval(report) == (3, 3, True)
+    assert report.to_dict()["maximally_entangled"]
 
 
 def test_evaluate_triangle(triangle):
     report = evaluate(triangle)
-    assert report.e_schmidt == 1.0
-    assert report.maximally_entangled  # 1 == floor(3/2): GHZ3 is maximal
+    assert _interval(report) == (1, 1, True)
+    assert report.to_dict()["maximally_entangled"]  # 1 == floor(3/2): GHZ3 is maximal
 
 
 def test_evaluate_k4_transports_certificates():
@@ -550,7 +558,7 @@ def test_evaluate_k4_transports_certificates():
     three_steps = Graph.from_edges(5, [(1, 2), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (4, 5)])
     for g, value, path in ((complete(4), 1, (2,)), (three_steps, 2, (2, 4, 3))):
         report = evaluate(g)
-        assert report.e_schmidt == value and report.lc_path == path
+        assert _interval(report) == (value, value, True) and report.lc_path == path
         psi = dense.statevector(g)
         assert abs(dense.relative_entropy_pure(psi, css_density(report.css)) - value) < 1e-9
         assert abs(dense.overlap2(psi, report.cps) - 2.0**-value) < 1e-12
@@ -569,19 +577,20 @@ def test_evaluate_rejects_lc_path_that_misses_the_input(monkeypatch):
 
 def test_evaluate_c5_interval(c5):
     report = evaluate(c5)
-    assert report.e_schmidt == (2.0, 3.0)
-    assert report.e_relative_entropy == (2.0, 3.0)
-    assert not report.maximally_entangled
+    assert _interval(report) == (2, 3, False)
+    doc = report.to_dict()
+    assert doc["measures"] == {"schmidt": [2.0, 3.0], "ree": [2.0, 3.0], "geometric": [2.0, 3.0]}
+    assert not doc["maximally_entangled"]
     # the CSS is still an upper-bound certificate
     ree = dense.relative_entropy_pure(dense.statevector(c5), css_density(report.css))
     assert abs(ree - 3.0) < 1e-9
 
 
 def test_evaluate_lc_invariance(fig6):
-    for g, want in ((star(4), 1.0), (fig6, 2.0)):
+    for g, want in ((star(4), 1), (fig6, 2)):
         members, _ = lc_orbit_members(g)
-        values = {evaluate(Graph(g.n, _unpack(g.n, key))).e_schmidt for key in members}
-        assert values == {want}
+        values = {_interval(evaluate(Graph(g.n, _unpack(g.n, key)))) for key in members}
+        assert values == {(want, want, True)}
 
 
 def test_evaluate_report_dict(fig6):
@@ -613,7 +622,7 @@ def no_orbit(monkeypatch):
 def test_evaluate_settles_own_cover_at_cut_rank_without_the_orbit(no_orbit):
     # the 10-ring's own cover 5 is its cut rank
     report = evaluate(ring(10))
-    assert report.e_schmidt == 5.0 and report.lc_path == () and not report.bounds.truncated
+    assert _interval(report) == (5, 5, True) and report.lc_path == () and not report.bounds.truncated
     assert bounds(ring(10)) == report.bounds
 
 
