@@ -593,6 +593,53 @@ def test_evaluate_lc_invariance(fig6):
         assert values == {(want, want, True)}
 
 
+def _relabelled(g: Graph, rng: random.Random) -> Graph:
+    """g with its vertices renamed by a random permutation drawn from rng."""
+    names = list(range(1, g.n + 1))
+    rng.shuffle(names)
+    return Graph.from_edges(g.n, [(names[u - 1], names[v - 1]) for u, v in g.edges()])
+
+
+def _ends(g: Graph, cap: int = graphs.DEFAULT_ORBIT_CAP) -> tuple[int, int, bool]:
+    b = bounds(g, cap)
+    return b.lower, b.upper, b.truncated
+
+
+def test_bounds_are_the_same_on_every_orbit_member_and_labelling():
+    # (lower, upper, truncated) is a property of the state: every connected
+    # graph with n <= 6, orbit by orbit, and one relabelling of each (the
+    # classification is not, as a bipartite member gets Koenig's statement)
+    ends = {}
+    for g in (g for n in range(1, 7) for g in all_connected_graphs(n)):
+        if (g.n, g.adj) in ends:
+            continue
+        members, truncated = lc_orbit_members(g)
+        assert not truncated
+        for key in members:
+            adj = _unpack(g.n, key)
+            ends[g.n, adj] = _ends(Graph(g.n, adj))
+        assert len({ends[g.n, _unpack(g.n, key)] for key in members}) == 1, g.edges()
+    rng = random.Random(59)
+    for (n, adj), want in ends.items():
+        moved = _relabelled(Graph(n, adj), rng)
+        assert ends[n, moved.adj] == want, moved.edges()
+
+
+def test_bounds_tighten_as_the_cap_grows():
+    # a larger cap solves more members: the lower end is r at any cap, and
+    # the upper end, the least cover among the members solved, never rises
+    rng = random.Random(61)
+    falls = 0
+    for n in (11, 11, 11, 12, 12, 12, 13, 13, 13, 14, 14, 14):
+        g = random_connected(n, rng)
+        ends = [_ends(g, cap) for cap in (1, 10, 100, 1_000)]
+        assert len({lower for lower, _, _ in ends}) == 1, g.edges()
+        uppers = [upper for _, upper, _ in ends]
+        assert uppers == sorted(uppers, reverse=True), g.edges()
+        falls += uppers[0] > uppers[-1]
+    assert falls  # on some graph a larger cap finds a smaller cover
+
+
 def test_evaluate_report_dict(fig6):
     doc = evaluate(fig6).to_dict()
     assert doc["measures"] == {"schmidt": 2.0, "ree": 2.0, "geometric": 2.0}
