@@ -434,7 +434,7 @@ class _RootFacts:
     cut_rank is r (see _cut_rank_bound), own_cover and own_matching are g's
     own |beta| and |M_max|, and pauli_rank is the least Pauli rank m (see
     _min_pauli_rank), which is at most every member's |beta|, or None when
-    the search ran out of nodes.
+    the search ran out of work.
     """
 
     cut_rank: int
@@ -859,10 +859,11 @@ def _cut_rank_ceiling(n: int, adj) -> int:
     return min(n // 2, n - independent, open_nbhds, closed_nbhds)
 
 
-# Nodes the Pauli-rank search may visit before it gives up, 0.15-0.2 s of
-# CPython on a 2-core x86 VM: the benchmark's inputs, n <= 14, need at most
-# about 10,000, and seeded G(16, 1/2) 30,000-70,000.
-_PAULI_RANK_NODES = 100_000
+# Row reductions (_residue calls) the Pauli-rank search may make before it
+# gives up: kagome 3 (n = 35) needs about 460,000, and the benchmark's
+# inputs, n <= 14, at most about 3,000.  A search that runs out takes
+# 0.25-0.4 s of CPython on a 2-core x86 VM.
+_PAULI_RANK_WORK = 600_000
 
 
 def _min_pauli_rank(n: int, adj, floor: int, best: int) -> int | None:
@@ -875,51 +876,93 @@ def _min_pauli_rank(n: int, adj, floor: int, best: int) -> int | None:
     once the rank reaches floor, which must be a lower bound on every
     member's |beta| such as the cut rank, and then returns floor: like m,
     it is at most every member's |beta|, which is all that callers use.
-    After _PAULI_RANK_NODES nodes it gives up and returns None: it proves
-    nothing then, and callers solve the orbit as they would without it.
+    After _PAULI_RANK_WORK row reductions it gives up and returns None: it
+    proves nothing then, and callers solve the orbit as they would without
+    it.
 
     Depth first over the vertices, with the chosen rows kept as an echelon
     basis keyed by leading bit.  A candidate row already in the span is the
     only child taken: whatever the later rows, the span without the
     candidate's alternatives is contained in the span with them.  Otherwise
-    all three rows add rank, and a child is taken only while it stays below
-    best.
+    all three rows add rank, and the node's children are taken only while
+    the rank of the chosen rows plus the count of _direct_sum's vertices,
+    a lower bound on the rank of every leaf below, stays below best.
     """
     if best <= floor:
         return best
     pivots = [0] * n  # pivots[b]: the basis row whose leading bit is b, or 0
-    nodes = 0
+    work = 0
 
     def search(v: int, rank: int) -> bool:
         """Assign vertices v..n-1 at the given rank; True once the search should stop."""
-        nonlocal best, nodes
-        nodes += 1
-        if nodes > _PAULI_RANK_NODES:
+        nonlocal best, work
+        if work > _PAULI_RANK_WORK:
             return True
         while v < n:  # rows already in the span add nothing: one child, walk on
             z = 1 << v
             rz = _residue(pivots, z)
-            rx = _residue(pivots, adj[v]) if rz else 0
-            ry = _residue(pivots, z ^ adj[v]) if rx else 0
+            rx = rz and _residue(pivots, adj[v])
+            ry = rx and _residue(pivots, z ^ adj[v])
+            work += 1 + bool(rz) + bool(rx)
             if ry:
                 break
             v += 1
         else:
             best = rank
             return best <= floor
-        if rank + 1 >= best:
-            return False
+        kept, calls = _direct_sum(pivots, adj, v, n, best - rank)
+        work += calls
+        bound = rank + len(kept)  # v is kept: its three rows are all outside S
         for row in (rz, rx, ry):
+            if bound >= best:
+                return False
             lead = row.bit_length() - 1
             pivots[lead] = row
             stop = search(v + 1, rank + 1)
             pivots[lead] = 0
-            if stop or rank + 1 >= best:
-                return stop
+            if stop:
+                return True
         return False
 
     search(0, 0)
-    return None if nodes > _PAULI_RANK_NODES else best
+    return None if work > _PAULI_RANK_WORK else best
+
+
+def _direct_sum(pivots: list[int], adj, v: int, n: int, most: int) -> tuple[list[int], int]:
+    """Up to most vertices u >= v whose W_u = span(e_u, A_u) are in direct
+    sum with each other and with the span S of the echelon rows pivots, and
+    the _residue calls made; pivots is left as it was.
+
+    Each of u's three candidate rows in _min_pauli_rank is a nonzero vector
+    of W_u.  The vertices are walked in order, and u is kept when W_u raises
+    the dimension of S plus the kept W's by 2.  Any rows chosen for the j
+    kept vertices are then independent modulo S, so every choice for the
+    vertices from v on has rank at least rank S + j.
+    """
+    kept = []
+    leads = []  # leading bits of the kept W's rows, cleared after the walk
+    calls = 0
+    for u in range(v, n):
+        if len(kept) == most:
+            break
+        a = _residue(pivots, 1 << u)
+        calls += 1
+        if not a:
+            continue
+        lead_a = a.bit_length() - 1
+        pivots[lead_a] = a
+        b = _residue(pivots, adj[u])
+        calls += 1
+        if not b:
+            pivots[lead_a] = 0
+            continue
+        lead_b = b.bit_length() - 1
+        pivots[lead_b] = b
+        leads += lead_a, lead_b
+        kept.append(u)
+    for lead in leads:
+        pivots[lead] = 0
+    return kept, calls
 
 
 def _cut_moves(n: int, amask: int, full: int):

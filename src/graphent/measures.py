@@ -346,7 +346,7 @@ def evaluate(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> EntanglementReport
     attains the orbit minimum (an input that _solve's settled rule settles
     needs no orbit work), or else the orbit representative, with the
     CSS/CPS transported back to g's labelling along the LC path.  A
-    Pauli-rank search that runs out of nodes proves no m and only leaves
+    Pauli-rank search that runs out of work proves no m and only leaves
     more members to solve: the report is the same either way.  A cut rank
     above the listing limit _MAX_LISTED_BETA is refused before orbit work.
     """

@@ -194,15 +194,21 @@ def brute_min_pauli_rank(g: Graph) -> int:
     best = g.n
     for choice in itertools.product((0, 1, 2), repeat=g.n):
         rows = [((1 << v) if c != 1 else 0) ^ (g.adj[v] if c != 0 else 0) for v, c in enumerate(choice)]
-        rank = 0
-        while rows:  # eliminate on the lowest set bit of the last row
-            pivot = rows.pop()
-            if pivot:
-                rank += 1
-                low = pivot & -pivot
-                rows = [r ^ pivot if r & low else r for r in rows]
-        best = min(best, rank)
+        best = min(best, gf2_rank(rows))
     return best
+
+
+def gf2_rank(rows) -> int:
+    """GF(2) rank of integer bit rows."""
+    rows = list(rows)
+    rank = 0
+    while rows:  # eliminate on the lowest set bit of the last row
+        pivot = rows.pop()
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            rows = [r ^ pivot if r & low else r for r in rows]
+    return rank
 
 
 def noise_css_quadrature(g: Graph, beta=None, points: int = 64) -> np.ndarray:

@@ -47,7 +47,7 @@ from graphent.lattices import LatticeSpec, generate_lattice
 
 from bell import _edge_key
 from conftest import FIG6, complete, random_connected, ring, star
-from oracles import all_connected_graphs, brute_matching, brute_min_pauli_rank, brute_mis, to_graph6
+from oracles import all_connected_graphs, brute_matching, brute_min_pauli_rank, brute_mis, gf2_rank, to_graph6
 
 
 def graphs_strategy(max_n=7):
@@ -912,9 +912,44 @@ def _pauli_rank(g: Graph, floor: int | None = None) -> int | None:
 def test_min_pauli_rank_equals_the_brute_force_minimum():
     rng = random.Random(43)
     graphs = _CONNECTED_UP_TO_5 + [random_connected(n, rng) for n in (6, 6, 6, 7, 7)]
+    graphs += [random_connected(n, rng, p) for n in (7, 8) for p in (0.3, 0.3, 0.5)]
     for g in graphs:
         want = brute_min_pauli_rank(g)
         assert _pauli_rank(g, floor=0) == want == _pauli_rank(g), g.edges()
+
+
+def test_direct_sum_keeps_subspaces_in_direct_sum_with_the_chosen_rows(monkeypatch):
+    # at every branching node: S and the kept W_u = span(e_u, A_u) have full
+    # rank together, v itself is kept, and the basis is handed back unchanged
+    real = graphs._direct_sum
+    kept_counts = []
+
+    def checked(pivots, adj, v, n, most):
+        before = list(pivots)
+        kept, calls = real(pivots, adj, v, n, most)
+        assert pivots == before
+        rows = [p for p in pivots if p] + [w for u in kept for w in (1 << u, adj[u])]
+        assert gf2_rank(rows) == len(rows), (before, kept)
+        assert kept[0] == v and len(kept) <= most and calls >= 2 * len(kept)
+        kept_counts.append(len(kept))
+        return kept, calls
+
+    monkeypatch.setattr(graphs, "_direct_sum", checked)
+    rng = random.Random(71)
+    for g in [ring(9), complete(6)] + [random_connected(n, rng, p) for n in (8, 9, 10) for p in (0.3, 0.5)]:
+        assert _pauli_rank(g, floor=0) == lc_orbit(g).min_vertex_cover, g.edges()
+    assert len(kept_counts) > 50 and max(kept_counts) > 2
+
+
+def test_min_pauli_rank_proves_rings_and_patches_within_the_budget():
+    # the partial rank alone gave up on each of these; the 23- and 63-rings
+    # are proved at the root's children, one above their cut rank
+    for n in (23, 63):
+        assert _pauli_rank(ring(n)) == _cut_rank_bound(n, ring(n).adj) + 1 == (n + 1) // 2
+    triangular5 = generate_lattice(LatticeSpec("triangular", 5))
+    assert _pauli_rank(triangular5) == 16
+    # below its own cover, 16
+    assert _pauli_rank(random_connected(24, random.Random(24), 0.3)) == 15
 
 
 def test_min_pauli_rank_equals_the_orbit_minimum_cover():
@@ -936,8 +971,8 @@ def test_min_pauli_rank_equals_the_orbit_minimum_cover():
 
 
 def test_min_pauli_rank_returns_the_incumbent_at_the_floor(monkeypatch):
-    # no node is visited: with a budget of none, an unfinished search would give None
-    monkeypatch.setattr("graphent.graphs._PAULI_RANK_NODES", 0)
+    # no row is reduced: with a budget of none, an unfinished search would give None
+    monkeypatch.setattr("graphent.graphs._PAULI_RANK_WORK", 0)
     assert _min_pauli_rank(10, ring(10).adj, 5, 5) == 5
     assert _min_pauli_rank(4, complete(4).adj, 1, 1) == 1
     assert _min_pauli_rank(4, complete(4).adj, 1, 3) is None

@@ -25,8 +25,10 @@ from graphent import (
     dense,
     evaluate,
     graphs,
+    lattices,
     lc_orbit,
     lc_orbit_members,
+    local_complement,
     max_independent_set,
     measures,
     minimal_decomposition,
@@ -625,6 +627,24 @@ def test_bounds_are_the_same_on_every_orbit_member_and_labelling():
         assert ends[n, moved.adj] == want, moved.edges()
 
 
+def test_bounds_settled_by_the_pauli_rank_are_the_same_on_lc_neighbours_and_labellings():
+    # the odd rings from 23 vertices on are settled at their own cover, the
+    # least Pauli rank m = r + 1, so no orbit is enumerated and no cap bites
+    rng = random.Random(67)
+    for n, want in ((23, (11, 12, False)), (25, (12, 13, False))):
+        for g in (ring(n), local_complement(ring(n), 1)):
+            assert _ends(g) == _ends(_relabelled(g, rng)) == want, (n, g.edges())
+
+
+def test_bounds_settle_the_inputs_whose_pauli_rank_is_proved():
+    triangular5 = lattices.generate_lattice(lattices.LatticeSpec("triangular", 5))
+    assert _ends(ring(63)) == (31, 32, False)
+    assert _ends(triangular5) == (12, 16, False)  # own cover 16 = m
+    # m = 15 is proved, but the own cover 16 is above it, so the orbit is
+    # solved and cut off by the cap
+    assert _ends(random_connected(24, random.Random(24), 0.3), 1_000) == (12, 16, True)
+
+
 def test_bounds_tighten_as_the_cap_grows():
     # a larger cap solves more members: the lower end is r at any cap, and
     # the upper end, the least cover among the members solved, never rises
@@ -729,7 +749,7 @@ def test_evaluate_unchanged_when_the_pauli_rank_search_runs_out(monkeypatch):
     cases = (ring(9), complete(4), OWN_COVER_ABOVE_MINIMUM)
     want = [evaluate(g).to_dict() for g in cases]
     assert graphs._root_facts(OWN_COVER_ABOVE_MINIMUM).pauli_rank == 4
-    monkeypatch.setattr(graphs, "_PAULI_RANK_NODES", 1)
+    monkeypatch.setattr(graphs, "_PAULI_RANK_WORK", 1)
     assert all(graphs._root_facts(g).pauli_rank is None for g in cases)
     assert [evaluate(g).to_dict() for g in cases] == want
 
