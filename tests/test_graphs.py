@@ -948,7 +948,7 @@ def test_min_pauli_rank_proves_rings_and_patches_within_the_budget():
         assert _pauli_rank(ring(n)) == _cut_rank_bound(n, ring(n).adj) + 1 == (n + 1) // 2
     triangular5 = generate_lattice(LatticeSpec("triangular", 5))
     assert _pauli_rank(triangular5) == 16
-    # below its own cover, 16
+    # G(24, 0.3), s = 24: one below its own cover of 16
     assert _pauli_rank(random_connected(24, random.Random(24), 0.3)) == 15
 
 
