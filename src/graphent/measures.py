@@ -347,8 +347,10 @@ def evaluate(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> EntanglementReport
     needs no orbit work), or else the orbit representative, with the
     CSS/CPS transported back to g's labelling along the LC path.  A
     Pauli-rank search that runs out of work proves no m and only leaves
-    more members to solve: the report is the same either way.  A cut rank
-    above the listing limit _MAX_LISTED_BETA is refused before orbit work.
+    more members to solve: lower, upper and classification are the same
+    either way, but an input settled at its own cover is then solved on its
+    orbit, so truncated and the time can move.  A cut rank above the
+    listing limit _MAX_LISTED_BETA is refused before orbit work.
     """
     rep_bounds, base, path = _solve(g, orbit_cap, listed=True)
     alpha = max_independent_set(base)

@@ -23,6 +23,7 @@ from graphent.cli import _css_errors, main
 
 from conftest import FIG6_TEXT, complete, random_connected, ring, write_graph
 from oracles import all_connected_graphs, full_css_errors
+from test_graphs import vertex_count_inputs
 
 C5_TEXT = "5 5\n1 2\n2 3\n3 4\n4 5\n5 1\n"
 STAR4_TEXT = "4 3\n1 2\n1 3\n1 4\n"
@@ -181,13 +182,15 @@ def test_analyze_graph6_format(capsys, tmp_path):
     assert json.loads(out)["measures"]["schmidt"] == 1.0
 
 
-def test_analyze_graph6_over_the_cap_exits_1(capsys, tmp_path):
-    path = tmp_path / "g65.g6"
-    path.write_text("~?@@?\n")  # 65 vertices in graph6's long size form
-    code, out, err = run(capsys, ["analyze", str(path), "--format", "graph6"])
-    lines = err.splitlines()
-    assert code == 1 and out == ""
-    assert len(lines) == 1 and lines[0].startswith("error:")
+@pytest.mark.parametrize("n", [0, 65])
+def test_analyze_vertex_count_outside_the_cap_exits_1(capsys, tmp_path, n):
+    # one error line and no stdout, in both formats; 65 vertices in graph6's
+    # long size form with a short body and with the full one
+    for i, (text, fmt) in enumerate(vertex_count_inputs(n)):
+        path = tmp_path / f"g{i}.txt"
+        path.write_text(text + "\n")
+        code, out, err = run(capsys, ["analyze", str(path), "--format", fmt])
+        assert (code, out, err) == (1, "", f"error: vertex count {n} outside 1..64\n"), text
 
 
 def test_analyze_out_file(capsys, fig6_file, tmp_path):

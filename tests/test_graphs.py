@@ -174,6 +174,29 @@ def test_graph_rejects_bad_adjacency(n, adj, reason):
         Graph(n, adj)
 
 
+def vertex_count_inputs(n: int) -> list[tuple[str, str]]:
+    """(text, format) of an edge list and of graph6 texts on n vertices: for
+    n = 65 both a one-character body and the full 347-character one."""
+    if n == 0:
+        return [("0 0", "edgelist"), ("?", "graph6")]
+    return [("65 0", "edgelist"), ("~?@@?", "graph6"), ("~?@@" + "~" * 347, "graph6")]
+
+
+@pytest.mark.parametrize("n", [0, 65])
+def test_one_vertex_count_rule_for_every_input(n):
+    # Graph, from_edges and both parsers refuse a count outside 1..64 with one message
+    match = f"vertex count {n} outside 1..64"
+    with pytest.raises(GraphFormatError, match=match):
+        Graph(n, (0,) * n)
+    with pytest.raises(GraphFormatError, match=match):
+        Graph.from_edges(n, [])
+    for text, fmt in vertex_count_inputs(n):
+        with pytest.raises(GraphFormatError, match=match):
+            parse_graph(text, fmt)
+    with pytest.raises(GraphFormatError, match="self-loop at vertex 1"):
+        parse_graph("2 1\n1 1")
+
+
 # ---------------------------------------------------------------------------
 # local complementation and orbits
 

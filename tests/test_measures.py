@@ -170,10 +170,10 @@ def test_bounds_report_holds_only_the_bounds():
 
 
 @st.composite
-def connected_graphs(draw):
-    """2 to 7 vertices: a random spanning tree (each vertex after the first hangs
+def connected_graphs(draw, max_n: int = 7):
+    """2 to max_n vertices: a random spanning tree (each vertex after the first hangs
     off an earlier one) plus any subset of the other pairs, so every draw is connected."""
-    n = draw(st.integers(min_value=2, max_value=7))
+    n = draw(st.integers(min_value=2, max_value=max_n))
     edges = {(draw(st.integers(min_value=1, max_value=v - 1)), v) for v in range(2, n + 1)}
     rest = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if (u, v) not in edges]
     mask = draw(st.integers(min_value=0, max_value=(1 << len(rest)) - 1))
@@ -636,6 +636,18 @@ def test_bounds_settled_by_the_pauli_rank_are_the_same_on_lc_neighbours_and_labe
             assert _ends(g) == _ends(_relabelled(g, rng)) == want, (n, g.edges())
 
 
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(max_n=10), st.randoms(use_true_random=False))
+def test_untruncated_bounds_are_the_same_on_a_relabelling_and_an_lc_neighbour(g, rng):
+    # up to 10 vertices an orbit has at most 3^10 members, below the default
+    # cap, so no report is truncated; from 11 on an orbit can pass the cap
+    moved = _relabelled(g, rng)
+    neighbour = local_complement(g, rng.randint(1, g.n))
+    want = _ends(g)
+    assert not want[2]
+    assert _ends(moved) == _ends(neighbour) == want, g.edges()
+
+
 def test_bounds_settle_the_inputs_whose_pauli_rank_is_proved():
     triangular5 = lattices.generate_lattice(lattices.LatticeSpec("triangular", 5))
     assert _ends(ring(63)) == (31, 32, False)
@@ -752,6 +764,18 @@ def test_evaluate_unchanged_when_the_pauli_rank_search_runs_out(monkeypatch):
     monkeypatch.setattr(graphs, "_PAULI_RANK_WORK", 1)
     assert all(graphs._root_facts(g).pauli_rank is None for g in cases)
     assert [evaluate(g).to_dict() for g in cases] == want
+
+
+def test_the_pauli_rank_budget_can_move_only_truncated(monkeypatch):
+    # the 23-ring is settled at its own cover 12 = m; with no budget m is
+    # not proved, its orbit is solved instead and passes the cap
+    g = ring(23)
+    settled = bounds(g, 1_000)
+    assert (settled.lower, settled.upper, settled.truncated) == (11, 12, False)
+    monkeypatch.setattr(graphs, "_PAULI_RANK_WORK", 0)
+    solved = bounds(g, 1_000)
+    assert (solved.lower, solved.upper, solved.truncated) == (11, 12, True)
+    assert solved.classification == settled.classification
 
 
 @pytest.fixture(scope="module")
