@@ -443,9 +443,8 @@ def _root_facts(g: Graph) -> _RootFacts:
     n, adj = g.n, g.adj
     r = _cut_rank_bound(n, adj)
     cover = n - _mis_size(n, adj)
-    if cover == r:  # r <= |M_max| <= |beta|, and no member's |beta| is below r
-        return _RootFacts(r, cover, r, r)
-    return _RootFacts(r, cover, _matching_max_size(n, adj), _min_pauli_rank(n, adj, r, cover))
+    matching = r if cover == r else _matching_max_size(n, adj)  # r <= |M_max| <= |beta|
+    return _RootFacts(r, cover, matching, _min_pauli_rank(n, adj, r, cover))
 
 
 def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP, *, _root: _RootFacts | None = None) -> OrbitSummary:
@@ -488,7 +487,7 @@ def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP, *, _root: _RootFacts | None
     27,574 orbits but made analyze slower in 6 of 6 benchmark pairs.  Every
     field equals what solving every member would give.  Members are
     compared as packed keys, whose order is that of their adjacency tuples,
-    and unpacked only for a solve.
+    and unpacked once each past the screen.
     """
     members, truncated = lc_orbit_members(g, cap)
     n = g.n
@@ -504,17 +503,14 @@ def lc_orbit(g: Graph, cap: int = DEFAULT_ORBIT_CAP, *, _root: _RootFacts | None
     for key in islice(members, 1, None):  # the root comes first
         if key > stop:  # settled: only a smaller key can still win
             continue
-        adj = msize = None
+        adj, msize = _unpack(n, key), None
         if min_match > r:
-            adj = _unpack(n, key)
             msize = _matching_max_size(n, adj)
             min_match = min(min_match, msize)
         mlow = r if msize is None else msize  # |beta| >= |M_max| >= mlow
         limit = bc + ((mlow, key) < (bm, bkey))  # only a cover below limit can win
         if mlow >= limit:
             continue
-        if adj is None:
-            adj = _unpack(n, key)
         if n - _greedy_clique_cover(adj, full) >= limit:  # one MIS vertex per clique
             continue
         cover = n - _mis_size(n, adj, floor=n - limit)
@@ -870,10 +866,11 @@ def _min_pauli_rank(n: int, adj, floor: int, best: int) -> int | None:
 
     best must be the rank of some choice: g's own cover, X on a maximum
     independent set and Z elsewhere, has rank |beta|, and the search only
-    looks for a smaller one, returning best if there is none.  It stops
-    once the rank reaches floor, which must be a lower bound on every
-    member's |beta| such as the cut rank, and then returns floor: like m,
-    it is at most every member's |beta|, which is all that callers use.
+    looks for a smaller one, returning best if there is none (at once when
+    best <= floor).  It stops once the rank reaches floor, which must be a
+    lower bound on every member's |beta| such as the cut rank, and then
+    returns floor: like m, it is at most every member's |beta|, which is
+    all that callers use.
     After _PAULI_RANK_WORK row reductions it gives up and returns None: it
     proves nothing then, and callers solve the orbit as they would without
     it.

@@ -163,8 +163,7 @@ class GapRow:
     vertex_cover: int | None
     gap_exact: int | None
     gap_formula: float | None
-    timed_out: bool = False
-    """Always False, as the solver has no deadline; kept because perfbench's gap check reads it."""
+    timed_out = False  # not a field: the solver has no deadline; the benchmark's gap check reads it
 
 
 def gap_scan(kind: str, sizes, *, exact: bool):

@@ -93,6 +93,9 @@ class BoundsReport:
     E_R and E_G share each bound, being one value on a graph state (the
     twirl argument of the module docstring).  upper is the least |beta|
     over the orbit members solved; truncated says the cap cut the orbit off.
+    A truncated upper can sit above a least Pauli rank m that
+    graphs._min_pauli_rank has proved, and no field carries m: seeded
+    G(16, 1/2) with s = 3 reports [8, 10] at caps 200 to 5,000, with m = 9.
     """
 
     lower: int
@@ -113,17 +116,6 @@ def bounds(g: Graph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> BoundsReport:
     its settled rule settles is never truncated.
     """
     return _solve(g, orbit_cap)[0]
-
-
-def _report(g: Graph, lower: int, upper: int, rep_matching: int, truncated: bool) -> BoundsReport:
-    """The bounds [lower, upper] of g, classified on a representative of
-    cover upper and maximum matching rep_matching."""
-    n = g.n
-    if is_bipartite(g) is not None:
-        classification = BIPARTITE_KONIG
-    else:
-        classification = classify(n - upper, n, 2 * rep_matching == n)
-    return BoundsReport(lower, upper, lower == upper, classification, truncated)
 
 
 def _solve(g: Graph, orbit_cap: int, *, listed: bool = False) -> tuple[BoundsReport, Graph, tuple[int, ...]]:
@@ -152,10 +144,17 @@ def _solve(g: Graph, orbit_cap: int, *, listed: bool = False) -> tuple[BoundsRep
             f"the stabilized basis has at least 2^{r} states, past the 2^{_MAX_LISTED_BETA} that can be listed"
         )
     if cover == root.pauli_rank and root.own_matching == r:
-        return _report(g, r, cover, r, False), g, ()
-    orbit = lc_orbit(g, orbit_cap, _root=root)
-    report = _report(g, r, orbit.min_vertex_cover, orbit.representative_matching, orbit.truncated)
-    if cover == report.upper:
+        upper, matching, truncated = cover, r, False
+    else:
+        orbit = lc_orbit(g, orbit_cap, _root=root)
+        upper, matching, truncated = orbit.min_vertex_cover, orbit.representative_matching, orbit.truncated
+    n = g.n
+    if is_bipartite(g) is not None:
+        classification = BIPARTITE_KONIG
+    else:
+        classification = classify(n - upper, n, 2 * matching == n)
+    report = BoundsReport(r, upper, r == upper, classification, truncated)
+    if cover == upper:  # always so when settled, so orbit is bound below
         return report, g, ()
     return report, orbit.representative, orbit.lc_path
 

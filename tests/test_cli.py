@@ -616,3 +616,27 @@ def test_dense_names_are_imported_on_first_use():
     assert graphent.dense.statevector
     with pytest.raises(AttributeError, match="no_such_name"):
         graphent.no_such_name
+
+
+def test_stdout_is_the_same_under_every_hash_seed(fig6_file, tmp_path):
+    # identical bytes for identical input, whatever hash seed the interpreter draws
+    g9 = write_graph(random_connected(9, random.Random(1)), tmp_path / "g9.txt")  # nonempty lc_path
+    ring9 = write_graph(ring(9), tmp_path / "ring9.txt")
+    commands = (
+        ["analyze", g9],
+        ["orbit", ring9],
+        ["css", fig6_file, "--method", "all"],
+        ["lattice", "kagome", "1..3", "--exact"],
+    )
+    src = str(Path(graphent.__file__).resolve().parents[1])
+    for argv in commands:
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "graphent.cli", *argv],
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                capture_output=True, text=True,
+            )
+            for seed in ("0", "1")
+        ]
+        assert runs[0].stdout and runs[0].returncode in (0, 2), (argv, runs[0].stderr)
+        assert (runs[0].returncode, runs[0].stdout) == (runs[1].returncode, runs[1].stdout), argv

@@ -25,6 +25,7 @@ from graphent import (
     dense,
     evaluate,
     graphs,
+    is_bipartite,
     lattices,
     lc_orbit,
     lc_orbit_members,
@@ -778,6 +779,15 @@ def test_the_pauli_rank_budget_can_move_only_truncated(monkeypatch):
     assert solved.classification == settled.classification
 
 
+def test_a_truncated_upper_can_sit_above_the_proved_pauli_rank():
+    # G(16, 1/2), s = 3: the search proves m = 9, but the capped orbit's
+    # least cover is 10 and no report carries m
+    g = random_connected(16, random.Random(3))
+    assert graphs._root_facts(g).pauli_rank == 9
+    b = bounds(g, 200)
+    assert (b.lower, b.upper, b.truncated) == (8, 10, True)
+
+
 @pytest.fixture(scope="module")
 def settle_corpus() -> list:
     """(graph, settled) for every connected graph with n <= 5 and every 7th
@@ -806,7 +816,13 @@ def test_evaluate_and_bounds_equal_the_orbit_path(cap, settle_corpus):
     for g, settled in settle_corpus:
         orbit = lc_orbit(g, cap)
         truncated = orbit.truncated and not settled
-        want = measures._report(g, orbit.cut_rank, orbit.min_vertex_cover, orbit.representative_matching, truncated)
+        if is_bipartite(g) is not None:
+            classification = BIPARTITE_KONIG
+        else:
+            matching_is_perfect = 2 * orbit.representative_matching == g.n
+            classification = classify(g.n - orbit.min_vertex_cover, g.n, matching_is_perfect)
+        lower, upper = orbit.cut_rank, orbit.min_vertex_cover
+        want = BoundsReport(lower, upper, lower == upper, classification, truncated)
         report = evaluate(g, cap)
         assert report.bounds == want == bounds(g, cap), g.edges()
         path = () if g.n - len(max_independent_set(g)) == want.upper else orbit.lc_path
