@@ -20,7 +20,7 @@ import itertools
 import math
 import random
 
-from graphent import Graph, dense, measures
+from graphent import MAX_VERTICES, Graph, dense, measures
 
 
 def sample_connected(n: int, rng: random.Random, p: float) -> Graph:
@@ -39,6 +39,16 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--restarts", type=int, default=200)
     args = parser.parse_args()
+    # refused before any sample: no draw on 2 or more vertices is connected at
+    # edge probability 0, and the search needs at least one restart
+    if not 1 <= args.n <= MAX_VERTICES:
+        parser.error(f"--n must be in 1..{MAX_VERTICES}, got {args.n}")
+    if not 0 < args.edge_prob <= 1:
+        parser.error(f"--edge-prob must be in (0, 1], got {args.edge_prob}")
+    if args.restarts < 1:
+        parser.error(f"--restarts must be at least 1, got {args.restarts}")
+    if args.samples < 0:
+        parser.error(f"--samples must be at least 0, got {args.samples}")
 
     rng = random.Random(args.seed)
     coincide = truncated = 0

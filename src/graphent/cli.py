@@ -48,7 +48,7 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     else:
         with open(args.graph, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return parse_graph(text, fmt=args.fmt)
+    return parse_graph(text)
 
 
 def _emit(args: argparse.Namespace, payload: str):
@@ -326,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_graph_opts(p, orbit_cap=True):
         p.add_argument("graph", help="path to a graph file, or '-' for stdin")
-        p.add_argument("--format", dest="fmt", choices=["edgelist", "graph6"], default="edgelist")
         if orbit_cap:
             p.add_argument("--orbit-cap", type=int, default=DEFAULT_ORBIT_CAP)
         p.add_argument("--out", default=None)

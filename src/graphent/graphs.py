@@ -221,18 +221,15 @@ def _parse_graph6(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def parse_graph(text: str, fmt: str = "edgelist") -> Graph:
+def parse_graph(text: str) -> Graph:
     """Parse edge-list or graph6 text into a connected Graph.
 
-    Analysis entry points require connectivity, so a disconnected graph
-    raises DisconnectedGraphError.
+    The text says its format: graph6 is one whitespace-separated token (its
+    characters lie in '?'..'~'), and an edge list has at least the two
+    tokens of its 'N M' header.  Analysis entry points require connectivity, so a
+    disconnected graph raises DisconnectedGraphError.
     """
-    if fmt == "edgelist":
-        g = _parse_edgelist(text)
-    elif fmt == "graph6":
-        g = _parse_graph6(text)
-    else:
-        raise ValueError(f"unknown graph format {fmt!r}")
+    g = _parse_graph6(text) if len(text.split(None, 1)) == 1 else _parse_edgelist(text)
     if not g.is_connected():
         raise DisconnectedGraphError("input graph is not connected")
     return g

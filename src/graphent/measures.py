@@ -12,16 +12,20 @@ bounds and classification are the ones that solving the whole orbit gives.
 truncated thus means one thing: the cap cut off the orbit solve that the
 upper bound rests on.
 
-evaluate solves each sub-problem once: r, g's own |beta| and |M_max| and m
-are worked out once (graphs._root_facts) and handed to the orbit solve,
-which solves the members whose solve could still change its summary; that
-summary carries the values bounds needs; then one maximum independent set
-of the graph the decomposition is built on (g, or the orbit representative
-at the end of the LC path) gives its stabilized basis.  With an empty LC
-path the decomposition, the CSS and the CPS are views of that one basis; on
-a nonempty path evaluate builds the representative's basis a second time,
-as the label buffer that the transport carries back to g for the CSS and
-the CPS.
+evaluate solves each sub-problem once, with one repeat: r, g's own |beta|
+and |M_max| and m are worked out once (graphs._root_facts) and handed to the
+orbit solve, which solves the members whose solve could still change its
+summary; that summary carries the values bounds needs; then one maximum
+independent set of the graph the decomposition is built on (g, or the orbit
+representative at the end of the LC path) gives its stabilized basis.  The
+repeat: max_independent_set(base) takes no size, so it starts by solving
+the whole base's independent-set size, n - upper, which _root_facts or the
+orbit solve has already proved (one whole-graph solve per report, counted
+in the analyze benchmark's independent-set solves per op).  With an empty
+LC path the decomposition, the CSS and the CPS are views of that one basis;
+on a nonempty path evaluate builds the representative's basis a second
+time, as the label buffer that the transport carries back to g for the CSS
+and the CPS.
 
 E_R and E_G are one value on a graph state |G>, so one interval serves both.
 For a product state |phi>, the twirl sigma_phi = 2^-n sum_s s|phi><phi|s over

@@ -177,19 +177,37 @@ def test_analyze_oracle_is_a_usage_error(capsys, fig6_file):
 def test_analyze_graph6_format(capsys, tmp_path):
     path = tmp_path / "p3.g6"
     path.write_text("Bg\n")
-    code, out, _ = run(capsys, ["analyze", str(path), "--format", "graph6"])
+    code, out, _ = run(capsys, ["analyze", str(path)])
     assert code == 0
     assert json.loads(out)["measures"]["schmidt"] == 1.0
+
+
+def test_graph6_on_stdin_gives_the_edge_list_report(capsys, fig6_file, monkeypatch):
+    # 'E?NG' is the README's six-vertex edge list in graph6; the text says its format
+    monkeypatch.setattr(sys, "stdin", io.StringIO("E?NG\n"))
+    from_graph6 = run(capsys, ["analyze", "-"])
+    assert from_graph6 == run(capsys, ["analyze", fig6_file])
+    assert from_graph6[0] == 0 and from_graph6[1]
+
+
+@pytest.mark.parametrize("command", ["analyze", "css", "orbit", "verify"])
+def test_format_is_a_usage_error(capsys, fig6_file, command):
+    # no command takes --format: the parser reads it from the text
+    with pytest.raises(SystemExit) as exc:
+        main([command, fig6_file, "--format", "graph6"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --format" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("n", [0, 65])
 def test_analyze_vertex_count_outside_the_cap_exits_1(capsys, tmp_path, n):
     # one error line and no stdout, in both formats; 65 vertices in graph6's
     # long size form with a short body and with the full one
-    for i, (text, fmt) in enumerate(vertex_count_inputs(n)):
+    for i, text in enumerate(vertex_count_inputs(n)):
         path = tmp_path / f"g{i}.txt"
         path.write_text(text + "\n")
-        code, out, err = run(capsys, ["analyze", str(path), "--format", fmt])
+        code, out, err = run(capsys, ["analyze", str(path)])
         assert (code, out, err) == (1, "", f"error: vertex count {n} outside 1..64\n"), text
 
 

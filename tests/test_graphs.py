@@ -114,8 +114,8 @@ def test_parse_rejects_disconnected():
 def test_graph6_known_vector(p3):
     # 'Bg' is the standard graph6 encoding of the 3-vertex path
     assert to_graph6(p3) == "Bg"
-    assert parse_graph("Bg", fmt="graph6").edges() == [(1, 2), (2, 3)]
-    assert parse_graph(">>graph6<<Bg", fmt="graph6").edges() == [(1, 2), (2, 3)]
+    assert parse_graph("Bg").edges() == [(1, 2), (2, 3)]
+    assert parse_graph(">>graph6<<Bg").edges() == [(1, 2), (2, 3)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -126,13 +126,13 @@ def test_graph6_round_trip(g):
 
 def test_graph6_bad_chars():
     with pytest.raises(GraphFormatError):
-        parse_graph("B\x07", fmt="graph6")
+        parse_graph("B\x07")
 
 
 @pytest.mark.parametrize(
     "text",
     [
-        "",
+        "",  # blank: no token, so read as an edge list
         ">>graph6<<",  # header only
         "~",  # long size field cut short
         "~?",
@@ -143,19 +143,37 @@ def test_graph6_bad_chars():
 )
 def test_graph6_errors(text):
     with pytest.raises(GraphFormatError):
-        parse_graph(text, fmt="graph6")
+        parse_graph(text)
 
 
 @pytest.mark.parametrize("n", [63, 64])
 def test_graph6_long_form_round_trip(n):
     # from 63 vertices on, graph6 gives the size in the long form '~' plus three characters
     text = to_graph6(ring(n))
-    assert text[0] == "~" and parse_graph(text, fmt="graph6").adj == ring(n).adj
+    assert text[0] == "~" and parse_graph(text).adj == ring(n).adj
 
 
-def test_parse_unknown_format():
-    with pytest.raises(ValueError):
-        parse_graph("Bg", fmt="dot")
+def test_the_text_picks_its_parser():
+    # graph6 is one token and an edge list has at least two, so each spelling
+    # below parses as the format it is written in; the rings and G(n, p) reach
+    # graph6's long size form at n >= 63
+    graphs = list(_CONNECTED_UP_TO_5) + [ring(n) for n in range(3, 65)]
+    graphs += [random_connected(n, random.Random(n), p) for p in (0.1, 0.5) for n in range(7, 65)]
+    assert len(graphs) == 950
+    for g in graphs:
+        edges = g.edges()
+        edgelist = f"{g.n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+        g6 = to_graph6(g)
+        spellings = (
+            edgelist,
+            "# comment first\n" + edgelist,
+            "\n  \n" + edgelist + "\n\n",
+            g6,
+            ">>graph6<<" + g6,
+            "\n " + g6 + " \n\n",
+        )
+        for text in spellings:
+            assert parse_graph(text).adj == g.adj, text
 
 
 @pytest.mark.parametrize(
@@ -174,12 +192,12 @@ def test_graph_rejects_bad_adjacency(n, adj, reason):
         Graph(n, adj)
 
 
-def vertex_count_inputs(n: int) -> list[tuple[str, str]]:
-    """(text, format) of an edge list and of graph6 texts on n vertices: for
-    n = 65 both a one-character body and the full 347-character one."""
+def vertex_count_inputs(n: int) -> list[str]:
+    """An edge list and graph6 texts on n vertices: for n = 65 both a
+    one-character body and the full 347-character one."""
     if n == 0:
-        return [("0 0", "edgelist"), ("?", "graph6")]
-    return [("65 0", "edgelist"), ("~?@@?", "graph6"), ("~?@@" + "~" * 347, "graph6")]
+        return ["0 0", "?"]
+    return ["65 0", "~?@@?", "~?@@" + "~" * 347]
 
 
 @pytest.mark.parametrize("n", [0, 65])
@@ -190,9 +208,9 @@ def test_one_vertex_count_rule_for_every_input(n):
         Graph(n, (0,) * n)
     with pytest.raises(GraphFormatError, match=match):
         Graph.from_edges(n, [])
-    for text, fmt in vertex_count_inputs(n):
+    for text in vertex_count_inputs(n):
         with pytest.raises(GraphFormatError, match=match):
-            parse_graph(text, fmt)
+            parse_graph(text)
     with pytest.raises(GraphFormatError, match="self-loop at vertex 1"):
         parse_graph("2 1\n1 1")
 
